@@ -11,35 +11,30 @@ rank correlation) through the ``ensrisk`` command-line tool.
 __version__ = "0.1.0"
 
 from .gaussians import (
-    AveragedSurrogate,
     GaussianComponent,
     GaussianEnsemble,
-    MomentSurrogate,
     abs_moment,
     averaged_surrogate,
     moment_surrogate,
     std_normal_cdf,
     std_normal_pdf,
 )
-from .scores import (
-    NOT_CLOSED_FORM,
-    NotClosedForm,
-    ScoringRule,
-    divergence,
-    entropy,
-    expected_score,
-    point_score,
-)
+from .scores import ScoringRule, point_score
 from .estimators import (
+    NOT_CLOSED_FORM,
     Availability,
     ApproximationId,
     EstimatorId,
+    NotClosedForm,
     PredictionPoint,
     PredictionSet,
     RiskKind,
     availability,
     bayes_risk,
+    divergence,
+    entropy,
     excess_risk,
+    expected_score,
     measure_matrix,
     total_risk,
 )
@@ -53,8 +48,8 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "AveragedSurrogate", "GaussianComponent", "GaussianEnsemble",
-    "MomentSurrogate", "abs_moment", "averaged_surrogate", "moment_surrogate",
+    "GaussianComponent", "GaussianEnsemble",
+    "abs_moment", "averaged_surrogate", "moment_surrogate",
     "std_normal_cdf", "std_normal_pdf",
     "NOT_CLOSED_FORM", "NotClosedForm", "ScoringRule",
     "divergence", "entropy", "expected_score", "point_score",

@@ -17,6 +17,13 @@ Cells with no closed form (anything that needs the Shannon entropy of a
 mixture under the LOG rule) are flagged QuadratureRequired and can be filled
 from the oracle module; the SE cells Exc(3a,2) and Exc(3b,2) are identically
 zero because both surrogates share the mixture mean.
+
+``EnsembleBatch`` is the closed-form layer: it is the only place a risk,
+entropy or divergence formula is written.  The scalar functions below it
+(``entropy``, ``expected_score``, ``divergence`` and the three risks) are thin
+wrappers that run a batch of one row (one per label component for
+``expected_score``).  Inside the batch a missing closed form
+raises ``NotClosedFormRequested``; the wrappers return ``NOT_CLOSED_FORM``.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ import numpy as np
 
 from .gaussians import GaussianEnsemble
 from .scores import (
-    NOT_CLOSED_FORM,
+    Distribution,
     ScoringRule,
-    pairwise_abs_moment,
-    pairwise_overlap,
     abs_moment,
     gaussian_overlap,
+    mixture_parameters,
+    pairwise_abs_moment,
+    pairwise_overlap,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -151,6 +159,25 @@ class NotClosedFormRequested(ValueError):
     """A batch evaluation asked for a cell that has no closed form."""
 
 
+class NotClosedForm:
+    """Marker the scalar wrappers return for results with no closed form
+    (the '-' table cells); callers that need the number anyway should hand
+    the computation to the oracle module."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "NOT_CLOSED_FORM"
+
+
+NOT_CLOSED_FORM = NotClosedForm()
+
+
 class EnsembleBatch:
     """Closed-form estimator evaluation over a stack of ensembles.
 
@@ -233,45 +260,49 @@ class EnsembleBatch:
 
     # -- excess risks ----------------------------------------------------------
 
-    def _surrogate_vs_members(self, rule, approx) -> np.ndarray:
-        """mean_j d(surrogate, P_j), the (3a,1) / (3b,1) cells."""
-        mu_s, var_s = self._surrogate(approx)
-        mu_s, var_s = mu_s[:, None], var_s[:, None]
+    def gaussian_vs_members(self, rule, mu, var) -> np.ndarray:
+        """mean_j d(N(mu, var), P_j) for one Gaussian per row, shape (n,).
+
+        With a surrogate as the Gaussian these are the (3a,1) / (3b,1) cells.
+        """
+        mu_b, var_b = mu[:, None], var[:, None]
         if rule is ScoringRule.CRPS:
-            cross = abs_moment(mu_s - self.means, np.sqrt(var_s + self.variances))
-            return cross.mean(axis=1) - (np.sqrt(var_s[:, 0])
+            cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances))
+            return cross.mean(axis=1) - (np.sqrt(var)
                                          + self.sigmas.mean(axis=1)) / _SQRT_PI
         if rule is ScoringRule.LOG:
-            kl = 0.5 * (np.log(var_s / self.variances) - 1.0
-                        + (self.variances + (mu_s - self.means) ** 2) / var_s)
+            kl = 0.5 * (np.log(var_b / self.variances) - 1.0
+                        + (self.variances + (mu_b - self.means) ** 2) / var_b)
             return kl.mean(axis=1)
         if rule is ScoringRule.QUADRATIC:
-            cross = gaussian_overlap(mu_s, var_s, self.means, self.variances)
-            return (0.5 / (_SQRT_PI * np.sqrt(var_s[:, 0]))
+            cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
+            return (0.5 / (_SQRT_PI * np.sqrt(var))
                     + (0.5 / (_SQRT_PI * self.sigmas)).mean(axis=1)
                     - 2.0 * cross.mean(axis=1))
         if rule is ScoringRule.SE:
-            return self.pop_var.copy()
+            return ((mu_b - self.means) ** 2).mean(axis=1)
         raise ValueError(f"unknown rule {rule!r}")
 
-    def _surrogate_vs_mixture(self, rule, approx) -> np.ndarray:
-        """d(surrogate, P_ens), the (3a,2) / (3b,2) cells."""
-        mu_s, var_s = self._surrogate(approx)
+    def gaussian_vs_mixture(self, rule, mu, var) -> np.ndarray:
+        """d(N(mu, var), P_ens) for one Gaussian per row, shape (n,).
+
+        With a surrogate as the Gaussian these are the (3a,2) / (3b,2) cells.
+        """
         if rule is ScoringRule.SE:
-            # Both surrogates share the mixture mean: identically zero.
-            return np.zeros_like(mu_s)
-        mu_b, var_b = mu_s[:, None], var_s[:, None]
+            # Exactly 0.0 for the surrogates, which sit at the mixture mean.
+            return (mu - self.mu_star) ** 2
+        mu_b, var_b = mu[:, None], var[:, None]
         if rule is ScoringRule.CRPS:
             cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances))
-            return (cross.mean(axis=1) - np.sqrt(var_s) / _SQRT_PI
+            return (cross.mean(axis=1) - np.sqrt(var) / _SQRT_PI
                     - 0.5 * self.crps_pair_mean())
         if rule is ScoringRule.QUADRATIC:
             cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
-            return (0.5 / (_SQRT_PI * np.sqrt(var_s))
+            return (0.5 / (_SQRT_PI * np.sqrt(var))
                     + self.quad_pair_mean() - 2.0 * cross.mean(axis=1))
         if rule is ScoringRule.LOG:
             raise NotClosedFormRequested(
-                "LOG d(surrogate, mixture) needs the mixture Shannon entropy")
+                "LOG d(Gaussian, mixture) needs the mixture Shannon entropy")
         raise ValueError(f"unknown rule {rule!r}")
 
     def excess(self, rule: ScoringRule,
@@ -304,9 +335,9 @@ class EnsembleBatch:
             return self.bayes(rule, ens) - self.bayes(rule, ba)
 
         if second is ba:
-            return self._surrogate_vs_members(rule, first)
+            return self.gaussian_vs_members(rule, *self._surrogate(first))
         if second is ens:
-            return self._surrogate_vs_mixture(rule, first)
+            return self.gaussian_vs_mixture(rule, *self._surrogate(first))
         raise ValueError(f"unsupported pair {pair!r}")
 
     def total(self, rule: ScoringRule,
@@ -320,17 +351,43 @@ class EnsembleBatch:
             return self.excess(rule, (est.first, est.second))
         return self.total(rule, (est.first, est.second))
 
+    def log_cells(self, h_ens: np.ndarray) -> dict[str, np.ndarray]:
+        """The seven LOG cells that need quadrature, keyed by estimator key,
+        given each row's mixture Shannon entropy H(P_ens) (everything else
+        about them is closed-form)."""
+        b1 = self.bayes(ScoringRule.LOG, ApproximationId.BA)
+        cells = {"bayes_2": h_ens, "exc_2_1": h_ens - b1, "tot_2_1": 2.0 * h_ens - b1}
+        for approx in (ApproximationId.MM, ApproximationId.AV):
+            mu_s, var_s = self._surrogate(approx)
+            # mean_j LS(P_surrogate, P_j) is closed; only H(P_ens) was not.
+            cross = 0.5 * (_LOG_2PI + np.log(var_s)[:, None]
+                           + (self.variances + (mu_s[:, None] - self.means) ** 2)
+                           / var_s[:, None]).mean(axis=1)
+            exc = cross - h_ens
+            cells[f"exc_{approx.value}_2"] = exc
+            cells[f"tot_{approx.value}_2"] = self.bayes(ScoringRule.LOG, approx) + exc
+        return cells
 
-def _as_batch(ens: GaussianEnsemble) -> EnsembleBatch:
-    return EnsembleBatch(ens.means[None, :], ens.variances[None, :])
+
+# -- scalar wrappers -----------------------------------------------------------
+
+def _as_batch(dist: Distribution) -> EnsembleBatch:
+    means, variances = mixture_parameters(dist)
+    return EnsembleBatch(means[None, :], variances[None, :])
+
+
+def _closed_form(compute):
+    """``compute()`` as a float, or NOT_CLOSED_FORM if the batch raised
+    NotClosedFormRequested."""
+    try:
+        return float(compute())
+    except NotClosedFormRequested:
+        return NOT_CLOSED_FORM
 
 
 def bayes_risk(rule: ScoringRule, ens: GaussianEnsemble, approx: ApproximationId):
     """Bayes-risk (aleatoric) estimate; NOT_CLOSED_FORM for (LOG, ENS)."""
-    try:
-        return float(_as_batch(ens).bayes(rule, approx)[0])
-    except NotClosedFormRequested:
-        return NOT_CLOSED_FORM
+    return _closed_form(lambda: _as_batch(ens).bayes(rule, approx)[0])
 
 
 def excess_risk(rule: ScoringRule, ens: GaussianEnsemble,
@@ -343,10 +400,7 @@ def excess_risk(rule: ScoringRule, ens: GaussianEnsemble,
     allowed = set(SUPPORTED_PAIRS) | {(ApproximationId.BA, ApproximationId.ENS)}
     if tuple(pair) not in allowed:
         raise ValueError(f"unsupported pair {pair!r}")
-    try:
-        return float(_as_batch(ens).excess(rule, tuple(pair))[0])
-    except NotClosedFormRequested:
-        return NOT_CLOSED_FORM
+    return _closed_form(lambda: _as_batch(ens).excess(rule, tuple(pair))[0])
 
 
 def total_risk(rule: ScoringRule, ens: GaussianEnsemble,
@@ -354,10 +408,65 @@ def total_risk(rule: ScoringRule, ens: GaussianEnsemble,
     """Total risk Tot(alpha, beta) = Bayes(alpha) + Exc(alpha, beta)."""
     if tuple(pair) not in SUPPORTED_PAIRS:
         raise ValueError(f"unsupported pair {pair!r}")
-    try:
-        return float(_as_batch(ens).total(rule, tuple(pair))[0])
-    except NotClosedFormRequested:
+    return _closed_form(lambda: _as_batch(ens).total(rule, tuple(pair))[0])
+
+
+def entropy(rule: ScoringRule, p: Distribution):
+    """H(P) = S(P, P), the minimum attainable expected score.
+
+    Gaussian inputs are always closed-form.  For M >= 2 mixtures: CRPS and
+    QUADRATIC have exact mixture entropies, SE uses the mixture variance,
+    and LOG (Shannon entropy of a mixture) returns NOT_CLOSED_FORM.
+    """
+    batch = _as_batch(p)
+    approx = ApproximationId.BA if batch.size == 1 else ApproximationId.ENS
+    return _closed_form(lambda: batch.bayes(rule, approx)[0])
+
+
+def _divergences_to(rule: ScoringRule, pred: Distribution,
+                    mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """d(pred, N(mu_k, var_k)) for every k."""
+    p_means, p_vars = mixture_parameters(pred)
+    k = len(mu)
+    if len(p_means) == 1:
+        labels = EnsembleBatch(mu[:, None], var[:, None])
+        return labels.gaussian_vs_members(rule, np.repeat(p_means, k),
+                                          np.repeat(p_vars, k))
+    # d(P_ens, N_k) = d(N_k, P_ens) for the symmetric rules; LOG raises here.
+    preds = EnsembleBatch(np.tile(p_means, (k, 1)), np.tile(p_vars, (k, 1)))
+    return preds.gaussian_vs_mixture(rule, mu, var)
+
+
+def expected_score(rule: ScoringRule, pred: Distribution, label: Distribution):
+    """S(pred, label) = E_{Y ~ label} S(pred, Y).
+
+    Mixture labels expand by linearity of the expectation:
+    S(pred, Q) = mean_k [H(Q_k) + d(pred, Q_k)].  A mixture in the
+    prediction slot is closed-form for CRPS, QUADRATIC and SE, but not for
+    LOG (log of a sum): that combination returns NOT_CLOSED_FORM.
+    """
+    mu, var = mixture_parameters(label)
+    h = EnsembleBatch(mu[:, None], var[:, None]).bayes(rule, ApproximationId.BA)
+    return _closed_form(lambda: np.mean(h + _divergences_to(rule, pred, mu, var)))
+
+
+def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
+    """d(pred, label) = S(pred, label) - H(label), the excess of predicting
+    ``pred`` when ``label`` is true.  Nonnegative for proper rules.
+
+    CRPS, QUADRATIC and SE divergences are symmetric and closed-form for
+    mixtures on both sides.  LOG divergence is KL(label || pred); it is
+    closed only when both sides are single Gaussians.
+    """
+    p_means, p_vars = mixture_parameters(pred)
+    if len(p_means) == 1:
+        batch = _as_batch(label)
+        vs = batch.gaussian_vs_members if batch.size == 1 else batch.gaussian_vs_mixture
+        return _closed_form(lambda: vs(rule, p_means, p_vars)[0])
+    score = expected_score(rule, pred, label)
+    if score is NOT_CLOSED_FORM:
         return NOT_CLOSED_FORM
+    return score - entropy(rule, label)
 
 
 def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, float]:
@@ -365,35 +474,18 @@ def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, floa
     integral per ensemble (everything else about them is closed-form)."""
     from .oracle import QuadratureConfig, oracle_entropy
 
-    cfg = quad_cfg or QuadratureConfig()
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, cfg)
-    batch = _as_batch(ens)
-    b1 = float(batch.bayes(ScoringRule.LOG, ApproximationId.BA)[0])
-    cells = {"bayes_2": h_ens, "exc_2_1": h_ens - b1, "tot_2_1": 2.0 * h_ens - b1}
-    mu, var = ens.means, ens.variances
-    for approx, tag in ((ApproximationId.MM, "3a"), (ApproximationId.AV, "3b")):
-        mu_s, var_s = batch._surrogate(approx)
-        mu_s, var_s = float(mu_s[0]), float(var_s[0])
-        # mean_j LS(P_surrogate, P_j) is closed; only H(P_ens) was not.
-        cross = float(np.mean(0.5 * (_LOG_2PI + math.log(var_s)
-                                     + (var + (mu_s - mu) ** 2) / var_s)))
-        exc = cross - h_ens
-        cells[f"exc_{tag}_2"] = exc
-        b_s = float(batch.bayes(ScoringRule.LOG, approx)[0])
-        cells[f"tot_{tag}_2"] = b_s + exc
-    return cells
+    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg or QuadratureConfig())
+    cells = _as_batch(ens).log_cells(np.array([h_ens]))
+    return {key: float(v[0]) for key, v in cells.items()}
 
 
 def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:
-    """LOG Exc(1,2) = mean_ij LS(P_i, P_j) - H(P_ens); oracle-assisted."""
+    """LOG Exc(1,2) = Tot(1,1) - H(P_ens); oracle-assisted."""
     from .oracle import QuadratureConfig, oracle_entropy
 
-    cfg = quad_cfg or QuadratureConfig()
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, cfg)
-    mu, var = ens.means, ens.variances
-    ls = 0.5 * (_LOG_2PI + np.log(var[:, None])
-                + (var[None, :] + (mu[:, None] - mu[None, :]) ** 2) / var[:, None])
-    return float(ls.mean()) - h_ens
+    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg or QuadratureConfig())
+    ba = ApproximationId.BA
+    return total_risk(ScoringRule.LOG, ens, (ba, ba)) - h_ens
 
 
 # -- prediction sets and the measure matrix ----------------------------------

@@ -2,10 +2,10 @@
 
 An ensemble member is a single Gaussian N(mu_i, sigma_i^2); an ensemble is
 the uniform mixture of its M members.  Two single-Gaussian stand-ins for the
-mixture are provided: the moment-matched surrogate (exact mixture mean and
-variance) and the averaged-variance surrogate (mixture mean, mean member
-variance).  All closed forms downstream are assembled from the scalar
-special functions defined here, in particular
+mixture are provided, both returned as plain components: the moment-matched
+surrogate (exact mixture mean and variance) and the averaged-variance
+surrogate (mixture mean, mean member variance).  All closed forms downstream
+are assembled from the scalar special functions defined here, in particular
 
     A(mu, sigma) = 2 sigma phi(mu/sigma) + mu (2 Phi(mu/sigma) - 1),
 
@@ -141,40 +141,6 @@ class GaussianEnsemble:
         return np.array([c.variance for c in self.components])
 
 
-@dataclass(frozen=True)
-class MomentSurrogate:
-    """Single Gaussian with the mixture's exact mean and variance."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("mean and variance must be finite")
-        if self.variance <= 0.0:
-            raise ValueError("variance must be > 0")
-
-    def as_component(self) -> GaussianComponent:
-        return GaussianComponent(self.mean, self.variance)
-
-
-@dataclass(frozen=True)
-class AveragedSurrogate:
-    """Single Gaussian with the mixture mean and the mean member variance."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("mean and variance must be finite")
-        if self.variance <= 0.0:
-            raise ValueError("variance must be > 0")
-
-    def as_component(self) -> GaussianComponent:
-        return GaussianComponent(self.mean, self.variance)
-
-
 def mixture_mean_variance(means: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
     """Mean and variance of the uniform mixture, via the shifted form.
 
@@ -187,12 +153,12 @@ def mixture_mean_variance(means: np.ndarray, variances: np.ndarray) -> tuple[flo
     return mu_star, var_star
 
 
-def moment_surrogate(ens: GaussianEnsemble) -> MomentSurrogate:
+def moment_surrogate(ens: GaussianEnsemble) -> GaussianComponent:
     """Moment-matched single-Gaussian stand-in for the ensemble mixture."""
     mu_star, var_star = mixture_mean_variance(ens.means, ens.variances)
-    return MomentSurrogate(mu_star, var_star)
+    return GaussianComponent(mu_star, var_star)
 
 
-def averaged_surrogate(ens: GaussianEnsemble) -> AveragedSurrogate:
+def averaged_surrogate(ens: GaussianEnsemble) -> GaussianComponent:
     """Averaged-variance single-Gaussian stand-in for the ensemble mixture."""
-    return AveragedSurrogate(float(np.mean(ens.means)), float(np.mean(ens.variances)))
+    return GaussianComponent(float(np.mean(ens.means)), float(np.mean(ens.variances)))

@@ -3,9 +3,11 @@
 Expected scores, entropies, and divergences of Gaussian mixtures are
 recomputed here straight from their defining integrals with an adaptive
 Gauss-Kronrod scheme, plus a seeded Monte-Carlo estimator as a second,
-stochastic route.  Nothing in this module reuses the closed-form mixture
-expressions it is meant to check; the only shared code is the elementary
-density/CDF evaluation.
+stochastic route.  The quadrature primitives never call the closed-form
+mixture expressions they are meant to check; the only shared code is the
+elementary density/CDF evaluation.  The oracle check at the end of the module
+(``run_oracle_check``) is where the two meet: it assembles every estimator
+cell from the primitives and compares it with ``EnsembleBatch``.
 
 The adaptive scheme bisects the interval carrying the largest error, where
 the local error is estimated from the difference between the embedded
@@ -24,7 +26,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from .gaussians import GaussianComponent
+from .estimators import (
+    Availability,
+    EnsembleBatch,
+    EstimatorId,
+    availability,
+    default_estimators,
+)
+from .gaussians import (
+    GaussianComponent,
+    GaussianEnsemble,
+    averaged_surrogate,
+    moment_surrogate,
+)
 from .scores import Distribution, ScoringRule, mixture_parameters, point_scores
 
 _SQRT_2 = math.sqrt(2.0)
@@ -348,3 +362,104 @@ def crps_point_quadrature(pred: Distribution, y: float,
         return (f_p(t) - (y <= t)) ** 2
 
     return adaptive_quadrature(integrand, lo, hi, cfg, knots=(y,)).value
+
+
+# -- oracle-check: closed forms against quadrature ------------------------------
+
+@dataclass
+class _CellCheck:
+    rule: ScoringRule
+    estimator: EstimatorId
+    max_abs_dev: float = 0.0
+    max_rel_dev: float = 0.0
+    convergence_failures: int = 0
+
+
+def _quadrature_cells(rule: ScoringRule, ens: GaussianEnsemble,
+                      cfg: QuadratureConfig) -> dict[str, float]:
+    """Assemble every estimator cell from per-pair quadrature primitives."""
+    comps = ens.components
+    mm = moment_surrogate(ens)
+    av = averaged_surrogate(ens)
+    h_members = [oracle_entropy(rule, c, cfg) for c in comps]
+    h_mix = oracle_entropy(rule, ens, cfg)
+    h_mm = oracle_entropy(rule, mm, cfg)
+    h_av = oracle_entropy(rule, av, cfg)
+
+    def div(pred, label, h_label):
+        if rule is ScoringRule.CRPS:
+            return oracle_divergence(rule, pred, label, cfg)
+        return oracle_expected_score(rule, pred, label, cfg).value - h_label
+
+    d_pairs = [div(a, b, h_members[j])
+               for a in comps for j, b in enumerate(comps)]
+    d_ens_member = [div(ens, c, h_members[j]) for j, c in enumerate(comps)]
+    d_mm_member = [div(mm, c, h_members[j]) for j, c in enumerate(comps)]
+    d_av_member = [div(av, c, h_members[j]) for j, c in enumerate(comps)]
+    d_mm_ens = div(mm, ens, h_mix)
+    d_av_ens = div(av, ens, h_mix)
+
+    bayes = {
+        "1": float(np.mean(h_members)), "2": h_mix, "3a": h_mm, "3b": h_av,
+    }
+    exc = {
+        "1_1": float(np.mean(d_pairs)),
+        "2_1": float(np.mean(d_ens_member)),
+        "3a_1": float(np.mean(d_mm_member)),
+        "3b_1": float(np.mean(d_av_member)),
+        "3a_2": d_mm_ens,
+        "3b_2": d_av_ens,
+    }
+    cells = {f"bayes_{k}": v for k, v in bayes.items()}
+    cells.update({f"exc_{k}": v for k, v in exc.items()})
+    for pair, value in exc.items():
+        alpha = pair.split("_")[0]
+        cells[f"tot_{pair}"] = bayes[alpha] + value
+    return cells
+
+
+def run_oracle_check(trials: int, seed: int,
+                     cfg: QuadratureConfig | None = None,
+                     rel_tol: float = 1e-6, abs_floor: float = 1e-9):
+    """Compare every ClosedForm (and IdenticallyZero) cell to quadrature.
+
+    Returns (rows, passed, worst_rel): one row per (rule, estimator) with
+    the worst deviation over all trials.  A cell passes when
+    |closed - quad| <= max(rel_tol * |closed|, abs_floor).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cfg = cfg or QuadratureConfig()
+    rng = np.random.default_rng(seed)
+    checks = {(rule, est.key): _CellCheck(rule, est)
+              for rule in ScoringRule for est in default_estimators()}
+    passed = True
+    for _ in range(trials):
+        m = int(rng.integers(1, 6))
+        means = rng.uniform(-5.0, 5.0, size=m)
+        variances = rng.uniform(0.05, 9.0, size=m)
+        ens = GaussianEnsemble.from_arrays(means, variances)
+        batch = EnsembleBatch(means[None, :], variances[None, :])
+        for rule in ScoringRule:
+            try:
+                quad = _quadrature_cells(rule, ens, cfg)
+            except ConvergenceError:
+                for est in default_estimators():
+                    checks[(rule, est.key)].convergence_failures += 1
+                passed = False
+                continue
+            for est in default_estimators():
+                avail = availability(rule, est)
+                if avail is Availability.QUADRATURE_REQUIRED:
+                    continue
+                closed = float(batch.evaluate(rule, est)[0])
+                dev = abs(closed - quad[est.key])
+                cell = checks[(rule, est.key)]
+                cell.max_abs_dev = max(cell.max_abs_dev, dev)
+                cell.max_rel_dev = max(cell.max_rel_dev,
+                                       dev / max(abs(closed), abs_floor / rel_tol))
+                if dev > max(rel_tol * abs(closed), abs_floor):
+                    passed = False
+    rows = [c for c in checks.values()]
+    worst = max(c.max_rel_dev for c in rows)
+    return rows, passed, worst

@@ -1,7 +1,6 @@
-"""Closed-form scores, entropies, and divergences for the four scoring rules.
+"""The four scoring rules, their pointwise scores, and the pairwise kernels.
 
-Everything here operates on single Gaussians, the two surrogates, or uniform
-Gaussian mixtures.  The scoring rules are
+The scoring rules are
 
     CRPS(P, y)  = integral (F_P(t) - 1{y <= t})^2 dt
     LOG(P, y)   = -log p(y)
@@ -11,10 +10,10 @@ Gaussian mixtures.  The scoring rules are
 SE is proper but not strictly proper (any distribution with the same mean
 scores identically); that property is documented, not enforced.
 
-Closed forms that do not exist (anything requiring the Shannon entropy of a
-mixture, or the log of a mixture density inside an expectation) return the
-``NOT_CLOSED_FORM`` marker instead of raising, so the estimator registry can
-route those cells to the quadrature oracle.
+Point scores are closed-form for single Gaussians and uniform Gaussian
+mixtures under all four rules.  Entropies, expected scores and divergences
+are assembled from the pairwise kernels here by the batched closed-form
+layer in ``estimators``.
 """
 
 from __future__ import annotations
@@ -26,14 +25,7 @@ from typing import Union
 import numpy as np
 from scipy import special
 
-from .gaussians import (
-    AveragedSurrogate,
-    GaussianComponent,
-    GaussianEnsemble,
-    MomentSurrogate,
-    abs_moment,
-    mixture_mean_variance,
-)
+from .gaussians import GaussianComponent, GaussianEnsemble, abs_moment
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -48,44 +40,16 @@ class ScoringRule(Enum):
     SE = "se"
 
 
-class NotClosedForm:
-    """Marker value for results with no closed form (the '-' table cells).
-
-    Returned, never raised: callers that need the number anyway should hand
-    the computation to the oracle module.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_CLOSED_FORM"
-
-
-NOT_CLOSED_FORM = NotClosedForm()
-
-Distribution = Union[GaussianComponent, GaussianEnsemble, MomentSurrogate, AveragedSurrogate]
+Distribution = Union[GaussianComponent, GaussianEnsemble]
 
 
 def mixture_parameters(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
     """Means and variances of ``dist`` as arrays (length 1 for non-mixtures)."""
     if isinstance(dist, GaussianEnsemble):
         return dist.means, dist.variances
-    if isinstance(dist, (GaussianComponent, MomentSurrogate, AveragedSurrogate)):
+    if isinstance(dist, GaussianComponent):
         return np.array([dist.mean]), np.array([dist.variance])
     raise TypeError(f"not a distribution: {dist!r}")
-
-
-def _single(dist: Distribution) -> tuple[float, float] | None:
-    """(mean, variance) if ``dist`` is effectively one Gaussian, else None."""
-    means, variances = mixture_parameters(dist)
-    if len(means) == 1:
-        return float(means[0]), float(variances[0])
-    return None
 
 
 # -- shared pairwise kernels -------------------------------------------------
@@ -141,12 +105,10 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcomes must be finite")
     means, variances = mixture_parameters(pred)
-    single = _single(pred)
 
     if rule is ScoringRule.CRPS:
-        if single is not None:
-            mu, var = single
-            sigma = math.sqrt(var)
+        if len(means) == 1:
+            mu, sigma = float(means[0]), math.sqrt(float(variances[0]))
             z = (ys - mu) / sigma
             pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
             cdf = 0.5 * special.erfc(-z / _SQRT_2)
@@ -184,117 +146,3 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
 def point_score(rule: ScoringRule, pred: Distribution, y: float) -> float:
     """S(pred, y) for one outcome."""
     return float(np.atleast_1d(point_scores(rule, pred, np.array([float(y)])))[0])
-
-
-# -- entropies ---------------------------------------------------------------
-
-def entropy(rule: ScoringRule, p: Distribution):
-    """H(P) = S(P, P), the minimum attainable expected score.
-
-    Gaussian inputs are always closed-form.  For M >= 2 mixtures: CRPS and
-    QUADRATIC have exact mixture entropies, SE uses the mixture variance,
-    and LOG (Shannon entropy of a mixture) returns NOT_CLOSED_FORM.
-    """
-    means, variances = mixture_parameters(p)
-    single = _single(p)
-
-    if rule is ScoringRule.CRPS:
-        if single is not None:
-            return math.sqrt(single[1]) / _SQRT_PI
-        return 0.5 * float(np.mean(pairwise_abs_moment(means, variances)))
-    if rule is ScoringRule.LOG:
-        if single is not None:
-            return 0.5 * (_LOG_2PI + 1.0 + math.log(single[1]))
-        return NOT_CLOSED_FORM
-    if rule is ScoringRule.QUADRATIC:
-        return -_sq_density_norm(means, variances)
-    if rule is ScoringRule.SE:
-        return mixture_mean_variance(means, variances)[1]
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-# -- expected scores ---------------------------------------------------------
-
-def _expected_vs_gaussian_label(rule, p_means, p_vars, nu, tau2):
-    """S(pred, N(nu, tau2)) with a (possibly mixture) prediction."""
-    if rule is ScoringRule.CRPS:
-        cross = float(np.mean(abs_moment(p_means - nu, np.sqrt(p_vars + tau2))))
-        spread = 0.5 * float(np.mean(pairwise_abs_moment(p_means, p_vars)))
-        return cross - spread
-    if rule is ScoringRule.LOG:
-        if len(p_means) != 1:
-            return NOT_CLOSED_FORM
-        mu, var = float(p_means[0]), float(p_vars[0])
-        return 0.5 * (_LOG_2PI + math.log(var) + (tau2 + (mu - nu) ** 2) / var)
-    if rule is ScoringRule.QUADRATIC:
-        cross = float(np.mean(gaussian_overlap(p_means, p_vars, nu, tau2)))
-        return -2.0 * cross + _sq_density_norm(p_means, p_vars)
-    if rule is ScoringRule.SE:
-        return (float(np.mean(p_means)) - nu) ** 2 + tau2
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def expected_score(rule: ScoringRule, pred: Distribution, label: Distribution):
-    """S(pred, label) = E_{Y ~ label} S(pred, Y).
-
-    Mixture labels expand by linearity of the expectation.  A mixture in the
-    prediction slot is closed-form for CRPS, QUADRATIC and SE, but not for
-    LOG (log of a sum): that combination returns NOT_CLOSED_FORM.
-    """
-    p_means, p_vars = mixture_parameters(pred)
-    l_means, l_vars = mixture_parameters(label)
-    parts = []
-    for nu, tau2 in zip(l_means, l_vars):
-        s = _expected_vs_gaussian_label(rule, p_means, p_vars, float(nu), float(tau2))
-        if s is NOT_CLOSED_FORM:
-            return NOT_CLOSED_FORM
-        parts.append(s)
-    return float(np.mean(parts))
-
-
-# -- divergences -------------------------------------------------------------
-
-def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
-    """d(pred, label) = S(pred, label) - H(label), the excess of predicting
-    ``pred`` when ``label`` is true.  Nonnegative for proper rules.
-
-    CRPS, QUADRATIC and SE divergences are symmetric and closed-form for
-    mixtures on both sides.  LOG divergence is KL(label || pred); it is
-    closed only when both sides are single Gaussians.
-    """
-    p_means, p_vars = mixture_parameters(pred)
-    l_means, l_vars = mixture_parameters(label)
-
-    if rule is ScoringRule.CRPS:
-        cross = float(np.mean(abs_moment(
-            p_means[:, None] - l_means[None, :],
-            np.sqrt(p_vars[:, None] + l_vars[None, :]),
-        )))
-        h_p = 0.5 * float(np.mean(pairwise_abs_moment(p_means, p_vars)))
-        h_q = 0.5 * float(np.mean(pairwise_abs_moment(l_means, l_vars)))
-        return cross - h_p - h_q
-
-    if rule is ScoringRule.LOG:
-        if len(p_means) != 1 or len(l_means) != 1:
-            return NOT_CLOSED_FORM
-        return gaussian_kl(
-            float(l_means[0]), float(l_vars[0]),
-            float(p_means[0]), float(p_vars[0]),
-        )
-
-    if rule is ScoringRule.QUADRATIC:
-        cross = float(np.mean(gaussian_overlap(
-            p_means[:, None], p_vars[:, None], l_means[None, :], l_vars[None, :]
-        )))
-        return _sq_density_norm(p_means, p_vars) + _sq_density_norm(l_means, l_vars) \
-            - 2.0 * cross
-
-    if rule is ScoringRule.SE:
-        return (float(np.mean(p_means)) - float(np.mean(l_means))) ** 2
-
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def gaussian_kl(mu_q: float, var_q: float, mu_p: float, var_p: float) -> float:
-    """KL(N(mu_q, var_q) || N(mu_p, var_p))."""
-    return 0.5 * (math.log(var_p / var_q) - 1.0 + (var_q + (mu_q - mu_p) ** 2) / var_p)

@@ -38,8 +38,6 @@ from .estimators import (
 from .gaussians import GaussianEnsemble
 from .scores import ScoringRule
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class UniformPosteriorSpec:
@@ -137,31 +135,6 @@ def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray,
     return (ws * integrand).sum(axis=1)
 
 
-def _log_quad_batch(batch: EnsembleBatch, est: EstimatorId,
-                    h_ens: np.ndarray) -> np.ndarray:
-    """Vectorized LOG quadrature cells given per-row mixture entropies."""
-    from .estimators import ApproximationId, RiskKind
-
-    b1 = batch.bayes(ScoringRule.LOG, ApproximationId.BA)
-    key = est.key
-    if key == "bayes_2":
-        return h_ens
-    if key == "exc_2_1":
-        return h_ens - b1
-    if key == "tot_2_1":
-        return 2.0 * h_ens - b1
-    # surrogate-vs-mixture cells: mean_j LS(P_s, P_j) - H(P_ens)
-    approx = est.first
-    mu_s, var_s = batch._surrogate(approx)
-    cross = 0.5 * (_LOG_2PI + np.log(var_s)[:, None]
-                   + (batch.variances + (mu_s[:, None] - batch.means) ** 2)
-                   / var_s[:, None]).mean(axis=1)
-    exc = cross - h_ens
-    if est.kind is RiskKind.EXCESS:
-        return exc
-    return batch.bayes(ScoringRule.LOG, approx) + exc
-
-
 @dataclass(frozen=True)
 class ShiftRow:
     rule: ScoringRule
@@ -218,16 +191,16 @@ def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
             m = means[start:start + chunk]
             v = variances[start:start + chunk]
             batch = EnsembleBatch(m, v)
-            h_ens = None
+            log_cells = None
             for k, (rule, est) in enumerate(cells):
                 avail = availability(rule, est)
                 if avail is Availability.QUADRATURE_REQUIRED:
                     if not oracle_fallback:
                         sums[tag][k] = np.nan
                         continue
-                    if h_ens is None:
-                        h_ens = _batch_log_mixture_entropy(m, v)
-                    sums[tag][k] += float(_log_quad_batch(batch, est, h_ens).sum())
+                    if log_cells is None:
+                        log_cells = batch.log_cells(_batch_log_mixture_entropy(m, v))
+                    sums[tag][k] += float(log_cells[est.key].sum())
                 else:
                     sums[tag][k] += float(batch.evaluate(rule, est).sum())
 

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from ensrisk.estimators import (
+    NOT_CLOSED_FORM,
     ApproximationId,
     Availability,
+    EnsembleBatch,
     EstimatorId,
+    NotClosedFormRequested,
     PredictionPoint,
     PredictionSet,
     RiskKind,
     availability,
     bayes_risk,
     default_estimators,
+    divergence,
+    entropy,
     excess_risk,
+    expected_score,
     log_excess_ba_ens,
     log_quadrature_cells,
     measure_matrix,
@@ -27,12 +33,23 @@ from ensrisk.gaussians import (
     averaged_surrogate,
     moment_surrogate,
 )
-from ensrisk.oracle import McConfig, QuadratureConfig, mc_expected_score, oracle_entropy
-from ensrisk.scores import NOT_CLOSED_FORM, ScoringRule, divergence, expected_score
+from ensrisk.oracle import (
+    McConfig,
+    QuadratureConfig,
+    mc_expected_score,
+    oracle_divergence,
+    oracle_entropy,
+)
+from ensrisk.scores import ScoringRule
 
 BA, ENS, MM, AV = (ApproximationId.BA, ApproximationId.ENS,
                    ApproximationId.MM, ApproximationId.AV)
 SQRT_PI = math.sqrt(math.pi)
+
+
+def oracle_tol(value):
+    """The sweep tolerance of the oracle tests."""
+    return max(1e-8, 1e-8 * abs(value))
 
 
 def random_ensemble(rng, m_range=(2, 8)):
@@ -89,13 +106,12 @@ class TestBayesRisk:
 
     def test_agrees_with_entropy_of_the_plugin(self):
         rng = np.random.default_rng(2)
-        from ensrisk.scores import entropy
         for _ in range(50):
             ens = random_ensemble(rng)
             for rule in ScoringRule:
                 for approx, dist in ((BA, None), (ENS, ens),
-                                     (MM, moment_surrogate(ens).as_component()),
-                                     (AV, averaged_surrogate(ens).as_component())):
+                                     (MM, moment_surrogate(ens)),
+                                     (AV, averaged_surrogate(ens))):
                     got = bayes_risk(rule, ens, approx)
                     if approx is BA:
                         parts = [entropy(rule, GaussianComponent(m, v))
@@ -107,6 +123,12 @@ class TestBayesRisk:
                         assert got is NOT_CLOSED_FORM
                     else:
                         assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+                        if approx is BA:
+                            quad = float(np.mean([oracle_entropy(rule, c)
+                                                  for c in ens.components]))
+                        else:
+                            quad = oracle_entropy(rule, dist)
+                        assert got == pytest.approx(quad, abs=oracle_tol(quad))
 
 
 class TestExcessRisk:
@@ -161,17 +183,44 @@ class TestExcessRisk:
             ens = random_ensemble(rng, (2, 5))
             comps = [GaussianComponent(m, v)
                      for m, v in zip(ens.means, ens.variances)]
-            for approx, surrogate in ((MM, moment_surrogate(ens)),
-                                      (AV, averaged_surrogate(ens))):
-                s = surrogate.as_component()
+            for approx, s in ((MM, moment_surrogate(ens)),
+                              (AV, averaged_surrogate(ens))):
                 for rule in ScoringRule:
+                    got = excess_risk(rule, ens, (approx, BA))
                     want = float(np.mean([divergence(rule, s, c) for c in comps]))
-                    assert excess_risk(rule, ens, (approx, BA)) == pytest.approx(
-                        want, rel=1e-11, abs=1e-12)
+                    assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
+                    quad = float(np.mean([oracle_divergence(rule, s, c) for c in comps]))
+                    assert got == pytest.approx(quad, abs=oracle_tol(quad))
                 for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
+                    got = excess_risk(rule, ens, (approx, ENS))
                     want = divergence(rule, s, ens)
-                    assert excess_risk(rule, ens, (approx, ENS)) == pytest.approx(
-                        want, rel=1e-11, abs=1e-12)
+                    assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
+                    quad = oracle_divergence(rule, s, ens)
+                    assert got == pytest.approx(quad, abs=oracle_tol(quad))
+
+    def test_gaussian_off_the_mixture_mean_against_oracle(self):
+        """Any per-row Gaussian, not only a surrogate sitting at the mixture mean."""
+        rng = np.random.default_rng(19)
+        ensembles = [random_ensemble(rng, (3, 3)) for _ in range(6)]
+        batch = EnsembleBatch(np.stack([e.means for e in ensembles]),
+                              np.stack([e.variances for e in ensembles]))
+        mu = batch.mu_star + rng.uniform(-3.0, 3.0, len(ensembles))
+        var = rng.uniform(0.1, 5.0, len(ensembles))
+        for rule in ScoringRule:
+            vs_members = batch.gaussian_vs_members(rule, mu, var)
+            if rule is ScoringRule.LOG:
+                with pytest.raises(NotClosedFormRequested):
+                    batch.gaussian_vs_mixture(rule, mu, var)
+            else:
+                vs_mixture = batch.gaussian_vs_mixture(rule, mu, var)
+            for i, ens in enumerate(ensembles):
+                g = GaussianComponent(float(mu[i]), float(var[i]))
+                quad = float(np.mean([oracle_divergence(rule, g, c)
+                                      for c in ens.components]))
+                assert vs_members[i] == pytest.approx(quad, abs=oracle_tol(quad))
+                if rule is not ScoringRule.LOG:
+                    quad = oracle_divergence(rule, g, ens)
+                    assert vs_mixture[i] == pytest.approx(quad, abs=oracle_tol(quad))
 
     def test_log_surrogate_reduced_forms(self):
         """The generic pair sums collapse to their simplified closed forms."""

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ensrisk.gaussians import (
-    AveragedSurrogate,
     GaussianComponent,
     GaussianEnsemble,
-    MomentSurrogate,
     abs_moment,
     averaged_surrogate,
     moment_surrogate,
@@ -123,9 +121,9 @@ class TestTypes:
 
     def test_surrogates_require_positive_variance(self):
         with pytest.raises(ValueError):
-            MomentSurrogate(0.0, 0.0)
+            GaussianComponent(0.0, 0.0)
         with pytest.raises(ValueError):
-            AveragedSurrogate(0.0, -2.0)
+            GaussianComponent(0.0, -2.0)
 
 
 class TestSurrogates:

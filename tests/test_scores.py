@@ -12,15 +12,8 @@ from ensrisk.oracle import (
     mc_expected_score,
     oracle_divergence,
 )
-from ensrisk.scores import (
-    NOT_CLOSED_FORM,
-    ScoringRule,
-    divergence,
-    entropy,
-    expected_score,
-    point_score,
-    point_scores,
-)
+from ensrisk.estimators import NOT_CLOSED_FORM, divergence, entropy, expected_score
+from ensrisk.scores import ScoringRule, point_score, point_scores
 
 G01 = GaussianComponent(0.0, 1.0)
 G11 = GaussianComponent(1.0, 1.0)
