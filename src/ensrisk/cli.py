@@ -354,24 +354,26 @@ def cmd_correlate(input_path, rules, oracle_fallback, seed, output_dir):
     rules_list = _parse_rules(rules)
     matrix = _matrix_for(ps, rules, oracle_fallback)
 
-    def col(rule, est):
-        vals = matrix.column(rule, est)
-        return vals if _usable(vals) else None
+    taus = {}
 
-    est_rows = []
-    for rule in rules_list:
-        for ea in default_estimators():
-            for eb in default_estimators():
-                va, vb = col(rule, ea), col(rule, eb)
-                tau = None if va is None or vb is None else _tau_or_none(va, vb)
-                est_rows.append([rule.value, ea.key, eb.key, tau])
-    rule_rows = []
-    for est in default_estimators():
-        for ra in rules_list:
-            for rb in rules_list:
-                va, vb = col(ra, est), col(rb, est)
-                tau = None if va is None or vb is None else _tau_or_none(va, vb)
-                rule_rows.append([est.key, ra.value, rb.value, tau])
+    def tau(ca, cb):
+        """tau_b between columns ca and cb, each a (rule, estimator); tau_b is
+        symmetric bit for bit, so each unordered pair is computed once."""
+        key = frozenset((ca, cb))
+        if key not in taus:
+            va, vb = matrix.column(*ca), matrix.column(*cb)
+            usable = _usable(va) and _usable(vb)
+            taus[key] = _tau_or_none(va, vb) if usable else None
+        return taus[key]
+
+    est_rows = [[rule.value, ea.key, eb.key, tau((rule, ea), (rule, eb))]
+                for rule in rules_list
+                for ea in default_estimators()
+                for eb in default_estimators()]
+    rule_rows = [[est.key, ra.value, rb.value, tau((ra, est), (rb, est))]
+                 for est in default_estimators()
+                 for ra in rules_list
+                 for rb in rules_list]
     os.makedirs(output_dir, exist_ok=True)
     write_csv(os.path.join(output_dir, "correlate_estimators.csv"),
               ["rule", "estimator_a", "estimator_b", "tau_b"], est_rows)

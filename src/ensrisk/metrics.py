@@ -153,44 +153,44 @@ def auroc(in_scores, out_scores) -> float:
     return numerator / 2.0**53
 
 
-def _merge_count_inversions(values: list) -> int:
-    """Pairs (i < j) with values[i] > values[j], by bottom-up merge sort."""
-    arr = list(values)
-    buf = [0] * len(arr)
+def _pairs_within(group_sizes: np.ndarray) -> int:
+    return int(np.sum(group_sizes * (group_sizes - 1) // 2))
+
+
+def _tie_pairs(*sorted_keys: np.ndarray) -> int:
+    """Pairs equal in every key; the keys are sorted so ties are adjacent."""
+    n = len(sorted_keys[0])
+    same = np.ones(n - 1, dtype=bool)
+    for key in sorted_keys:
+        same &= key[1:] == key[:-1]
+    starts = np.flatnonzero(np.concatenate([[True], ~same]))
+    return _pairs_within(np.diff(np.append(starts, n)))
+
+
+def _count_inversions(ranks: np.ndarray) -> int:
+    """Pairs (i < j) with ranks[i] > ranks[j], by bottom-up merge levels.
+
+    At each level every sorted left half is searched for the entries of its
+    right half; offsetting each block by ``block * span`` keeps all left
+    halves in one sorted array, so a level is one searchsorted and one sort.
+    """
+    n = len(ranks)
+    span = int(ranks.max()) + 1
+    arr = ranks.astype(np.int64)
+    pos = np.arange(n)
     inversions = 0
     width = 1
-    n = len(arr)
     while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if arr[i] <= arr[j]:
-                    buf[k] = arr[i]
-                    i += 1
-                else:
-                    buf[k] = arr[j]
-                    j += 1
-                    inversions += mid - i
-                k += 1
-            buf[k:hi] = arr[i:mid] if i < mid else arr[j:hi]
-            arr[lo:hi] = buf[lo:hi]
+        block = pos // (2 * width)
+        keyed = block * span + arr
+        right = pos % (2 * width) >= width
+        left_keys = keyed[~right]
+        not_greater = np.searchsorted(left_keys, keyed[right], side="right")
+        inversions += int(np.sum((block[right] + 1) * width - not_greater))
+        # timsort merges the two sorted runs of each block in linear time
+        arr = np.sort(keyed, kind="stable") - block * span
         width *= 2
     return inversions
-
-
-def _tie_pair_count(sorted_values) -> int:
-    total = 0
-    run = 1
-    for prev, cur in zip(sorted_values, sorted_values[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
 
 
 def kendall_tau_b(a, b) -> float:
@@ -202,13 +202,14 @@ def kendall_tau_b(a, b) -> float:
     a, b = _paired_arrays(a, b)
     n = len(a)
     order = np.lexsort((b, a))
-    a_sorted = a[order].tolist()
-    b_sorted = b[order].tolist()
+    a_sorted = a[order]
+    b_sorted = b[order]
+    _, b_ranks = np.unique(b_sorted, return_inverse=True)
     n0 = n * (n - 1) // 2
-    t_a = _tie_pair_count(a_sorted)
-    t_b = _tie_pair_count(sorted(b_sorted))
-    t_ab = _tie_pair_count(list(zip(a_sorted, b_sorted)))
-    discordant = _merge_count_inversions(b_sorted)
+    t_a = _tie_pairs(a_sorted)
+    t_b = _pairs_within(np.bincount(b_ranks))
+    t_ab = _tie_pairs(a_sorted, b_sorted)
+    discordant = _count_inversions(b_ranks)
     if n0 == t_a or n0 == t_b:
         raise DegenerateMetricError("tau_b undefined: one list is entirely tied")
     c_minus_d = n0 - t_a - t_b + t_ab - 2 * discordant

@@ -15,6 +15,14 @@ finite-difference check in the test suite audits the whole chain; the same
 constant log(2 pi)/2 is kept in both NLL variants so they agree exactly
 under reparameterization.
 
+The M members of an ensemble are one ``Mlp`` whose parameters carry a
+leading member axis, so each minibatch is one stacked forward, backward and
+Adam step for all of them.  Member m keeps its own ``default_rng([seed,
+m])`` stream for its initialization and its minibatch order.  The stacked
+objective is the sum over members of each member's mean NLL; the members
+share no parameters, so its gradient block m is exactly member m's own
+gradient, and every member trains bit for bit as it would alone.
+
 Inputs and targets are z-scored from the training split and the
 standardization is inverted at prediction time, which these narrow networks
 need for stable NLL training.
@@ -76,6 +84,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, epochs, batch_size must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("Adam betas must lie in [0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError("Adam eps must be positive")
 
 
 # -- losses --------------------------------------------------------------------
@@ -116,76 +128,86 @@ def _softplus(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 # -- the network ---------------------------------------------------------------
 
 class Mlp:
-    """One ensemble member: dense layers plus the two natural-parameter heads."""
+    """M ensemble members stacked on a leading axis: dense layers plus the
+    two natural-parameter heads.
 
-    def __init__(self, spec: MlpSpec, rng: np.random.Generator):
+    One member is built per generator, each drawing its layers in order, so
+    weights are (M, fan_in, fan_out) and biases (M, fan_out).  ``Mlp(spec,
+    rng)`` is a one-member stack.
+    """
+
+    def __init__(self, spec: MlpSpec, *rngs: np.random.Generator):
         self.spec = spec
         dims = [spec.input_dim, *spec.hidden_widths, 2]
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             scale = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            self.weights.append(np.stack(
+                [rng.normal(0.0, scale, size=(fan_in, fan_out)) for rng in rngs]))
+            self.biases.append(np.zeros((len(rngs), fan_out)))
 
     def _act(self, z):
+        """Activation at z, plus the sigmoid its derivative reuses (SiLU)."""
         if self.spec.activation is Activation.RELU:
-            return np.maximum(z, 0.0)
-        return z * _sigmoid(z)
+            return np.maximum(z, 0.0), None
+        s = _sigmoid(z)
+        return z * s, s
 
-    def _act_grad(self, z):
+    def _act_grad(self, z, s):
         if self.spec.activation is Activation.RELU:
             return (z > 0.0).astype(float)
-        s = _sigmoid(z)
         return s * (1.0 + z * (1.0 - s))
 
     def forward(self, x: np.ndarray):
-        """Natural parameters for a (n, input_dim) batch."""
+        """Natural parameters, (M, n) each, for a shared (n, input_dim) batch
+        or a per-member (M, n, input_dim) one."""
         a = x
         pre = []
+        sig = []
         post = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
+            z = np.matmul(a, w) + b[:, None, :]
+            a, s = self._act(z)
             pre.append(z)
-            a = self._act(z)
+            sig.append(s)
             post.append(a)
-        out = a @ self.weights[-1] + self.biases[-1]
-        eta1 = out[:, 0]
-        raw = out[:, 1]
+        out = np.matmul(a, self.weights[-1]) + self.biases[-1][:, None, :]
+        eta1 = out[..., 0]
+        raw = out[..., 1]
         eta2 = -_softplus(raw) - _ETA2_MARGIN
-        cache = (pre, post, raw)
+        cache = (pre, sig, post, raw)
         return eta1, eta2, cache
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray):
-        """Mean natural NLL over the batch and its parameter gradients."""
-        n = len(y)
-        eta1, eta2, (pre, post, raw) = self.forward(x)
-        loss = float(np.mean(nll_natural(eta1, eta2, y)))
+        """Sum over members of each member's mean natural NLL over its batch,
+        and the parameter gradients.  Members are independent, so gradient
+        block m is member m's own gradient."""
+        n = y.shape[-1]
+        eta1, eta2, (pre, sig, post, raw) = self.forward(x)
+        loss = float(np.sum(np.mean(nll_natural(eta1, eta2, y), axis=-1)))
         # dL/deta are the moment mismatches of the predicted Gaussian
         d_eta1 = (-y - eta1 / (2.0 * eta2)) / n
         d_eta2 = (-y * y + eta1 * eta1 / (4.0 * eta2 * eta2)
                   - 1.0 / (2.0 * eta2)) / n
-        d_out = np.stack([d_eta1, d_eta2 * (-_sigmoid(raw))], axis=1)
+        d_out = np.stack([d_eta1, d_eta2 * (-_sigmoid(raw))], axis=-1)
 
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = d_out
         for layer in reversed(range(len(self.weights))):
-            grads_w[layer] = post[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            grads_w[layer] = np.matmul(post[layer].swapaxes(-1, -2), delta)
+            grads_b[layer] = delta.sum(axis=-2)
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * self._act_grad(pre[layer - 1])
+                delta = (np.matmul(delta, self.weights[layer].swapaxes(-1, -2))
+                         * self._act_grad(pre[layer - 1], sig[layer - 1]))
         return loss, grads_w, grads_b
 
     # flat views used by the finite-difference audit
@@ -230,10 +252,11 @@ def _adam_step(params: list, grads: list, state: _AdamState, cfg: TrainConfig):
 
 @dataclass(frozen=True)
 class EnsemblePredictor:
-    """M trained members plus the normalization applied around them."""
+    """M trained members, stacked in one network, plus the normalization
+    applied around them."""
 
     spec: MlpSpec
-    members: tuple[Mlp, ...]
+    net: Mlp
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
@@ -241,7 +264,7 @@ class EnsemblePredictor:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.net.weights[0])
 
 
 def _standardize_stats(values: np.ndarray):
@@ -267,8 +290,11 @@ def train_ensemble(x, y, members: int, spec: MlpSpec | None = None,
                    cfg: TrainConfig | None = None) -> EnsemblePredictor:
     """Train M members from independent initializations (seed + index).
 
-    Deterministic given the config seed; raises TrainingError, naming the
-    member, if any epoch produces a non-finite loss.
+    Member m draws its initialization and its minibatch order from its own
+    ``default_rng([seed, m])`` stream; all members take one stacked step
+    per minibatch.  Deterministic given the config seed; raises
+    TrainingError, naming the lowest-index member, if an epoch produces a
+    non-finite loss.
     """
     spec = spec or MlpSpec()
     cfg = cfg or TrainConfig()
@@ -280,25 +306,25 @@ def train_ensemble(x, y, members: int, spec: MlpSpec | None = None,
     xs = (x - x_mean) / x_scale
     ys = (y - y_mean) / y_scale
 
-    nets = []
-    for idx in range(members):
-        rng = np.random.default_rng([cfg.seed, idx])
-        net = Mlp(spec, rng)
-        state = _AdamState()
-        n = len(ys)
-        for epoch in range(cfg.epochs):
-            perm = rng.permutation(n)
-            epoch_loss = 0.0
-            for lo in range(0, n, cfg.batch_size):
-                sel = perm[lo:lo + cfg.batch_size]
-                loss, gw, gb = net.loss_and_gradients(xs[sel], ys[sel])
-                epoch_loss += loss * len(sel)
-                _adam_step([*net.weights, *net.biases], [*gw, *gb], state, cfg)
-            if not math.isfinite(epoch_loss):
-                raise TrainingError(
-                    f"member {idx} diverged at epoch {epoch} (non-finite loss)")
-        nets.append(net)
-    return EnsemblePredictor(spec, tuple(nets), x_mean, x_scale,
+    rngs = [np.random.default_rng([cfg.seed, idx]) for idx in range(members)]
+    net = Mlp(spec, *rngs)
+    state = _AdamState()
+    n = len(ys)
+    for epoch in range(cfg.epochs):
+        perm = np.stack([rng.permutation(n) for rng in rngs])
+        diverged = np.zeros(members, dtype=bool)
+        for lo in range(0, n, cfg.batch_size):
+            sel = perm[:, lo:lo + cfg.batch_size]
+            loss, gw, gb = net.loss_and_gradients(xs[sel], ys[sel])
+            if not math.isfinite(loss):
+                eta1, eta2, _ = net.forward(xs[sel])
+                member_loss = np.mean(nll_natural(eta1, eta2, ys[sel]), axis=-1)
+                diverged |= ~np.isfinite(member_loss)
+            _adam_step([*net.weights, *net.biases], [*gw, *gb], state, cfg)
+        if diverged.any():
+            raise TrainingError(f"member {int(np.argmax(diverged))} diverged "
+                                f"at epoch {epoch} (non-finite loss)")
+    return EnsemblePredictor(spec, net, x_mean, x_scale,
                              float(y_mean), float(y_scale))
 
 
@@ -310,13 +336,10 @@ def predict_arrays(pred: EnsemblePredictor, xs) -> tuple[np.ndarray, np.ndarray]
     if xs.shape[1] != pred.spec.input_dim:
         raise ValueError("input dimensionality does not match the model spec")
     xn = (xs - pred.x_mean) / pred.x_scale
-    means = np.empty((len(xs), pred.size))
-    variances = np.empty((len(xs), pred.size))
-    for j, net in enumerate(pred.members):
-        eta1, eta2, _ = net.forward(xn)
-        mu, var = moments_from_natural(eta1, eta2)
-        means[:, j] = mu * pred.y_scale + pred.y_mean
-        variances[:, j] = var * pred.y_scale ** 2
+    eta1, eta2, _ = pred.net.forward(xn)
+    mu, var = moments_from_natural(eta1, eta2)
+    means = np.ascontiguousarray((mu * pred.y_scale + pred.y_mean).T)
+    variances = np.ascontiguousarray((var * pred.y_scale ** 2).T)
     return means, variances
 
 
@@ -373,10 +396,10 @@ def save_checkpoint(pred: EnsemblePredictor, path: str) -> None:
         },
         "members": [
             {
-                "weights": [w.tolist() for w in net.weights],
-                "biases": [b.tolist() for b in net.biases],
+                "weights": [w[m].tolist() for w in pred.net.weights],
+                "biases": [b[m].tolist() for b in pred.net.biases],
             }
-            for net in pred.members
+            for m in range(pred.size)
         ],
     }
     atomic_write(path, json.dumps(doc) + "\n")
@@ -391,14 +414,14 @@ def load_checkpoint(path: str) -> EnsemblePredictor:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
     spec = MlpSpec(doc["spec"]["input_dim"], tuple(doc["spec"]["hidden_widths"]),
                    Activation(doc["spec"]["activation"]))
-    members = []
-    for entry in doc["members"]:
-        net = Mlp(spec, np.random.default_rng(0))
-        net.weights = [np.asarray(w, dtype=float) for w in entry["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in entry["biases"]]
-        members.append(net)
+    entries = doc["members"]
+    net = Mlp(spec, np.random.default_rng(0))
+    net.weights = [np.array(layer, dtype=float)
+                   for layer in zip(*(e["weights"] for e in entries))]
+    net.biases = [np.array(layer, dtype=float)
+                  for layer in zip(*(e["biases"] for e in entries))]
     norm = doc["normalization"]
-    return EnsemblePredictor(spec, tuple(members),
+    return EnsemblePredictor(spec, net,
                              np.asarray(norm["x_mean"], dtype=float),
                              np.asarray(norm["x_scale"], dtype=float),
                              float(norm["y_mean"]), float(norm["y_scale"]))
@@ -482,7 +505,8 @@ def active_learning_loop(pool_x, pool_y, initial_indices, measure,
             chosen = np.argpartition(-keys, take - 1)[:take]
         picked = [remaining[i] for i in sorted(chosen)]
         acquired.extend(picked)
-        train_idx = sorted(set(train_idx) | set(picked))
-        remaining = [i for i in remaining if i not in set(picked)]
+        picked_set = set(picked)
+        train_idx = sorted(set(train_idx) | picked_set)
+        remaining = [i for i in remaining if i not in picked_set]
 
     return ActiveLearningResult(tuple(trajectory), tuple(acquired), truncated)

@@ -161,6 +161,39 @@ def brute_tau_b(a, b):
     return (concordant - discordant) / math.sqrt((n0 - ties_a) * (n0 - ties_b))
 
 
+def _knight_tau_b(a, b):
+    """Knight's counting in pure Python: merge-sort inversions and tie runs,
+    exact integers throughout."""
+    def inversions(values):
+        arr, count, width = list(values), 0, 1
+        while width < len(arr):
+            for lo in range(0, len(arr), 2 * width):
+                left = arr[lo:lo + width]
+                right = arr[lo + width:lo + 2 * width]
+                merged, i = [], 0
+                for v in right:
+                    while i < len(left) and left[i] <= v:
+                        merged.append(left[i])
+                        i += 1
+                    count += len(left) - i
+                    merged.append(v)
+                arr[lo:lo + 2 * width] = merged + left[i:]
+            width *= 2
+        return count
+
+    def tie_pairs(sorted_values):
+        runs = [len(list(grp)) for _, grp in itertools.groupby(sorted_values)]
+        return sum(r * (r - 1) // 2 for r in runs)
+
+    pairs = sorted(zip(a, b))
+    a_sorted = [p[0] for p in pairs]
+    b_sorted = [p[1] for p in pairs]
+    n0 = len(a) * (len(a) - 1) // 2
+    t_a, t_b, t_ab = tie_pairs(a_sorted), tie_pairs(sorted(b_sorted)), tie_pairs(pairs)
+    c_minus_d = n0 - t_a - t_b + t_ab - 2 * inversions(b_sorted)
+    return c_minus_d / math.sqrt((n0 - t_a) * (n0 - t_b))
+
+
 class TestKendallTauB:
     def test_identical_lists(self):
         assert kendall_tau_b([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
@@ -185,6 +218,22 @@ class TestKendallTauB:
             a = rng.integers(0, 8, 50).astype(float)
             b = rng.integers(0, 8, 50).astype(float)
             assert kendall_tau_b(a, b) == pytest.approx(brute_tau_b(a, b), abs=1e-12)
+
+    def test_exact_against_pure_python_counting(self):
+        """Tie-heavy inputs up to n = 300: the same integers, so the same
+        float, and symmetric bit for bit."""
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(2, 301))
+            a = rng.integers(0, int(rng.integers(2, 12)), n).astype(float)
+            b = rng.integers(0, int(rng.integers(2, 12)), n).astype(float)
+            if rng.random() < 0.3:
+                b = np.round(rng.normal(size=n), 1)
+            if len(set(a)) < 2 or len(set(b)) < 2:
+                continue
+            expected = _knight_tau_b(a.tolist(), b.tolist())
+            assert kendall_tau_b(a, b) == expected
+            assert kendall_tau_b(b, a) == expected
 
     def test_all_ties_rejected(self):
         with pytest.raises(DegenerateMetricError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ensrisk.estimators import ApproximationId, EstimatorId, RiskKind
+from ensrisk import trainer
 from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import two_curve_arrays, two_curve_sigma
 from ensrisk.trainer import (
@@ -14,6 +15,10 @@ from ensrisk.trainer import (
     MlpSpec,
     TrainConfig,
     TrainingError,
+    _adam_step,
+    _AdamState,
+    _sigmoid,
+    _standardize_stats,
     active_learning_loop,
     load_checkpoint,
     moments_from_natural,
@@ -107,6 +112,49 @@ class TestBackpropagation:
                 np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
             assert rel.max() < 1e-4
 
+    def test_stacked_gradients_match_finite_differences(self):
+        """The summed objective of a 3-member stack on per-member batches,
+        and each gradient block equal to its member trained alone."""
+        spec = MlpSpec(input_dim=2, hidden_widths=(5, 4))
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(3, 20, 2))
+        y = rng.normal(size=(3, 20))
+        net = Mlp(spec, *(np.random.default_rng(200 + m) for m in range(3)))
+        _, grad = net.gradient_vector(x, y)
+        theta = net.parameter_vector()
+        h = 1e-5
+        fd = np.empty_like(theta)
+        for i in range(len(theta)):
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            net.set_parameter_vector(up)
+            lu, _, _ = net.loss_and_gradients(x, y)
+            net.set_parameter_vector(down)
+            ld, _, _ = net.loss_and_gradients(x, y)
+            fd[i] = (lu - ld) / (2 * h)
+        net.set_parameter_vector(theta)
+        rel = np.abs(grad - fd) / np.maximum(
+            np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
+        assert rel.max() < 1e-4
+
+        _, gw, gb = net.loss_and_gradients(x, y)
+        for m in range(3):
+            single = Mlp(spec, np.random.default_rng(200 + m))
+            _, sw, sb = single.loss_and_gradients(x[m], y[m])
+            for stacked, alone in zip((*gw, *gb), (*sw, *sb)):
+                np.testing.assert_array_equal(stacked[m], alone[0])
+
+    def test_sigmoid_matches_masked_form(self):
+        mags = np.logspace(-300, 5, 4001)
+        x = np.concatenate([-mags, [-np.inf, -0.0, 0.0, np.inf], mags])
+        masked = np.empty_like(x)
+        pos = x >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        masked[~pos] = ex / (1.0 + ex)
+        np.testing.assert_array_equal(_sigmoid(x), masked)
+
     def test_eta2_always_negative(self):
         spec = MlpSpec()
         net = Mlp(spec, np.random.default_rng(3))
@@ -186,6 +234,67 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="member 0"):
             train_ensemble(x, y, 1, MlpSpec(),
                            TrainConfig(epochs=3, seed=9, learning_rate=1e300))
+
+
+    def test_divergence_names_the_member(self, monkeypatch):
+        class SecondMemberBlowsUp(Mlp):
+            def __init__(self, spec, *rngs):
+                super().__init__(spec, *rngs)
+                self.weights[0][1] *= 1e300
+
+        monkeypatch.setattr(trainer, "Mlp", SecondMemberBlowsUp)
+        x, y, _ = two_curve_arrays(100, -4, 4, seed=9)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match="member 1 diverged at epoch 0"):
+            train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=3, seed=9))
+
+    @pytest.mark.parametrize("bad", [dict(beta1=1.0), dict(beta2=1.0),
+                                     dict(beta1=-0.5), dict(beta2=1.5),
+                                     dict(eps=0.0), dict(eps=-1e-8)])
+    def test_invalid_adam_constants_rejected(self, bad):
+        with pytest.raises(ValueError, match="Adam"):
+            TrainConfig(**bad)
+
+
+def _per_member_reference(x, y, members, spec, cfg):
+    """Training with one network and one Adam state per member, in turn."""
+    x_mean, x_scale = _standardize_stats(x)
+    y_mean, y_scale = _standardize_stats(y)
+    xs = (x - x_mean) / x_scale
+    ys = (y - y_mean) / y_scale
+    nets = []
+    for idx in range(members):
+        rng = np.random.default_rng([cfg.seed, idx])
+        net = Mlp(spec, rng)
+        state = _AdamState()
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(ys))
+            for lo in range(0, len(ys), cfg.batch_size):
+                sel = perm[lo:lo + cfg.batch_size]
+                _, gw, gb = net.loss_and_gradients(xs[sel], ys[sel])
+                _adam_step([*net.weights, *net.biases], [*gw, *gb], state, cfg)
+        nets.append(net)
+    return nets
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("spec", [
+        MlpSpec(),
+        MlpSpec(input_dim=2, hidden_widths=(6, 5), activation=Activation.RELU),
+    ], ids=["silu", "relu"])
+    def test_matches_per_member_loop_bitwise(self, spec):
+        rng = np.random.default_rng(21)
+        n = 203  # not a multiple of the batch size
+        x = rng.uniform(-4, 4, size=(n, spec.input_dim))
+        y = np.sin(x.sum(axis=1)) + 0.3 * rng.normal(size=n)
+        cfg = TrainConfig(epochs=8, seed=21, batch_size=64)
+        pred = train_ensemble(x, y, 3, spec, cfg)
+        reference = _per_member_reference(x, y, 3, spec, cfg)
+        assert pred.size == 3
+        for m, net in enumerate(reference):
+            for stacked, alone in zip((*pred.net.weights, *pred.net.biases),
+                                      (*net.weights, *net.biases)):
+                np.testing.assert_array_equal(stacked[m], alone[0])
 
 
 class TestCheckpoints:
