@@ -26,7 +26,6 @@ from .estimators import (
     ApproximationId,
     EstimatorId,
     NotClosedForm,
-    PredictionPoint,
     PredictionSet,
     RiskKind,
     availability,
@@ -54,7 +53,7 @@ __all__ = [
     "NOT_CLOSED_FORM", "NotClosedForm", "ScoringRule",
     "divergence", "entropy", "expected_score", "point_score",
     "Availability", "ApproximationId", "EstimatorId", "RiskKind",
-    "PredictionPoint", "PredictionSet",
+    "PredictionSet",
     "availability", "bayes_risk", "excess_risk", "measure_matrix", "total_risk",
     "McConfig", "QuadratureConfig",
     "mc_expected_score", "oracle_entropy", "oracle_expected_score",

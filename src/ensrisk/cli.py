@@ -106,11 +106,9 @@ def cmd_measures(input_path, rules, estimators_text, oracle_fallback, seed, outp
                             estimators=ests)
     os.makedirs(output_dir, exist_ok=True)
     header = ["point_id", "target", "group"] + [c.name for c in matrix.columns]
-    rows = []
-    for i, pt in enumerate(ps.points):
-        row = [pt.point_id, pt.target, pt.group]
-        row.extend(float(v) for v in matrix.values[i])
-        rows.append(row)
+    rows = [[pid, target, group, *values] for pid, target, group, values
+            in zip(ps.ids, ps.target_values.tolist(), ps.group_labels,
+                   matrix.values.tolist())]
     write_csv(os.path.join(output_dir, "measures.csv"), header, rows)
     write_manifest(output_dir, "measures", seed, {
         "input": os.path.abspath(input_path), "rules": rules,
@@ -280,7 +278,9 @@ def cmd_selective(input_path, rules, oracle_fallback, seed, output_dir):
         targets = ps.targets()
     except ValueError as exc:
         raise SchemaError(f"selective prediction requires targets: {exc}")
-    mu_star = np.array([float(np.mean(p.ensemble.means)) for p in ps.points])
+    mu_star = np.empty(len(ps))
+    for rows, means, _ in ps.blocks():
+        mu_star[rows] = means.mean(axis=1)
     errors = (targets - mu_star) ** 2
     matrix = _matrix_for(ps, rules, oracle_fallback)
     rows = []

@@ -1,10 +1,11 @@
 """File formats for the command-line tool.
 
-Prediction sets travel as a single JSON document; CSV is output-only (the
-per-point member lists do not fit a flat table).  Serialization is
-canonical: fixed field order, floats in 17-significant-digit decimal, so
-serialize -> parse -> serialize is byte-identical.  All writes go through a
-write-temp-then-rename so partial files never appear under the target name.
+Prediction sets travel as a single JSON document, parsed straight into the
+array-backed ``PredictionSet``; CSV is output-only (the per-point member
+lists do not fit a flat table).  Serialization is canonical: fixed field
+order, floats in 17-significant-digit decimal, so serialize -> parse ->
+serialize is byte-identical.  All writes go through a write-temp-then-rename
+so partial files never appear under the target name.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
-from .estimators import PredictionPoint, PredictionSet
-from .gaussians import GaussianEnsemble
+from .estimators import PredictionSet
 
 SCHEMA_TAG = "prediction_set/v1"
 
@@ -31,18 +31,20 @@ def fmt(x: float) -> str:
 
 
 def dumps_prediction_set(ps: PredictionSet) -> str:
+    members = [""] * len(ps)
+    for rows, means, variances in ps.blocks():
+        for i, mus, sig2s in zip(rows.tolist(), means.tolist(), variances.tolist()):
+            members[i] = ", ".join(f'{{"mu": {fmt(mu)}, "sigma2": {fmt(s2)}}}'
+                                   for mu, s2 in zip(mus, sig2s))
     lines = ["{", f'  "schema": {json.dumps(SCHEMA_TAG)},', '  "points": [']
     body = []
-    for pt in ps.points:
-        members = ", ".join(
-            f'{{"mu": {fmt(c.mean)}, "sigma2": {fmt(c.variance)}}}'
-            for c in pt.ensemble.components
-        )
-        fields = [f'"id": {json.dumps(pt.point_id)}', f'"members": [{members}]']
-        if pt.target is not None:
-            fields.append(f'"target": {fmt(pt.target)}')
-        if pt.group is not None:
-            fields.append(f'"group": {json.dumps(pt.group)}')
+    for pid, point_members, target, group in zip(
+            ps.ids, members, ps.target_values.tolist(), ps.group_labels):
+        fields = [f'"id": {json.dumps(pid)}', f'"members": [{point_members}]']
+        if not math.isnan(target):
+            fields.append(f'"target": {fmt(target)}')
+        if group is not None:
+            fields.append(f'"group": {json.dumps(group)}')
         body.append("    {" + ", ".join(fields) + "}")
     lines.append(",\n".join(body))
     lines.append("  ]")
@@ -50,7 +52,8 @@ def dumps_prediction_set(ps: PredictionSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _point_from_obj(obj, index: int) -> PredictionPoint:
+def _point_from_obj(obj, index: int):
+    """(id, member means, member variances, target, group) of one point."""
     where = f"points[{index}]"
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -79,8 +82,7 @@ def _point_from_obj(obj, index: int) -> PredictionPoint:
     group = obj.get("group")
     if group is not None and not isinstance(group, str):
         raise SchemaError(f"{where}.group: expected a string")
-    return PredictionPoint(pid, GaussianEnsemble.from_arrays(mus, sig2s),
-                           target, group)
+    return pid, mus, sig2s, target, group
 
 
 def loads_prediction_set(text: str) -> PredictionSet:
@@ -95,11 +97,10 @@ def loads_prediction_set(text: str) -> PredictionSet:
     points = doc.get("points")
     if not isinstance(points, list) or not points:
         raise SchemaError('"points" must be a non-empty list')
+    fields = zip(*(_point_from_obj(o, i) for i, o in enumerate(points)))
     try:
-        return PredictionSet(tuple(_point_from_obj(o, i) for i, o in enumerate(points)))
+        return PredictionSet(*fields)
     except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(str(exc)) from exc
 
 

@@ -24,6 +24,10 @@ entropy or divergence formula is written.  The scalar functions below it
 wrappers that run a batch of one row (one per label component for
 ``expected_score``).  Inside the batch a missing closed form
 raises ``NotClosedFormRequested``; the wrappers return ``NOT_CLOSED_FORM``.
+
+``PredictionSet`` keeps all points' members in flat arrays with per-point
+offsets, a layout only this module knows; everyone else reads it through
+``PredictionSet.blocks()``, (k, M) arrays per ensemble size.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -472,65 +477,98 @@ def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
 def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, float]:
     """The seven LOG cells that need quadrature, from one mixture-entropy
     integral per ensemble (everything else about them is closed-form)."""
-    from .oracle import QuadratureConfig, oracle_entropy
+    from .oracle import oracle_entropy
 
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg or QuadratureConfig())
+    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg)
     cells = _as_batch(ens).log_cells(np.array([h_ens]))
     return {key: float(v[0]) for key, v in cells.items()}
 
 
 def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:
     """LOG Exc(1,2) = Tot(1,1) - H(P_ens); oracle-assisted."""
-    from .oracle import QuadratureConfig, oracle_entropy
+    from .oracle import oracle_entropy
 
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg or QuadratureConfig())
+    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg)
     ba = ApproximationId.BA
     return total_risk(ScoringRule.LOG, ens, (ba, ba)) - h_ens
 
 
 # -- prediction sets and the measure matrix ----------------------------------
 
-@dataclass(frozen=True)
-class PredictionPoint:
-    """One test input's ensemble, with optional target and group tag."""
-
-    point_id: str
-    ensemble: GaussianEnsemble
-    target: Optional[float] = None
-    group: Optional[str] = None
-
-    def __post_init__(self):
-        if self.target is not None and not math.isfinite(self.target):
-            raise ValueError("target must be finite")
+# Rows per EnsembleBatch in measure_matrix and shift_report: it bounds the
+# (rows, M, M) pairwise temporaries, so peak memory does not grow with n.
+CHUNK_ROWS = 16384
 
 
-@dataclass(frozen=True)
+def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Flat values (a view of a contiguous (n, M) array) and (n+1,) offsets."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return (np.asarray(rows, dtype=float).ravel(),
+                np.arange(len(rows) + 1) * rows.shape[1])
+    sizes = [len(r) for r in rows]
+    flat = np.fromiter(chain.from_iterable(rows), float, sum(sizes))
+    return flat, np.concatenate(([0], np.cumsum(sizes)))
+
+
 class PredictionSet:
-    """The unit of I/O for all downstream metrics."""
+    """The unit of I/O for all downstream metrics: n points' Gaussian
+    ensembles with optional targets and group tags, held as arrays.
 
-    points: tuple[PredictionPoint, ...]
+    Point i is ``ids[i]`` with members ``means[offsets[i]:offsets[i+1]]``
+    (likewise ``variances``); ``target_values[i]`` is NaN and
+    ``group_labels[i]`` None where it has none.  Built from (n, M) member
+    arrays or n ragged rows, with None for a missing target or group.
+    """
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
+    def __init__(self, ids, means, variances, targets=None, groups=None):
+        self.ids = tuple(ids)
+        n = len(self.ids)
+        if n == 0:
             raise ValueError("prediction set must contain at least one point")
-        ids = [p.point_id for p in pts]
-        if len(set(ids)) != len(ids):
+        if len(set(self.ids)) != n:
             raise ValueError("point ids must be unique")
-        object.__setattr__(self, "points", pts)
+        self.means, self.offsets = _flatten(means)
+        self.variances, var_offsets = _flatten(variances)
+        if (len(self.offsets) != n + 1 or not np.array_equal(self.offsets, var_offsets)
+                or np.any(np.diff(self.offsets) < 1)):
+            raise ValueError("need one non-empty row of means and an equal-length "
+                             "row of variances per point")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))
+                and np.all(self.variances > 0.0)):
+            raise ValueError("need finite means and variances > 0")
+        targets = [None] * n if targets is None else list(targets)
+        self.target_values = np.array(targets, dtype=float)  # None -> NaN
+        given = np.array([t is not None for t in targets], dtype=bool)
+        if len(targets) != n or not np.all(np.isfinite(self.target_values[given])):
+            raise ValueError("need one finite target (or None) per point")
+        self.group_labels = (None,) * n if groups is None else tuple(groups)
+        if len(self.group_labels) != n:
+            raise ValueError("need one group (or None) per point")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ids)
 
     def targets(self) -> np.ndarray:
-        if any(p.target is None for p in self.points):
+        if np.any(np.isnan(self.target_values)):
             raise ValueError("prediction set has points without targets")
-        return np.array([p.target for p in self.points])
+        return self.target_values.copy()
 
     def groups(self) -> list[str]:
-        if any(p.group is None for p in self.points):
+        if any(g is None for g in self.group_labels):
             raise ValueError("prediction set has points without group labels")
-        return [p.group for p in self.points]
+        return list(self.group_labels)
+
+    def blocks(self):
+        """Yield (rows, means, variances) for the points of each ensemble
+        size M, at most ``CHUNK_ROWS`` points at a time: ``rows`` are their
+        indices (ascending) and the member arrays are (len(rows), M)."""
+        sizes = np.diff(self.offsets)
+        for size in np.unique(sizes):
+            rows_of_size = np.flatnonzero(sizes == size)
+            for lo in range(0, len(rows_of_size), CHUNK_ROWS):
+                rows = rows_of_size[lo:lo + CHUNK_ROWS]
+                members = self.offsets[rows][:, None] + np.arange(size)
+                yield rows, self.means[members], self.variances[members]
 
 
 @dataclass(frozen=True)
@@ -568,38 +606,32 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
                    quad_cfg=None) -> MeasureMatrix:
     """Evaluate every estimator for every point.
 
-    Points are grouped by ensemble size so each group runs through the
-    vectorized batch kernels in one shot.  QuadratureRequired cells stay NaN
-    unless ``use_oracle_fallback`` is set."""
-    if len(points.points) == 0:
-        raise ValueError("empty prediction set")
+    Each ``points.blocks()`` chunk runs through the vectorized batch kernels
+    in one shot.  QuadratureRequired cells stay NaN unless
+    ``use_oracle_fallback`` is set; then each point's mixture entropy comes
+    from the adaptive oracle and the batch assembles the LOG cells from it."""
+    from .oracle import oracle_entropy
+
     ests = tuple(estimators) if estimators is not None else default_estimators()
     columns = tuple(MeasureColumn(rule, est, availability(rule, est))
                     for rule in rules for est in ests)
-    n = len(points.points)
-    values = np.full((n, len(columns)), np.nan)
+    quadrature = Availability.QUADRATURE_REQUIRED
+    closed_cols = [(k, col) for k, col in enumerate(columns)
+                   if col.availability is not quadrature]
+    quad_cols = [(k, col) for k, col in enumerate(columns)
+                 if use_oracle_fallback and col.availability is quadrature]
+    values = np.full((len(points), len(columns)), np.nan)
 
-    by_size: dict[int, list[int]] = {}
-    for i, pt in enumerate(points.points):
-        by_size.setdefault(pt.ensemble.size, []).append(i)
-
-    for size, idxs in by_size.items():
-        means = np.stack([points.points[i].ensemble.means for i in idxs])
-        variances = np.stack([points.points[i].ensemble.variances for i in idxs])
+    for rows, means, variances in points.blocks():
         batch = EnsembleBatch(means, variances)
-        for k, col in enumerate(columns):
-            if col.availability is Availability.QUADRATURE_REQUIRED:
-                continue
-            values[idxs, k] = batch.evaluate(col.rule, col.estimator)
-
-    if use_oracle_fallback:
-        quad_cols = [(k, col) for k, col in enumerate(columns)
-                     if col.availability is Availability.QUADRATURE_REQUIRED]
-        for i, pt in enumerate(points.points):
-            if not quad_cols:
-                break
-            cells = log_quadrature_cells(pt.ensemble, quad_cfg)
+        for k, col in closed_cols:
+            values[rows, k] = batch.evaluate(col.rule, col.estimator)
+        if quad_cols:
+            h_ens = np.array([
+                oracle_entropy(ScoringRule.LOG, GaussianEnsemble.from_arrays(m, v), quad_cfg)
+                for m, v in zip(means, variances)])
+            cells = batch.log_cells(h_ens)
             for k, col in quad_cols:
-                values[i, k] = cells[col.estimator.key]
+                values[rows, k] = cells[col.estimator.key]
 
-    return MeasureMatrix(tuple(p.point_id for p in points.points), columns, values)
+    return MeasureMatrix(points.ids, columns, values)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -58,8 +57,10 @@ def std_normal_cdf(z):
     lower tail, so Phi(-z) = 1 - Phi(z) holds to better than 1e-15 over the
     usable range.
     """
+    from scipy.special import erfc
+
     arr = _as_finite_array("z", z)
-    out = 0.5 * special.erfc(-arr / _SQRT_2)
+    out = 0.5 * erfc(-arr / _SQRT_2)
     return _scalar_or_array(out)
 
 
@@ -69,6 +70,8 @@ def abs_moment(mu, sigma):
     sigma must be nonnegative; values at or below ``DEGENERATE_SIGMA`` are
     treated as a point mass at mu, returning |mu| exactly.
     """
+    from scipy.special import erfc
+
     mu_arr = _as_finite_array("mu", mu)
     sig_arr = _as_finite_array("sigma", sigma)
     if np.any(sig_arr < 0.0):
@@ -79,7 +82,7 @@ def abs_moment(mu, sigma):
     with np.errstate(over="ignore", under="ignore"):
         z = mu_b / safe_sig
         a = 2.0 * safe_sig * (_INV_SQRT_2PI * np.exp(-0.5 * z * z))
-        a += mu_b * (2.0 * (0.5 * special.erfc(-z / _SQRT_2)) - 1.0)
+        a += mu_b * (2.0 * (0.5 * erfc(-z / _SQRT_2)) - 1.0)
     out = np.where(degenerate, np.abs(mu_b), a)
     return _scalar_or_array(out)
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .estimators import (
     Availability,
@@ -206,12 +205,14 @@ def _density(dist: Distribution) -> Callable:
 
 
 def _cdf(dist: Distribution) -> Callable:
+    from scipy.special import erfc
+
     means, variances = mixture_parameters(dist)
     inv_sig = 1.0 / np.sqrt(variances)
 
     def cdf(ts):
         z = (ts[:, None] - means[None, :]) * inv_sig[None, :]
-        return (0.5 * special.erfc(-z / _SQRT_2)).mean(axis=1)
+        return (0.5 * erfc(-z / _SQRT_2)).mean(axis=1)
 
     return cdf
 
@@ -219,13 +220,15 @@ def _cdf(dist: Distribution) -> Callable:
 def _log_density(dist: Distribution) -> Callable:
     """Exact log-density via logsumexp; immune to the underflow that makes
     log(density) bottom out at log(1e-300) far from the mixture."""
+    from scipy.special import logsumexp
+
     means, variances = mixture_parameters(dist)
     log_norm = -0.5 * (math.log(2.0 * math.pi) + np.log(variances))
     log_m = math.log(len(means))
 
     def logpdf(ts):
         z2 = (ts[:, None] - means[None, :]) ** 2 / variances[None, :]
-        return special.logsumexp(log_norm[None, :] - 0.5 * z2, axis=1) - log_m
+        return logsumexp(log_norm[None, :] - 0.5 * z2, axis=1) - log_m
 
     return logpdf
 

@@ -23,7 +23,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .gaussians import GaussianComponent, GaussianEnsemble, abs_moment
 
@@ -101,6 +100,8 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
     Mixture predictions are fully supported: all four rules have closed
     pointwise forms for uniform Gaussian mixtures.
     """
+    from scipy import special
+
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcomes must be finite")

@@ -24,18 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .estimators import (
+    CHUNK_ROWS,
     Availability,
     EnsembleBatch,
     EstimatorId,
     availability,
     default_estimators,
 )
-from .gaussians import GaussianEnsemble
 from .scores import ScoringRule
 
 
@@ -100,12 +100,6 @@ def _sample_arrays(spec: UniformPosteriorSpec) -> tuple[np.ndarray, np.ndarray]:
     return means, variances
 
 
-def sample_uniform_posterior(spec: UniformPosteriorSpec) -> list[GaussianEnsemble]:
-    """Materialize the sampled posteriors as ensembles."""
-    means, variances = _sample_arrays(spec)
-    return [GaussianEnsemble.from_arrays(m, v) for m, v in zip(means, variances)]
-
-
 def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray,
                                panels: int = 16, order: int = 24) -> np.ndarray:
     """Shannon entropy of each row's mixture via fixed composite quadrature.
@@ -168,18 +162,14 @@ def _classify(base: float, shifted: float, threshold: float) -> str:
 
 
 def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
-                 kind: ShiftKind, replicates: Optional[int] = None,
-                 flat_threshold: float = 0.01,
-                 oracle_fallback: bool = False,
-                 chunk: int = 16384) -> ShiftReport:
+                 kind: ShiftKind, flat_threshold: float = 0.01,
+                 oracle_fallback: bool = False) -> ShiftReport:
     """Mean-measure comparison between the base and shifted posteriors.
 
     Direction is flat when the mean changes by less than ``flat_threshold``
     relative to the base mean (absolute guard 1e-12 for measures at zero);
     QuadratureRequired cells report 'unavailable' unless the fallback is on.
     """
-    if replicates is not None:
-        base = replace(base, replicates=replicates)
     shifted = apply_shift(base, kind)
     ests = default_estimators()
     cells = [(rule, est) for rule in rules for est in ests]
@@ -187,9 +177,9 @@ def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
 
     for tag, spec in (("base", base), ("shifted", shifted)):
         means, variances = _sample_arrays(spec)
-        for start in range(0, spec.replicates, chunk):
-            m = means[start:start + chunk]
-            v = variances[start:start + chunk]
+        for start in range(0, spec.replicates, CHUNK_ROWS):
+            m = means[start:start + CHUNK_ROWS]
+            v = variances[start:start + CHUNK_ROWS]
             batch = EnsembleBatch(m, v)
             log_cells = None
             for k, (rule, est) in enumerate(cells):
@@ -216,13 +206,6 @@ def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
 
 
 # -- two-curve regression data -------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoCurveSample:
-    x: float
-    y: float
-    component: int  # 1 or 2, the latent curve index (kept for diagnostics)
-
 
 def two_curve_pi(x):
     """Mixing weight of curve 1."""
@@ -259,9 +242,3 @@ def two_curve_arrays(n: int, x_low: float = -4.0, x_high: float = 4.0,
     ys = mus + eps * two_curve_sigma(xs)
     return xs, ys, np.where(pick_first, 1, 2)
 
-
-def gen_two_curve_mixture(n: int, x_low: float = -4.0, x_high: float = 4.0,
-                          seed: int = 0) -> list[TwoCurveSample]:
-    xs, ys, ks = two_curve_arrays(n, x_low, x_high, seed)
-    return [TwoCurveSample(float(x), float(y), int(k))
-            for x, y, k in zip(xs, ys, ks)]

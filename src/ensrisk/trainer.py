@@ -33,18 +33,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .estimators import (
     Availability,
     EnsembleBatch,
-    PredictionPoint,
     PredictionSet,
     availability,
 )
-from .gaussians import GaussianEnsemble
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ETA2_MARGIN = 1e-6
@@ -343,20 +341,13 @@ def predict_arrays(pred: EnsemblePredictor, xs) -> tuple[np.ndarray, np.ndarray]
     return means, variances
 
 
-def predict(pred: EnsemblePredictor, xs, ids: Sequence[str] | None = None,
-            targets=None, group: Optional[str] = None) -> PredictionSet:
-    """Per-point Gaussian ensembles for a batch of inputs."""
+def predict(pred: EnsemblePredictor, xs, targets=None,
+            group: Optional[str] = None) -> PredictionSet:
+    """Per-point Gaussian ensembles for a batch of inputs, ids "0", "1", ..."""
     means, variances = predict_arrays(pred, xs)
     n = len(means)
-    if ids is None:
-        ids = [str(i) for i in range(n)]
-    tg = None if targets is None else np.asarray(targets, dtype=float)
-    points = []
-    for i in range(n):
-        ens = GaussianEnsemble.from_arrays(means[i], variances[i])
-        target = None if tg is None else float(tg[i])
-        points.append(PredictionPoint(str(ids[i]), ens, target, group))
-    return PredictionSet(tuple(points))
+    groups = None if group is None else [group] * n
+    return PredictionSet([str(i) for i in range(n)], means, variances, targets, groups)
 
 
 def ensemble_nll(pred: EnsemblePredictor, xs, ys) -> float:

@@ -15,7 +15,6 @@ from ensrisk.estimators import (
     ApproximationId,
     EnsembleBatch,
     EstimatorId,
-    PredictionPoint,
     PredictionSet,
     RiskKind,
     bayes_risk,
@@ -154,12 +153,12 @@ def test_criterion_04_posterior_shift_rows():
 
 def test_criterion_05_structural_rank_facts():
     rng = np.random.default_rng(55)
-    points = []
+    means, variances = [], []
     for i in range(120):
-        ens = GaussianEnsemble.from_arrays(
-            rng.uniform(-3, 3, 6), rng.uniform(0.1, 4, 6))
-        points.append(PredictionPoint(f"p{i}", ens))
-    matrix = measure_matrix(list(ScoringRule), PredictionSet(tuple(points)))
+        means.append(rng.uniform(-3, 3, 6))
+        variances.append(rng.uniform(0.1, 4, 6))
+    ps = PredictionSet([f"p{i}" for i in range(120)], means, variances)
+    matrix = measure_matrix(list(ScoringRule), ps)
     ok = True
     for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
         for a, b in (("tot_1_1", "tot_2_1"), ("exc_1_1", "exc_2_1")):

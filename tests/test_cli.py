@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ensrisk
 from ensrisk.cli import main
 from ensrisk.dataio import (
     SchemaError,
@@ -13,20 +17,17 @@ from ensrisk.dataio import (
     loads_prediction_set,
     save_prediction_set,
 )
-from ensrisk.estimators import PredictionPoint, PredictionSet
-from ensrisk.gaussians import GaussianEnsemble
+from ensrisk.estimators import PredictionSet
 
 
 def make_prediction_set(n=10, members=4, seed=0, targets=True, groups=None):
     rng = np.random.default_rng(seed)
-    points = []
-    for i in range(n):
-        ens = GaussianEnsemble.from_arrays(
-            rng.normal(size=members), rng.uniform(0.2, 2.0, members))
-        group = None if groups is None else groups[i]
-        target = float(rng.normal()) if targets else None
-        points.append(PredictionPoint(f"p{i}", ens, target, group))
-    return PredictionSet(tuple(points))
+    means, variances, tgs = [], [], []
+    for _ in range(n):
+        means.append(rng.normal(size=members))
+        variances.append(rng.uniform(0.2, 2.0, members))
+        tgs.append(float(rng.normal()) if targets else None)
+    return PredictionSet([f"p{i}" for i in range(n)], means, variances, tgs, groups)
 
 
 def read_csv(path):
@@ -40,6 +41,22 @@ class TestSerialization:
         text = dumps_prediction_set(ps)
         again = dumps_prediction_set(loads_prediction_set(text))
         assert text == again
+
+    def test_round_trip_mixed_sizes_and_partial_fields(self):
+        rng = np.random.default_rng(7)
+        sizes = [1, 2, 5, 10, 10, 5, 2, 1, 10]
+        targets = [None if i % 3 == 0 else float(rng.normal()) for i in range(9)]
+        groups = [None if i % 2 else ("id", "ood")[i % 4 // 2] for i in range(9)]
+        ps = PredictionSet([f"q{i}" for i in range(9)],
+                           [rng.normal(size=m) for m in sizes],
+                           [rng.uniform(0.1, 3.0, m) for m in sizes], targets, groups)
+        text = dumps_prediction_set(ps)
+        again = loads_prediction_set(text)
+        assert dumps_prediction_set(again) == text
+        doc = json.loads(text)
+        assert [len(p["members"]) for p in doc["points"]] == sizes
+        assert [p.get("target") for p in doc["points"]] == targets
+        assert [p.get("group") for p in doc["points"]] == groups
 
     def test_optional_fields_omitted(self):
         ps = make_prediction_set(n=2, targets=False)
@@ -183,16 +200,16 @@ class TestDownstreamCommands:
 
     def test_ood_flags_separated_groups(self, tmp_path):
         rng = np.random.default_rng(5)
-        points = []
+        means, variances = [], []
         for i in range(30):
             ood = i >= 15
             spread = 6.0 if ood else 0.3
-            ens = GaussianEnsemble.from_arrays(
-                rng.normal(scale=spread, size=4) + (0 if not ood else 5),
-                rng.uniform(0.2, 0.6, 4))
-            points.append(PredictionPoint(f"p{i}", ens, None, "ood" if ood else "id"))
+            means.append(rng.normal(scale=spread, size=4) + (0 if not ood else 5))
+            variances.append(rng.uniform(0.2, 0.6, 4))
+        groups = ["ood" if i >= 15 else "id" for i in range(30)]
         inp = tmp_path / "preds.json"
-        save_prediction_set(PredictionSet(tuple(points)), str(inp))
+        save_prediction_set(PredictionSet([f"p{i}" for i in range(30)], means,
+                                          variances, groups=groups), str(inp))
         out = tmp_path / "ood"
         assert main(["ood", "--input", str(inp), "--rules", "se",
                      "--output-dir", str(out)]) == 0
@@ -250,7 +267,7 @@ class TestTrainingCommands:
 
         ps = load_prediction_set(str(out / "predictions.json"))
         assert len(ps) == 40
-        assert all(p.target is not None for p in ps.points)
+        assert not np.isnan(ps.targets()).any()
         pred = load_checkpoint(str(out / "checkpoint.json"))
         assert pred.size == 2
 
@@ -263,3 +280,14 @@ class TestTrainingCommands:
         rows = read_csv(out / "active.csv")
         assert len(rows) == 3
         assert "nll_log_exc_1_1" in rows[0] and "nll_random" in rows[0]
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        src = os.path.dirname(os.path.dirname(ensrisk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = "import sys, ensrisk.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ensrisk import estimators
 from ensrisk.estimators import (
     NOT_CLOSED_FORM,
     ApproximationId,
@@ -12,7 +13,6 @@ from ensrisk.estimators import (
     EnsembleBatch,
     EstimatorId,
     NotClosedFormRequested,
-    PredictionPoint,
     PredictionSet,
     RiskKind,
     availability,
@@ -351,12 +351,43 @@ class TestAvailability:
                 assert availability(rule, est) is Availability.CLOSED_FORM
 
 
-def _prediction_set(rng, n, m=4, **kwargs):
-    points = []
-    for i in range(n):
-        ens = GaussianEnsemble.from_arrays(rng.normal(size=m), rng.uniform(0.2, 2, m))
-        points.append(PredictionPoint(f"p{i}", ens, **kwargs))
-    return PredictionSet(tuple(points))
+def _prediction_set(rng, n, m=4):
+    means, variances = [], []
+    for _ in range(n):
+        means.append(rng.normal(size=m))
+        variances.append(rng.uniform(0.2, 2, m))
+    return PredictionSet([f"p{i}" for i in range(n)], means, variances)
+
+
+_VALID_SET = dict(ids=["a", "b"], means=[[0.0], [1.0, 2.0]],
+                  variances=[[1.0], [1.0, 2.0]], targets=[0.5, None])
+
+
+class TestPredictionSet:
+    @pytest.mark.parametrize("change, message", [
+        (dict(ids=[], means=[], variances=[], targets=None), "at least one point"),
+        (dict(ids=["a", "a"]), "unique"),
+        (dict(means=[[np.nan], [1.0, 2.0]]), "finite"),
+        (dict(means=[[0.0], [1.0, np.inf]]), "finite"),
+        (dict(variances=[[1.0], [1.0, 0.0]]), "variances > 0"),
+        (dict(variances=[[-1.0], [1.0, 2.0]]), "variances > 0"),
+        (dict(variances=[[1.0], [1.0]]), "equal-length"),
+        (dict(means=[[], [1.0, 2.0]], variances=[[], [1.0, 2.0]]), "non-empty"),
+        (dict(targets=[np.nan, None]), "target"),
+        (dict(targets=[0.5, -np.inf]), "target"),
+    ])
+    def test_construction_rejects(self, change, message):
+        PredictionSet(**_VALID_SET)
+        with pytest.raises(ValueError, match=message):
+            PredictionSet(**{**_VALID_SET, **change})
+
+    def test_uniform_arrays_are_kept_as_views(self):
+        means = np.arange(6.0).reshape(3, 2)
+        ps = PredictionSet(["a", "b", "c"], means, np.ones((3, 2)))
+        assert np.shares_memory(ps.means, means)
+        [(rows, block_means, _)] = list(ps.blocks())
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(block_means, means)
 
 
 class TestMeasureMatrix:
@@ -372,8 +403,7 @@ class TestMeasureMatrix:
         assert np.count_nonzero(~np.isnan(matrix.values[0])) == 16
 
     def test_identical_members_zero_excess(self):
-        ens = GaussianEnsemble.from_arrays([0.5] * 3, [1.1] * 3)
-        ps = PredictionSet((PredictionPoint("only", ens),))
+        ps = PredictionSet(["only"], [[0.5] * 3], [[1.1] * 3])
         matrix = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=True)
         for k, col in enumerate(matrix.columns):
             if col.estimator.kind is RiskKind.EXCESS:
@@ -392,21 +422,47 @@ class TestMeasureMatrix:
         ps = _prediction_set(rng, 1)
         matrix = measure_matrix([ScoringRule.LOG], ps, use_oracle_fallback=True)
         cell = matrix.column(ScoringRule.LOG, EstimatorId.parse("bayes_2"))[0]
-        ens = ps.points[0].ensemble
+        ens = GaussianEnsemble.from_arrays(ps.means, ps.variances)
         mc = mc_expected_score(ScoringRule.LOG, ens, ens, McConfig(samples=400_000, seed=5))
         assert cell == pytest.approx(mc.value, abs=4 * mc.standard_error)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            PredictionSet(())
+            PredictionSet((), (), ())
 
     def test_mixed_ensemble_sizes(self):
         rng = np.random.default_rng(26)
-        pts = [PredictionPoint("a", GaussianEnsemble.from_arrays([0.0], [1.0])),
-               PredictionPoint("b", GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 2.0]))]
-        matrix = measure_matrix([ScoringRule.SE], PredictionSet(tuple(pts)))
+        ps = PredictionSet(["a", "b"], [[0.0], [0.0, 1.0]], [[1.0], [1.0, 2.0]])
+        matrix = measure_matrix([ScoringRule.SE], ps)
         assert not np.isnan(matrix.values).any()
         # singleton ensembles have zero excess everywhere
         for k, col in enumerate(matrix.columns):
             if col.estimator.kind is RiskKind.EXCESS:
                 assert matrix.values[0, k] == pytest.approx(0.0, abs=1e-15)
+
+    def test_interleaved_sizes_match_per_row_batches(self):
+        rng = np.random.default_rng(27)
+        sizes = [1, 3, 5, 3, 1, 5, 5, 3, 1, 3, 10, 2]
+        means = [rng.normal(size=m) for m in sizes]
+        variances = [rng.uniform(0.2, 2, m) for m in sizes]
+        ps = PredictionSet([f"p{i}" for i in range(len(sizes))], means, variances)
+        matrix = measure_matrix(list(ScoringRule), ps)
+        for i, (mu, var) in enumerate(zip(means, variances)):
+            batch = EnsembleBatch(mu[None, :], var[None, :])
+            expected = [np.nan if col.availability is Availability.QUADRATURE_REQUIRED
+                        else batch.evaluate(col.rule, col.estimator)[0]
+                        for col in matrix.columns]
+            np.testing.assert_array_equal(matrix.values[i], expected)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_chunked_evaluation_is_bitwise_equal(self, monkeypatch, fallback):
+        rng = np.random.default_rng(28)
+        sizes = [(1, 3, 5)[i % 3] for i in range(40)]
+        ps = PredictionSet([f"p{i}" for i in range(40)],
+                           [rng.normal(size=m) for m in sizes],
+                           [rng.uniform(0.2, 2, m) for m in sizes])
+        whole = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=fallback)
+        monkeypatch.setattr(estimators, "CHUNK_ROWS", 7)
+        assert max(len(rows) for rows, _, _ in ps.blocks()) == 7
+        chunked = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=fallback)
+        np.testing.assert_array_equal(chunked.values, whole.values)

@@ -256,18 +256,16 @@ class TestMeasureEquivalenceRanks:
     behind the measure-correlation analysis)."""
 
     def _matrix(self, n=150, seed=30):
-        from ensrisk.estimators import EstimatorId, measure_matrix, PredictionPoint, PredictionSet
-        from ensrisk.gaussians import GaussianEnsemble
+        from ensrisk.estimators import measure_matrix, PredictionSet
         from ensrisk.scores import ScoringRule
 
         rng = np.random.default_rng(seed)
-        points = []
-        for i in range(n):
+        means, variances = [], []
+        for _ in range(n):
             m = 6
-            ens = GaussianEnsemble.from_arrays(
-                rng.uniform(-3, 3, m), rng.uniform(0.1, 4, m))
-            points.append(PredictionPoint(f"p{i}", ens))
-        ps = PredictionSet(tuple(points))
+            means.append(rng.uniform(-3, 3, m))
+            variances.append(rng.uniform(0.1, 4, m))
+        ps = PredictionSet([f"p{i}" for i in range(n)], means, variances)
         return measure_matrix(list(ScoringRule), ps)
 
     def test_total_and_excess_rank_identities(self):

@@ -10,9 +10,8 @@ from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import (
     ShiftKind,
     UniformPosteriorSpec,
+    _sample_arrays,
     apply_shift,
-    gen_two_curve_mixture,
-    sample_uniform_posterior,
     shift_report,
     two_curve_arrays,
     two_curve_mu1,
@@ -34,28 +33,28 @@ class TestUniformPosterior:
     def test_collapsed_mean_range(self):
         spec = UniformPosteriorSpec(mean_low=0.7, mean_high=0.7, members=5,
                                     replicates=10, seed=1)
-        for ens in sample_uniform_posterior(spec):
-            np.testing.assert_array_equal(ens.means, np.full(5, 0.7))
+        means, _ = _sample_arrays(spec)
+        np.testing.assert_array_equal(means, np.full((10, 5), 0.7))
 
     def test_deterministic(self):
         spec = UniformPosteriorSpec(members=4, replicates=20, seed=9)
-        a = sample_uniform_posterior(spec)
-        b = sample_uniform_posterior(spec)
+        a = _sample_arrays(spec)
+        b = _sample_arrays(spec)
         for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.means, y.means)
-            np.testing.assert_array_equal(x.variances, y.variances)
+            np.testing.assert_array_equal(x, y)
 
     def test_mean_of_means_clt(self):
         spec = UniformPosteriorSpec(members=1, replicates=100_000, seed=3)
-        draws = np.concatenate([e.means for e in sample_uniform_posterior(spec)])
+        draws = _sample_arrays(spec)[0].ravel()
         se = math.sqrt(4.0 / 12.0 / len(draws))  # U(-1,1) variance is 1/3
         assert abs(draws.mean()) < 3 * se
 
     def test_ranges_respected(self):
         spec = UniformPosteriorSpec(members=6, replicates=50, seed=4)
-        for ens in sample_uniform_posterior(spec):
-            assert np.all((ens.means >= -1) & (ens.means <= 1))
-            assert np.all((ens.variances >= 1) & (ens.variances <= 2))
+        means, variances = _sample_arrays(spec)
+        assert means.shape == variances.shape == (50, 6)
+        assert np.all((means >= -1) & (means <= 1))
+        assert np.all((variances >= 1) & (variances <= 2))
 
 
 class TestApplyShift:
@@ -120,12 +119,10 @@ class TestTwoCurveGenerator:
         b = two_curve_arrays(100, -4, 4, seed=6)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-    def test_sample_objects(self):
-        samples = gen_two_curve_mixture(50, -4, 4, seed=1)
-        assert len(samples) == 50
-        assert all(s.component in (1, 2) for s in samples)
-        assert all(math.isfinite(s.y) for s in samples)
+        xs, ys, comp = a
+        assert len(xs) == len(ys) == len(comp) == 100
+        assert set(comp.tolist()) <= {1, 2}
+        assert np.all(np.isfinite(ys))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -177,7 +177,7 @@ class TestTraining:
         x, y, _ = two_curve_arrays(200, -4, 4, seed=5)
         pred = train_ensemble(x, y, 1, MlpSpec(), TrainConfig(epochs=5, seed=5))
         ps = predict(pred, x[:4])
-        assert all(p.ensemble.size == 1 for p in ps.points)
+        assert np.all(np.diff(ps.offsets) == 1)
 
     def test_bitwise_determinism(self):
         x, y, _ = two_curve_arrays(300, -4, 4, seed=6)
