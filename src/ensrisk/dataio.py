@@ -68,7 +68,8 @@ def _point_from_obj(obj, index: int):
         if not isinstance(m, dict) or "mu" not in m or "sigma2" not in m:
             raise SchemaError(f"{where}.members[{j}]: expected mu and sigma2")
         mu, s2 = m["mu"], m["sigma2"]
-        if not isinstance(mu, (int, float)) or not isinstance(s2, (int, float)):
+        # type(), not isinstance(): JSON true/false decode to bool, an int subclass
+        if type(mu) not in (int, float) or type(s2) not in (int, float):
             raise SchemaError(f"{where}.members[{j}]: mu and sigma2 must be numbers")
         if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
             raise SchemaError(f"{where}.members[{j}]: need finite mu and sigma2 > 0")
@@ -76,7 +77,7 @@ def _point_from_obj(obj, index: int):
         sig2s.append(float(s2))
     target = obj.get("target")
     if target is not None:
-        if not isinstance(target, (int, float)) or not math.isfinite(target):
+        if type(target) not in (int, float) or not math.isfinite(target):
             raise SchemaError(f"{where}.target: expected a finite number")
         target = float(target)
     group = obj.get("group")

@@ -373,6 +373,19 @@ class EnsembleBatch:
             cells[f"tot_{approx.value}_2"] = self.bayes(ScoringRule.LOG, approx) + exc
         return cells
 
+    def columns(self, columns, h_ens=None) -> np.ndarray:
+        """Fortran-ordered (n, len(columns)) values of ``MeasureColumn``s;
+        QuadratureRequired ones are NaN unless the rows' mixture entropies
+        ``h_ens`` are given, from which ``log_cells`` fills them."""
+        out = np.full((len(self.means), len(columns)), np.nan, order="F")
+        log_cells = None if h_ens is None else self.log_cells(h_ens)
+        for k, col in enumerate(columns):
+            if col.availability is not Availability.QUADRATURE_REQUIRED:
+                out[:, k] = self.evaluate(col.rule, col.estimator)
+            elif log_cells is not None:
+                out[:, k] = log_cells[col.estimator.key]
+        return out
+
 
 # -- scalar wrappers -----------------------------------------------------------
 
@@ -474,12 +487,12 @@ def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
     return score - entropy(rule, label)
 
 
-def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, float]:
+def log_quadrature_cells(ens: GaussianEnsemble) -> dict[str, float]:
     """The seven LOG cells that need quadrature, from one mixture-entropy
     integral per ensemble (everything else about them is closed-form)."""
     from .oracle import oracle_entropy
 
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg)
+    h_ens = oracle_entropy(ScoringRule.LOG, ens)
     cells = _as_batch(ens).log_cells(np.array([h_ens]))
     return {key: float(v[0]) for key, v in cells.items()}
 
@@ -602,36 +615,22 @@ class MeasureMatrix:
 
 def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
                    use_oracle_fallback: bool = False,
-                   estimators: Sequence[EstimatorId] | None = None,
-                   quad_cfg=None) -> MeasureMatrix:
+                   estimators: Sequence[EstimatorId] | None = None) -> MeasureMatrix:
     """Evaluate every estimator for every point.
 
-    Each ``points.blocks()`` chunk runs through the vectorized batch kernels
-    in one shot.  QuadratureRequired cells stay NaN unless
-    ``use_oracle_fallback`` is set; then each point's mixture entropy comes
-    from the adaptive oracle and the batch assembles the LOG cells from it."""
-    from .oracle import oracle_entropy
+    Each ``points.blocks()`` chunk runs through ``EnsembleBatch.columns`` in
+    one shot.  QuadratureRequired cells stay NaN unless
+    ``use_oracle_fallback`` is set; then the chunk's mixture entropies come
+    from the oracle's batched estimator, the one ``shift_report`` uses."""
+    from .oracle import _batch_log_mixture_entropy
 
     ests = tuple(estimators) if estimators is not None else default_estimators()
     columns = tuple(MeasureColumn(rule, est, availability(rule, est))
                     for rule in rules for est in ests)
-    quadrature = Availability.QUADRATURE_REQUIRED
-    closed_cols = [(k, col) for k, col in enumerate(columns)
-                   if col.availability is not quadrature]
-    quad_cols = [(k, col) for k, col in enumerate(columns)
-                 if use_oracle_fallback and col.availability is quadrature]
-    values = np.full((len(points), len(columns)), np.nan)
-
+    fill = use_oracle_fallback and any(
+        col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
+    values = np.empty((len(points), len(columns)))
     for rows, means, variances in points.blocks():
-        batch = EnsembleBatch(means, variances)
-        for k, col in closed_cols:
-            values[rows, k] = batch.evaluate(col.rule, col.estimator)
-        if quad_cols:
-            h_ens = np.array([
-                oracle_entropy(ScoringRule.LOG, GaussianEnsemble.from_arrays(m, v), quad_cfg)
-                for m, v in zip(means, variances)])
-            cells = batch.log_cells(h_ens)
-            for k, col in quad_cols:
-                values[rows, k] = cells[col.estimator.key]
-
+        h_ens = _batch_log_mixture_entropy(means, variances) if fill else None
+        values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
     return MeasureMatrix(points.ids, columns, values)

@@ -142,8 +142,7 @@ def auroc(in_scores, out_scores) -> float:
     # midranks: average the 1-based rank over each tied run
     starts = np.concatenate([[0], np.nonzero(np.diff(sorted_vals))[0] + 1])
     ends = np.concatenate([starts[1:], [len(combined)]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     u_out = float(np.sum(ranks[len(ins):])) - 0.5 * len(outs) * (len(outs) + 1)
     twice_u = round(2.0 * u_out)  # exact: midrank sums are half-integers
     denom = len(ins) * len(outs)

@@ -33,9 +33,11 @@ from .estimators import (
     Availability,
     EnsembleBatch,
     EstimatorId,
+    MeasureColumn,
     availability,
     default_estimators,
 )
+from .oracle import _batch_log_mixture_entropy
 from .scores import ScoringRule
 
 
@@ -100,35 +102,6 @@ def _sample_arrays(spec: UniformPosteriorSpec) -> tuple[np.ndarray, np.ndarray]:
     return means, variances
 
 
-def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray,
-                               panels: int = 16, order: int = 24) -> np.ndarray:
-    """Shannon entropy of each row's mixture via fixed composite quadrature.
-
-    Non-adaptive on purpose: a Gauss-Legendre grid over [min mu - 9 sigma,
-    max mu + 9 sigma] vectorizes over tens of thousands of replicates, which
-    the adaptive oracle cannot.  Panel count is sized so the result agrees
-    with the adaptive oracle to ~1e-10 on the posterior ranges used here."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    sig = np.sqrt(variances)
-    lo = (means - 9.0 * sig).min(axis=1)
-    hi = (means + 9.0 * sig).max(axis=1)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    width = ((hi - lo) / panels)[:, None, None]
-    starts = lo[:, None] + (hi - lo)[:, None] * edges[None, :-1]
-    # (n, panels * order) evaluation points and matching weights
-    ts = starts[:, :, None] + 0.5 * width * (nodes[None, None, :] + 1.0)
-    ws = np.broadcast_to(0.5 * width * weights[None, None, :], ts.shape)
-    ts = ts.reshape(means.shape[0], -1)
-    ws = ws.reshape(means.shape[0], -1)
-    inv_sig = 1.0 / sig
-    z = (ts[:, :, None] - means[:, None, :]) * inv_sig[:, None, :]
-    with np.errstate(under="ignore"):
-        dens = (np.exp(-0.5 * z * z) * inv_sig[:, None, :]).mean(axis=2) \
-            / math.sqrt(2.0 * math.pi)
-    integrand = -dens * np.log(np.maximum(dens, 1e-300))
-    return (ws * integrand).sum(axis=1)
-
-
 @dataclass(frozen=True)
 class ShiftRow:
     rule: ScoringRule
@@ -168,41 +141,29 @@ def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
 
     Direction is flat when the mean changes by less than ``flat_threshold``
     relative to the base mean (absolute guard 1e-12 for measures at zero);
-    QuadratureRequired cells report 'unavailable' unless the fallback is on.
+    QuadratureRequired cells report 'unavailable' unless the fallback is on,
+    which fills them from ``_batch_log_mixture_entropy`` as ``measure_matrix`` does.
     """
     shifted = apply_shift(base, kind)
-    ests = default_estimators()
-    cells = [(rule, est) for rule in rules for est in ests]
-    sums = {s: np.zeros(len(cells)) for s in ("base", "shifted")}
-
-    for tag, spec in (("base", base), ("shifted", shifted)):
+    columns = tuple(MeasureColumn(rule, est, availability(rule, est))
+                    for rule in rules for est in default_estimators())
+    fill = oracle_fallback and any(
+        col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
+    mean_values = []
+    for spec in (base, shifted):
         means, variances = _sample_arrays(spec)
+        sums = np.zeros(len(columns))
         for start in range(0, spec.replicates, CHUNK_ROWS):
-            m = means[start:start + CHUNK_ROWS]
-            v = variances[start:start + CHUNK_ROWS]
-            batch = EnsembleBatch(m, v)
-            log_cells = None
-            for k, (rule, est) in enumerate(cells):
-                avail = availability(rule, est)
-                if avail is Availability.QUADRATURE_REQUIRED:
-                    if not oracle_fallback:
-                        sums[tag][k] = np.nan
-                        continue
-                    if log_cells is None:
-                        log_cells = batch.log_cells(_batch_log_mixture_entropy(m, v))
-                    sums[tag][k] += float(log_cells[est.key].sum())
-                else:
-                    sums[tag][k] += float(batch.evaluate(rule, est).sum())
+            m, v = means[start:start + CHUNK_ROWS], variances[start:start + CHUNK_ROWS]
+            h_ens = _batch_log_mixture_entropy(m, v) if fill else None
+            sums += EnsembleBatch(m, v).columns(columns, h_ens).sum(axis=0)
+        mean_values.append(sums / spec.replicates)
 
-    rows = []
-    for k, (rule, est) in enumerate(cells):
-        b = sums["base"][k] / base.replicates
-        s = sums["shifted"][k] / shifted.replicates
-        if math.isnan(b):
-            rows.append(ShiftRow(rule, est, math.nan, math.nan, "unavailable"))
-        else:
-            rows.append(ShiftRow(rule, est, b, s, _classify(b, s, flat_threshold)))
-    return ShiftReport(kind, flat_threshold, tuple(rows))
+    rows = tuple(
+        ShiftRow(col.rule, col.estimator, b, s,
+                 "unavailable" if math.isnan(b) else _classify(b, s, flat_threshold))
+        for col, b, s in zip(columns, *mean_values))
+    return ShiftReport(kind, flat_threshold, rows)
 
 
 # -- two-curve regression data -------------------------------------------------

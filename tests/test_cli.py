@@ -76,6 +76,14 @@ class TestSerialization:
             loads_prediction_set(
                 '{"schema": "prediction_set/v1", '
                 '"points": [{"id": "a", "members": [{"mu": 0, "sigma2": -1}]}]}')
+        # JSON booleans decode to bool, which is an int subclass
+        for member, target, field in (('{"mu": true, "sigma2": 1}', "0", r"members\[0\]"),
+                                      ('{"mu": 0, "sigma2": true}', "0", r"members\[0\]"),
+                                      ('{"mu": 0, "sigma2": 1}', "false", r"\.target")):
+            with pytest.raises(SchemaError, match=field):
+                loads_prediction_set(
+                    '{"schema": "prediction_set/v1", "points": [{"id": "a", '
+                    f'"members": [{member}], "target": {target}}}]}}')
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError, match="unique"):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestAuroc:
             wins = sum(1.0 if y > x else (0.5 if y == x else 0.0)
                        for x in a for y in b)
             assert auroc(a, b) == pytest.approx(wins / (len(a) * len(b)), abs=1e-12)
+
+    def test_exact_against_pure_python_counting(self):
+        """Tie-heavy inputs: twice the Mann-Whitney count from all pairs in
+        integers, rounded once onto the 2^-53 grid, is the same float."""
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            a = rng.integers(0, int(rng.integers(1, 12)), rng.integers(1, 80)).astype(float)
+            b = rng.integers(0, int(rng.integers(1, 12)), rng.integers(1, 80)).astype(float)
+            if rng.random() < 0.3:
+                b = np.round(rng.normal(size=len(b)), 1)
+            twice_u = sum(2 * (y > x) + (y == x) for x in a.tolist() for y in b.tolist())
+            expected = round(Fraction(twice_u, 2 * len(a) * len(b)) * 2**53) / 2**53
+            assert auroc(a, b) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from ensrisk import oracle
 from ensrisk.gaussians import GaussianComponent, GaussianEnsemble
 from ensrisk.oracle import (
     ConvergenceError,
     McConfig,
     QuadratureConfig,
+    _batch_log_mixture_entropy,
     adaptive_quadrature,
     mc_expected_score,
     oracle_entropy,
@@ -17,6 +19,7 @@ from ensrisk.oracle import (
 )
 from ensrisk.estimators import NOT_CLOSED_FORM, entropy, expected_score
 from ensrisk.scores import ScoringRule
+from ensrisk.synthetic import ShiftKind, UniformPosteriorSpec, _sample_arrays, apply_shift
 
 G01 = GaussianComponent(0.0, 1.0)
 
@@ -120,6 +123,35 @@ class TestOracleAgainstClosedForms:
             wide = oracle_expected_score(rule, pred, label,
                                          QuadratureConfig(tail_width=20.0)).value
             assert abs(narrow - wide) < 1e-10 * max(1.0, abs(narrow))
+
+
+def _entropy_rows():
+    """M = 10 rows: wide member spreads with narrow members, where a fixed
+    grid misses components, then draws from all four shift ranges."""
+    rng = np.random.default_rng(31)
+    means = [rng.uniform(-s, s, (4, 10)) for s in (20.0, 50.0, 200.0)]
+    variances = [np.full((4, 10), v) for v in (0.05, 0.01, 0.01)]
+    base = UniformPosteriorSpec(replicates=6, seed=31)
+    for spec in [base] + [apply_shift(base, kind) for kind in ShiftKind]:
+        m, v = _sample_arrays(spec)
+        means.append(m)
+        variances.append(v)
+    return np.vstack(means), np.vstack(variances)
+
+
+class TestBatchLogMixtureEntropy:
+    def test_matches_oracle_entropy(self):
+        means, variances = _entropy_rows()
+        batched = _batch_log_mixture_entropy(means, variances)
+        for m, v, h in zip(means, variances, batched):
+            ens = GaussianEnsemble.from_arrays(m, v)
+            assert abs(h - oracle_entropy(ScoringRule.LOG, ens)) <= 1e-9
+
+    def test_row_blocks_are_bitwise_equal(self, monkeypatch):
+        means, variances = _entropy_rows()
+        whole = _batch_log_mixture_entropy(means, variances)
+        monkeypatch.setattr(oracle, "_BLOCK_ELEMS", 1)  # one row per block
+        assert np.array_equal(_batch_log_mixture_entropy(means, variances), whole)
 
 
 class TestMonteCarlo:
