@@ -487,12 +487,12 @@ def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
     return score - entropy(rule, label)
 
 
-def log_quadrature_cells(ens: GaussianEnsemble) -> dict[str, float]:
+def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, float]:
     """The seven LOG cells that need quadrature, from one mixture-entropy
     integral per ensemble (everything else about them is closed-form)."""
     from .oracle import oracle_entropy
 
-    h_ens = oracle_entropy(ScoringRule.LOG, ens)
+    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg)
     cells = _as_batch(ens).log_cells(np.array([h_ens]))
     return {key: float(v[0]) for key, v in cells.items()}
 
@@ -621,8 +621,9 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     Each ``points.blocks()`` chunk runs through ``EnsembleBatch.columns`` in
     one shot.  QuadratureRequired cells stay NaN unless
     ``use_oracle_fallback`` is set; then the chunk's mixture entropies come
-    from the oracle's batched estimator, the one ``shift_report`` uses."""
-    from .oracle import _batch_log_mixture_entropy
+    from the oracle's batched estimator, the one ``shift_report`` uses; a
+    point whose entropy does not converge raises ConvergenceError naming it."""
+    from .oracle import ConvergenceError, _batch_log_mixture_entropy
 
     ests = tuple(estimators) if estimators is not None else default_estimators()
     columns = tuple(MeasureColumn(rule, est, availability(rule, est))
@@ -631,6 +632,11 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
     values = np.empty((len(points), len(columns)))
     for rows, means, variances in points.blocks():
-        h_ens = _batch_log_mixture_entropy(means, variances) if fill else None
+        try:
+            h_ens = _batch_log_mixture_entropy(means, variances) if fill else None
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                exc.best, exc.error,
+                f"point {points.ids[rows[exc.row]]}: LOG mixture entropy: {exc}") from exc
         values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
     return MeasureMatrix(points.ids, columns, values)

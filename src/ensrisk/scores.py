@@ -84,6 +84,18 @@ def pairwise_overlap(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     )
 
 
+def log_mean_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(mean(exp(x))) over ``axis``, shifted by the maximum so that it
+    stays exact where every exp(x) underflows (the log-density of a uniform
+    mixture from its members' log-densities)."""
+    top = np.max(x, axis=axis, keepdims=True)
+    top[np.isneginf(top)] = 0.0  # all terms are exp(-inf) = 0: the result is -inf
+    shifted = x - top
+    with np.errstate(under="ignore", divide="ignore"):
+        np.exp(shifted, out=shifted)
+        return np.log(np.mean(shifted, axis=axis)) + np.squeeze(top, axis)
+
+
 def _sq_density_norm(means: np.ndarray, variances: np.ndarray) -> float:
     """integral p(t)^2 dt for the uniform mixture with these parameters."""
     m = len(means)
@@ -100,8 +112,6 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
     Mixture predictions are fully supported: all four rules have closed
     pointwise forms for uniform Gaussian mixtures.
     """
-    from scipy import special
-
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcomes must be finite")
@@ -109,10 +119,12 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
 
     if rule is ScoringRule.CRPS:
         if len(means) == 1:
+            from scipy.special import erfc
+
             mu, sigma = float(means[0]), math.sqrt(float(variances[0]))
             z = (ys - mu) / sigma
             pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-            cdf = 0.5 * special.erfc(-z / _SQRT_2)
+            cdf = 0.5 * erfc(-z / _SQRT_2)
             return sigma * (2.0 * pdf + z * (2.0 * cdf - 1.0) - 1.0 / _SQRT_PI)
         # CRPS(P_ens, y) = mean_i E|X_i - y| - (1/2) mean_ij E|X_i - X_j'|
         spread = 0.5 * float(np.mean(pairwise_abs_moment(means, variances)))
@@ -124,10 +136,9 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
 
     if rule is ScoringRule.LOG:
         sigmas2 = variances
-        # -log p_ens(y) via logsumexp over component log-densities
         z2 = (ys[..., None] - means[None, :]) ** 2 / sigmas2[None, :]
         logcomp = -0.5 * (_LOG_2PI + np.log(sigmas2)[None, :] + z2)
-        return -(special.logsumexp(logcomp, axis=-1) - math.log(len(means)))
+        return -log_mean_exp(logcomp)
 
     if rule is ScoringRule.QUADRATIC:
         norm = _sq_density_norm(means, variances)

@@ -37,7 +37,7 @@ from .estimators import (
     availability,
     default_estimators,
 )
-from .oracle import _batch_log_mixture_entropy
+from .oracle import ConvergenceError, _batch_log_mixture_entropy
 from .scores import ScoringRule
 
 
@@ -150,12 +150,17 @@ def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
     fill = oracle_fallback and any(
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
     mean_values = []
-    for spec in (base, shifted):
+    for name, spec in (("base", base), ("shifted", shifted)):
         means, variances = _sample_arrays(spec)
         sums = np.zeros(len(columns))
         for start in range(0, spec.replicates, CHUNK_ROWS):
             m, v = means[start:start + CHUNK_ROWS], variances[start:start + CHUNK_ROWS]
-            h_ens = _batch_log_mixture_entropy(m, v) if fill else None
+            try:
+                h_ens = _batch_log_mixture_entropy(m, v) if fill else None
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    exc.best, exc.error,
+                    f"{name} replicate {start + exc.row}: LOG mixture entropy: {exc}") from exc
             sums += EnsembleBatch(m, v).columns(columns, h_ens).sum(axis=0)
         mean_values.append(sums / spec.replicates)
 

@@ -1,6 +1,7 @@
 """File formats and the command-line surface."""
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import ensrisk
+from ensrisk import oracle
 from ensrisk.cli import main
 from ensrisk.dataio import (
     SchemaError,
@@ -17,7 +19,7 @@ from ensrisk.dataio import (
     loads_prediction_set,
     save_prediction_set,
 )
-from ensrisk.estimators import PredictionSet
+from ensrisk.estimators import EnsembleBatch, PredictionSet
 
 
 def make_prediction_set(n=10, members=4, seed=0, targets=True, groups=None):
@@ -147,6 +149,42 @@ class TestMeasuresCommand:
         inp = tmp_path / "preds.json"
         save_prediction_set(make_prediction_set(n=2), str(inp))
         assert main(["measures", "--input", str(inp), "--rules", "huber"]) == 1
+
+
+class TestFailureExitCodes:
+    def test_wrong_closed_form_exits_two_with_report(self, tmp_path, monkeypatch):
+        evaluate = EnsembleBatch.evaluate
+        monkeypatch.setattr(EnsembleBatch, "evaluate",
+                            lambda self, rule, est: evaluate(self, rule, est) + 1.0)
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--trials", "2", "--seed", "3",
+                     "--output-dir", str(out)]) == 2
+        rows = read_csv(out / "oracle_check.csv")
+        assert len(rows) == 64
+        assert max(float(r["max_rel_dev"]) for r in rows) > 1e-6
+
+    def test_unconverged_fallback_exits_three_naming_the_point(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(oracle, "QuadratureConfig", functools.partial(
+            oracle.QuadratureConfig, abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1))
+        rng = np.random.default_rng(5)
+        sizes = [4, 4, 2, 4]  # the size-2 block runs first: its row 0 is point p2
+        ps = PredictionSet([f"p{i}" for i in range(4)],
+                           [rng.normal(size=m) for m in sizes],
+                           [rng.uniform(0.2, 2.0, m) for m in sizes])
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        assert main(["measures", "--input", str(inp), "--rules", "log", "--oracle-fallback",
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert "point p2: " in capsys.readouterr().err
+
+    def test_unconverged_shift_fallback_exits_three_naming_the_replicate(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "QuadratureConfig", functools.partial(
+            oracle.QuadratureConfig, abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1))
+        assert main(["shift", "--kind", "mean-location", "--rules", "log", "--replicates", "50",
+                     "--oracle-fallback", "--output-dir", str(tmp_path / "out")]) == 3
+        assert "base replicate 0: LOG mixture entropy: " in capsys.readouterr().err
 
 
 class TestOracleCheckCommand:

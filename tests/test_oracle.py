@@ -187,3 +187,140 @@ class TestMonteCarlo:
                                    McConfig(samples=100_000, seed=int(rng.integers(2**32))))
             combined = math.hypot(mc.standard_error, max(quad.error, 1e-12))
             assert quad.value == pytest.approx(mc.value, abs=4 * combined)
+
+
+def _engine_families():
+    """Five integral families of different integrands and member counts,
+    one with knots and one that cannot converge in a few dozen subdivisions."""
+    rng = np.random.default_rng(43)
+    cfg = QuadratureConfig()
+    mu, var = rng.uniform(-4, 4, (5, 3)), rng.uniform(0.05, 6, (5, 3))
+    mp, vp = rng.uniform(-4, 4, (4, 2)), rng.uniform(0.05, 6, (4, 2))
+    mq, vq = rng.uniform(-4, 4, (4, 1)), rng.uniform(0.05, 6, (4, 1))
+    ms, vs = rng.uniform(-4, 4, (3, 4)), rng.uniform(0.05, 6, (3, 4))
+    return [
+        oracle._Family(oracle._log_integrand, (mu, var),
+                       *oracle._window(cfg.tail_width, (mu, var))),
+        oracle._Family(oracle._crps_integrand, (mp, vp, mq, vq),
+                       *oracle._window(cfg.tail_width, (mp, vp), (mq, vq))),
+        oracle._Family(oracle._centred_integrand, (ms, vs, rng.uniform(-1, 1, 3)),
+                       *oracle._window(cfg.tail_width, (ms, vs))),
+        oracle._Family(lambda t: np.abs(t - 0.3), (), np.array([-1.0, -2.0]),
+                       np.array([1.0, 2.0]), knots=np.array([[0.3, 0.3], [np.nan, 5.0]])),
+        oracle._Family(lambda t: np.abs(np.sin(40 * t)) ** 0.3, (),
+                       np.array([0.0]), np.array([10.0])),
+    ]
+
+
+class TestEngine:
+    def test_batch_equals_each_integral_alone(self):
+        cfg = QuadratureConfig(max_subdivisions=40)
+        families = _engine_families()
+        batch = oracle._integrate(families, cfg)
+        failed = batch.failed()
+        assert failed.any() and not failed.all()
+        alone = []
+        for fam in families:
+            for k in range(len(fam.lo)):
+                one = fam._replace(
+                    params=tuple(p[k:k + 1] for p in fam.params),
+                    lo=fam.lo[k:k + 1], hi=fam.hi[k:k + 1],
+                    knots=None if fam.knots is None else fam.knots[k:k + 1])
+                alone.append(oracle._integrate([one], cfg))
+        for field in ("value", "error", "tol", "splits"):
+            assert np.array_equal(getattr(batch, field),
+                                  np.concatenate([getattr(r, field) for r in alone]))
+
+    def test_failed_integral_leaves_the_others_intact(self):
+        cfg = QuadratureConfig(max_subdivisions=40)
+        families = _engine_families()
+        with_failure = oracle._integrate(families, cfg)
+        without = oracle._integrate(families[:-1], cfg)
+        assert with_failure.failed()[-1] and not without.failed().any()
+        assert np.array_equal(with_failure.value[:-1], without.value)
+        assert np.array_equal(with_failure.error[:-1], without.error)
+
+    def test_knots_seed_the_panels_like_linspace(self):
+        owner, lo, hi = oracle._seed_panels(np.array([-1.0, 0.0]), np.array([2.0, 1.0]),
+                                            np.array([[0.5, 0.5, 7.0], [np.nan, 0.25, -1.0]]))
+        first = np.concatenate([np.linspace(-1.0, 0.5, 13)[:-1], np.linspace(0.5, 2.0, 13)])
+        second = np.concatenate([np.linspace(0.0, 0.25, 13)[:-1], np.linspace(0.25, 1.0, 13)])
+        assert np.array_equal(owner, np.repeat([0, 1], 24))
+        assert np.array_equal(lo, np.concatenate([first[:-1], second[:-1]]))
+        assert np.array_equal(hi, np.concatenate([first[1:], second[1:]]))
+
+
+class TestBatchEntropyConvergence:
+    def test_failure_names_the_row(self, monkeypatch):
+        means = np.array([[0.0, 1.0], [-200.0, 200.0], [0.5, 0.0]])
+        variances = np.array([[1.0, 2.0], [0.01, 0.01], [1.0, 1.0]])
+        cfg = QuadratureConfig(max_subdivisions=4)
+        lo, hi = oracle._window(cfg.tail_width, (means, variances))
+        res = oracle._integrate(
+            [oracle._Family(oracle._log_integrand, (means, variances), lo, hi)], cfg)
+        assert list(res.failed()) == [False, True, False]
+        monkeypatch.setattr(oracle, "QuadratureConfig", lambda: cfg)
+        with pytest.raises(ConvergenceError) as info:
+            _batch_log_mixture_entropy(means, variances)
+        assert info.value.row == 1
+        assert str(info.value).startswith("quadrature error")
+
+
+class TestOracleCheckAccounting:
+    def test_unreachable_tolerance_charges_every_cell(self):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
+        rows, passed, _ = oracle.run_oracle_check(6, 11, cfg)
+        assert not passed
+        assert len(rows) == 64
+        assert all(c.convergence_failures == 6 for c in rows)
+
+    def test_failure_is_charged_to_its_rule_only(self):
+        cfg = QuadratureConfig(max_subdivisions=3, rel_tol=1e-12)
+        rows, passed, _ = oracle.run_oracle_check(6, 11, cfg)
+        assert not passed
+        failures = {(c.rule, c.estimator.key): c.convergence_failures for c in rows}
+        for (rule, _), n in failures.items():
+            assert n == (1 if rule is ScoringRule.SE else 0)
+
+
+class TestAgainstMpmath:
+    """The engine against mpmath's tanh-sinh quadrature at 30 digits, over
+    the real line split at every component mean.  Degree 5 keeps the run
+    short; on these mixtures it agrees with the uncapped degree to float
+    precision."""
+
+    def test_log_entropy_and_crps_divergence(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(53)
+        with mpmath.workdps(30):
+            c = 1 / mpmath.sqrt(mpmath.pi)
+
+            def members(means, variances):  # (mu, 1 / (sigma sqrt 2)) pairs
+                return [(mpmath.mpf(float(m)), 1 / mpmath.sqrt(2 * mpmath.mpf(float(v))))
+                        for m, v in zip(means, variances)]
+
+            def pdf(t, mix):
+                return c * mpmath.fsum(k * mpmath.exp(-((t - m) * k) ** 2) for m, k in mix) / len(mix)
+
+            def cdf(t, mix):
+                return mpmath.fsum(mpmath.erfc((m - t) * k) for m, k in mix) / (2 * len(mix))
+
+            def neg_p_log_p(t, mix):
+                p = pdf(t, mix)
+                return -p * mpmath.log(p) if p > 0 else mpmath.mpf(0)
+
+            for _ in range(10):
+                m, n = (int(x) for x in rng.integers(1, 4, 2))
+                pm, pv = rng.uniform(-4, 4, m), rng.uniform(0.05, 6, m)
+                qm, qv = rng.uniform(-4, 4, n), rng.uniform(0.05, 6, n)
+                p, q = members(pm, pv), members(qm, qv)
+                h = mpmath.quad(lambda t: neg_p_log_p(t, p),
+                                [-mpmath.inf, *sorted(pm), mpmath.inf], maxdegree=5)
+                d = mpmath.quad(lambda t: (cdf(t, p) - cdf(t, q)) ** 2,
+                                [-mpmath.inf, *sorted({*pm, *qm}), mpmath.inf], maxdegree=5)
+                got_h = _batch_log_mixture_entropy(pm[None, :], pv[None, :])[0]
+                got_d = oracle.oracle_divergence(ScoringRule.CRPS,
+                                                 GaussianEnsemble.from_arrays(pm, pv),
+                                                 GaussianEnsemble.from_arrays(qm, qv))
+                assert abs(got_h - float(h)) <= 1e-12
+                assert abs(got_d - float(d)) <= 1e-12

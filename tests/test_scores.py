@@ -63,6 +63,46 @@ class TestPointScores:
             point_score(ScoringRule.SE, G01, float("nan"))
 
 
+def _log_single(mu, var, ys):
+    """-log N(y; mu, var) written out."""
+    return 0.5 * (math.log(2 * math.pi) + math.log(var) + (ys - mu) ** 2 / var)
+
+
+class TestLogPointScoresMaxShift:
+    def test_finite_forty_sigma_away(self):
+        # every member density underflows to 0 out here; the shift keeps it exact
+        mix = GaussianEnsemble.from_arrays([0.0, 0.5], [1.0, 1.0])
+        ys = np.array([-40.0, 40.5, 41.0])
+        got = point_scores(ScoringRule.LOG, mix, ys)
+        expected = -(np.logaddexp(-_log_single(0.0, 1.0, ys), -_log_single(0.5, 1.0, ys))
+                     - math.log(2))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
+
+    def test_identical_members_equal_single_gaussian(self):
+        ys = np.array([-45.0, -3.0, 0.1, 2.0, 60.0])
+        for m in (1, 2, 7, 10):
+            mix = GaussianEnsemble.from_arrays([0.3] * m, [0.8] * m)
+            assert np.array_equal(point_scores(ScoringRule.LOG, mix, ys),
+                                  point_scores(ScoringRule.LOG, GaussianComponent(0.3, 0.8), ys))
+        np.testing.assert_allclose(point_scores(ScoringRule.LOG, GaussianComponent(0.3, 0.8), ys),
+                                   _log_single(0.3, 0.8, ys), rtol=1e-15)
+
+    def test_agrees_with_scipy_logsumexp(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            m = int(rng.integers(1, 11))
+            means, variances = rng.uniform(-3, 3, m), rng.uniform(0.5, 4, m)
+            ys = rng.normal(0.0, 4.0, 200)
+            got = point_scores(ScoringRule.LOG, GaussianEnsemble.from_arrays(means, variances), ys)
+            logcomp = -0.5 * (math.log(2 * math.pi) + np.log(variances)
+                              + (ys[:, None] - means) ** 2 / variances)
+            ref = -(logsumexp(logcomp, axis=-1) - math.log(m))
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
 class TestEntropy:
     def test_gaussian_closed_forms(self):
         for mu in (-3.0, 0.0, 4.5):
