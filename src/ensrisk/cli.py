@@ -37,7 +37,7 @@ from .scores import ScoringRule
 from .synthetic import (
     ShiftKind,
     UniformPosteriorSpec,
-    shift_report,
+    shift_reports,
     two_curve_arrays,
 )
 from .trainer import (
@@ -165,13 +165,11 @@ def cmd_shift(kind, rules, replicates, members, flat_threshold, oracle_fallback,
     rules_list = _parse_rules(rules)
     base = UniformPosteriorSpec(members=members, replicates=replicates, seed=seed)
     kinds = list(ShiftKind) if kind == "all" else [_KIND_ALIASES[kind]]
-    rows = []
-    for k in kinds:
-        report = shift_report(rules_list, base, k, flat_threshold=flat_threshold,
-                              oracle_fallback=oracle_fallback)
-        for row in report.rows:
-            rows.append([k.value, row.rule.value, row.estimator.key,
-                         row.direction, row.base_mean, row.shifted_mean])
+    reports = shift_reports(rules_list, base, kinds, flat_threshold=flat_threshold,
+                            oracle_fallback=oracle_fallback)
+    rows = [[report.kind.value, row.rule.value, row.estimator.key,
+             row.direction, row.base_mean, row.shifted_mean]
+            for report in reports for row in report.rows]
     os.makedirs(output_dir, exist_ok=True)
     write_csv(os.path.join(output_dir, "shift.csv"),
               ["kind", "rule", "estimator", "direction", "base_mean", "shifted_mean"],

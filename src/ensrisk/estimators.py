@@ -187,9 +187,19 @@ class EnsembleBatch:
     """Closed-form estimator evaluation over a stack of ensembles.
 
     ``means`` and ``variances`` have shape (n, M); every estimator comes
-    back as an (n,) array.  Pairwise reductions (the O(M^2) sums behind the
-    CRPS and quadratic mixtures) are computed once and cached, which is what
-    makes the 1e5-replicate shift experiments affordable.
+    back as an (n,) array.  Each term the cells share is computed once per
+    batch and cached for its lifetime:
+
+    - the pairwise reductions ``crps_pair_mean`` and ``quad_pair_mean`` (the
+      O(M^2) sums behind the CRPS and quadratic mixtures);
+    - ``excess(rule, pair)``, which the Tot(pair) cell reuses, so the LOG
+      (n, M, M) ratio of Exc(1,1) is built once;
+    - the mean cross kernel between each surrogate and the members (CRPS
+      E|S - X_j|, QUADRATIC overlap), shared by the (s,1) and (s,2) cells.
+
+    Cached arrays come back read-only, so a caller cannot change a later
+    cell through them.  A batch is bounded by the caller (``CHUNK_ROWS``),
+    and so is its cache.
     """
 
     def __init__(self, means, variances):
@@ -208,26 +218,29 @@ class EnsembleBatch:
         self.pop_var = ((means - self.mu_star[:, None]) ** 2).mean(axis=1)
         self.var_av = variances.mean(axis=1)
         self.var_mm = self.var_av + self.pop_var
-        self._crps_pair_mean = None
-        self._quad_pair_mean = None
+        self._memo: dict[tuple, np.ndarray] = {}
 
     @property
     def size(self) -> int:
         return self.means.shape[1]
 
+    def _cached(self, key: tuple, compute) -> np.ndarray:
+        """``compute()`` once per key for the life of the batch, read-only."""
+        if key not in self._memo:
+            value = compute()
+            value.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
+
     def crps_pair_mean(self) -> np.ndarray:
         """mean_ij A(mu_i - mu_j, sqrt(var_i + var_j)) = E|X - X'|."""
-        if self._crps_pair_mean is None:
-            a = pairwise_abs_moment(self.means, self.variances)
-            self._crps_pair_mean = a.mean(axis=(1, 2))
-        return self._crps_pair_mean
+        return self._cached(("pairs", ScoringRule.CRPS), lambda: pairwise_abs_moment(
+            self.means, self.variances).mean(axis=(1, 2)))
 
     def quad_pair_mean(self) -> np.ndarray:
         """mean_ij N(mu_i | mu_j, var_i + var_j) = integral p_ens^2."""
-        if self._quad_pair_mean is None:
-            n = pairwise_overlap(self.means, self.variances)
-            self._quad_pair_mean = n.mean(axis=(1, 2))
-        return self._quad_pair_mean
+        return self._cached(("pairs", ScoringRule.QUADRATIC), lambda: pairwise_overlap(
+            self.means, self.variances).mean(axis=(1, 2)))
 
     def _surrogate(self, approx: ApproximationId) -> tuple[np.ndarray, np.ndarray]:
         if approx is ApproximationId.MM:
@@ -265,27 +278,43 @@ class EnsembleBatch:
 
     # -- excess risks ----------------------------------------------------------
 
+    def _cross_mean(self, rule, mu, var) -> np.ndarray:
+        """mean_j of the cross kernel between N(mu, var) and member j: the
+        CRPS abs_moment E|Y - X_j| or the QUADRATIC overlap integral.  For the
+        batch's own surrogates it is computed once per rule and shared by
+        their (s,1) and (s,2) cells."""
+        def compute():
+            mu_b, var_b = mu[:, None], var[:, None]
+            if rule is ScoringRule.CRPS:
+                cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances))
+            else:
+                cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
+            return cross.mean(axis=1)
+
+        for approx in (ApproximationId.MM, ApproximationId.AV):
+            if mu is self.mu_star and var is self._surrogate(approx)[1]:
+                return self._cached(("cross", rule, approx), compute)
+        return compute()
+
     def gaussian_vs_members(self, rule, mu, var) -> np.ndarray:
         """mean_j d(N(mu, var), P_j) for one Gaussian per row, shape (n,).
 
         With a surrogate as the Gaussian these are the (3a,1) / (3b,1) cells.
         """
-        mu_b, var_b = mu[:, None], var[:, None]
         if rule is ScoringRule.CRPS:
-            cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances))
-            return cross.mean(axis=1) - (np.sqrt(var)
-                                         + self.sigmas.mean(axis=1)) / _SQRT_PI
+            return (self._cross_mean(rule, mu, var)
+                    - (np.sqrt(var) + self.sigmas.mean(axis=1)) / _SQRT_PI)
         if rule is ScoringRule.LOG:
+            mu_b, var_b = mu[:, None], var[:, None]
             kl = 0.5 * (np.log(var_b / self.variances) - 1.0
                         + (self.variances + (mu_b - self.means) ** 2) / var_b)
             return kl.mean(axis=1)
         if rule is ScoringRule.QUADRATIC:
-            cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
             return (0.5 / (_SQRT_PI * np.sqrt(var))
                     + (0.5 / (_SQRT_PI * self.sigmas)).mean(axis=1)
-                    - 2.0 * cross.mean(axis=1))
+                    - 2.0 * self._cross_mean(rule, mu, var))
         if rule is ScoringRule.SE:
-            return ((mu_b - self.means) ** 2).mean(axis=1)
+            return ((mu[:, None] - self.means) ** 2).mean(axis=1)
         raise ValueError(f"unknown rule {rule!r}")
 
     def gaussian_vs_mixture(self, rule, mu, var) -> np.ndarray:
@@ -296,15 +325,12 @@ class EnsembleBatch:
         if rule is ScoringRule.SE:
             # Exactly 0.0 for the surrogates, which sit at the mixture mean.
             return (mu - self.mu_star) ** 2
-        mu_b, var_b = mu[:, None], var[:, None]
         if rule is ScoringRule.CRPS:
-            cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances))
-            return (cross.mean(axis=1) - np.sqrt(var) / _SQRT_PI
+            return (self._cross_mean(rule, mu, var) - np.sqrt(var) / _SQRT_PI
                     - 0.5 * self.crps_pair_mean())
         if rule is ScoringRule.QUADRATIC:
-            cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
             return (0.5 / (_SQRT_PI * np.sqrt(var))
-                    + self.quad_pair_mean() - 2.0 * cross.mean(axis=1))
+                    + self.quad_pair_mean() - 2.0 * self._cross_mean(rule, mu, var))
         if rule is ScoringRule.LOG:
             raise NotClosedFormRequested(
                 "LOG d(Gaussian, mixture) needs the mixture Shannon entropy")
@@ -312,6 +338,11 @@ class EnsembleBatch:
 
     def excess(self, rule: ScoringRule,
                pair: tuple[ApproximationId, ApproximationId]) -> np.ndarray:
+        """Exc(pair) per row; computed once per (rule, pair), read-only."""
+        return self._cached(("excess", rule, tuple(pair)), lambda: self._excess(rule, pair))
+
+    def _excess(self, rule: ScoringRule,
+                pair: tuple[ApproximationId, ApproximationId]) -> np.ndarray:
         first, second = pair
         ba, ens = ApproximationId.BA, ApproximationId.ENS
 
@@ -508,7 +539,7 @@ def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:
 
 # -- prediction sets and the measure matrix ----------------------------------
 
-# Rows per EnsembleBatch in measure_matrix and shift_report: it bounds the
+# Rows per EnsembleBatch in measure_matrix and shift_reports: it bounds the
 # (rows, M, M) pairwise temporaries, so peak memory does not grow with n.
 CHUNK_ROWS = 16384
 
@@ -621,7 +652,7 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     Each ``points.blocks()`` chunk runs through ``EnsembleBatch.columns`` in
     one shot.  QuadratureRequired cells stay NaN unless
     ``use_oracle_fallback`` is set; then the chunk's mixture entropies come
-    from the oracle's batched estimator, the one ``shift_report`` uses; a
+    from the oracle's batched estimator, the one ``shift_reports`` uses; a
     point whose entropy does not converge raises ConvergenceError naming it."""
     from .oracle import ConvergenceError, _batch_log_mixture_entropy
 

@@ -14,12 +14,15 @@ integrals at once while each keeps its own state and rules: its own window
 and knots, seeded with ``_INITIAL_PANELS`` panels; the local error estimated
 from the difference between the embedded 7-point Gauss and 15-point Kronrod
 rules; every panel whose error exceeds its fair share of the tolerance
-max(abs_tol, rel_tol |total|) bisected, until that tolerance or
-``max_subdivisions`` is reached.  Integrals run in consecutive groups of a
-few dozen; each round evaluates the new panels of all unconverged integrals
-of a group together, in blocks of at most ``_BLOCK_ELEMS`` integrand
-elements, and no integral's result depends on the others in its batch.  A
-K=1 call is one integral run alone, as ``adaptive_quadrature`` runs it.
+max(abs_tol, rel_tol |total|) bisected, until that tolerance is met or
+``max_subdivisions`` is reached.  That limit is checked before each round of
+bisection and a round may bisect many panels, so an integral that fails can
+report up to one round's bisections more than the limit.  Integrals run in
+consecutive groups of a few dozen; each round evaluates the new panels of
+all unconverged integrals of a group together, in blocks of at most
+``_BLOCK_ELEMS`` integrand elements, and no integral's result depends on the
+others in its batch.  A K=1 call is one integral run alone, as
+``adaptive_quadrature`` runs it.
 
 Entropies, expected scores and divergences are built from the integrals in
 one place, ``_oracle_tables``, for any set of distributions and ordered
@@ -44,12 +47,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .estimators import (
-    Availability,
     EnsembleBatch,
     EstimatorId,
+    MeasureColumn,
     availability,
     default_estimators,
-    log_quadrature_cells,
 )
 from .gaussians import GaussianEnsemble, averaged_surrogate, moment_surrogate
 from .scores import (
@@ -95,6 +97,17 @@ _BLOCK_ELEMS = 2**15
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances and limits of every oracle integral.
+
+    An integral converges when its error estimate is at most
+    max(abs_tol, rel_tol |value|).  ``max_subdivisions`` is checked before
+    each round of bisection: no new round starts once an integral has made
+    that many bisections, but the round that crosses the limit bisects every
+    panel above its share of the tolerance, so the final count can exceed
+    it by up to one round.  ``tail_width`` is the window half-width in
+    member standard deviations.
+    """
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2000
@@ -161,12 +174,14 @@ class _Family(NamedTuple):
 
 
 class _Integrals(NamedTuple):
-    """Per-integral results of one engine call."""
+    """Per-integral results of one engine call; ``limit`` is the
+    ``max_subdivisions`` each integral ran under."""
 
     value: np.ndarray
     error: np.ndarray
     tol: np.ndarray
     splits: np.ndarray
+    limit: np.ndarray
 
     def failed(self) -> np.ndarray:
         return ~(self.error <= self.tol)
@@ -181,7 +196,8 @@ class _Integrals(NamedTuple):
             raise ConvergenceError(
                 float(self.value[k]), float(self.error[k]),
                 f"quadrature error {self.error[k]:.3e} above tolerance {self.tol[k]:.3e} "
-                f"after {self.splits[k]} subdivisions", row=k)
+                f"after {self.splits[k]} subdivisions (limit {self.limit[k]}, "
+                f"checked before each round of bisection)", row=k)
 
 
 def _seed_panels(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray | None):
@@ -247,7 +263,7 @@ def _integrate(families: list[_Family], cfg: QuadratureConfig) -> _Integrals:
     first = np.cumsum([0] + [len(f.lo) for f in families])
     n = int(first[-1])
     out = _Integrals(np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan),
-                     np.zeros(n, dtype=np.int64))
+                     np.zeros(n, dtype=np.int64), np.full(n, cfg.max_subdivisions))
     group = max(1, _BLOCK_ELEMS // (_INITIAL_PANELS * len(_K15_NODES)))
     for start in range(0, n, group):
         _refine(families, first, start, min(start + group, n), cfg, out)
@@ -701,6 +717,25 @@ def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> list[dict]:
     return out
 
 
+def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarray:
+    """(trials, columns) values of the ``MeasureColumn``s from one
+    ``EnsembleBatch`` per ensemble size.  The LOG cells that need quadrature
+    come from each mixture's ``oracle_entropy`` plus closed forms, as
+    ``--oracle-fallback`` fills them; they are NaN for a trial whose LOG
+    integrals in ``quads`` did not converge."""
+    sizes = np.array([ens.size for ens in ensembles])
+    out = np.empty((len(ensembles), len(columns)))
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        h_ens = np.array([np.nan if quads[r][ScoringRule.LOG] is None
+                          else oracle_entropy(ScoringRule.LOG, ensembles[r], cfg)
+                          for r in rows])
+        batch = EnsembleBatch(np.array([ensembles[r].means for r in rows]),
+                              np.array([ensembles[r].variances for r in rows]))
+        out[rows] = batch.columns(columns, h_ens)
+    return out
+
+
 # Trials drawn and integrated together by ``run_oracle_check``: bounds its
 # memory, which would otherwise grow with the trial count.
 _CHECK_TRIALS = 40
@@ -712,21 +747,22 @@ def run_oracle_check(trials: int, seed: int,
     """Compare every estimator cell to quadrature.
 
     ClosedForm and IdenticallyZero cells come from ``EnsembleBatch``; the
-    seven LOG cells that need quadrature come from ``log_quadrature_cells``,
-    one mixture-entropy integral plus closed forms, as ``--oracle-fallback``
-    fills them.  Returns (rows, passed, worst_rel): one row per (rule,
-    estimator) with the worst deviation over all trials.  A cell passes when
-    |closed - quad| <= max(rel_tol * |closed|, abs_floor); a trial whose
-    integrals for a rule did not converge counts as a convergence failure
-    of every cell of that rule.  Trials are drawn and integrated
-    ``_CHECK_TRIALS`` at a time.
+    seven LOG cells that need quadrature from one mixture-entropy integral
+    plus closed forms, as ``--oracle-fallback`` fills them.  Returns (rows,
+    passed, worst_rel): one row per (rule, estimator) with the worst
+    deviation over all trials.  A cell passes when |closed - quad| <=
+    max(rel_tol * |closed|, abs_floor); a trial whose integrals for a rule
+    did not converge counts as a convergence failure of every cell of that
+    rule.  Trials are drawn, integrated and evaluated ``_CHECK_TRIALS`` at a
+    time, with one ``EnsembleBatch`` per ensemble size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = cfg or QuadratureConfig()
     rng = np.random.default_rng(seed)
-    checks = {(rule, est.key): _CellCheck(rule, est)
-              for rule in ScoringRule for est in default_estimators()}
+    columns = tuple(MeasureColumn(rule, est, availability(rule, est))
+                    for rule in ScoringRule for est in default_estimators())
+    checks = [_CellCheck(col.rule, col.estimator) for col in columns]
     passed = True
     for start in range(0, trials, _CHECK_TRIALS):
         ensembles = []
@@ -734,28 +770,19 @@ def run_oracle_check(trials: int, seed: int,
             m = int(rng.integers(1, 6))
             ensembles.append(GaussianEnsemble.from_arrays(rng.uniform(-5.0, 5.0, size=m),
                                                           rng.uniform(0.05, 9.0, size=m)))
-        for ens, quad_by_rule in zip(ensembles, _quadrature_cells(ensembles, cfg)):
-            batch = EnsembleBatch(ens.means[None, :], ens.variances[None, :])
-            for rule in ScoringRule:
-                quad = quad_by_rule[rule]
+        quads = _quadrature_cells(ensembles, cfg)
+        for quad_by_rule, closed_row in zip(quads, _closed_cells(ensembles, quads, columns, cfg)):
+            for col, cell, closed in zip(columns, checks, closed_row.tolist()):
+                quad = quad_by_rule[col.rule]
                 if quad is None:
-                    for est in default_estimators():
-                        checks[(rule, est.key)].convergence_failures += 1
+                    cell.convergence_failures += 1
                     passed = False
                     continue
-                fallback = log_quadrature_cells(ens, cfg) if rule is ScoringRule.LOG else {}
-                for est in default_estimators():
-                    if availability(rule, est) is Availability.QUADRATURE_REQUIRED:
-                        closed = fallback[est.key]
-                    else:
-                        closed = float(batch.evaluate(rule, est)[0])
-                    dev = abs(closed - quad[est.key])
-                    cell = checks[(rule, est.key)]
-                    cell.max_abs_dev = max(cell.max_abs_dev, dev)
-                    cell.max_rel_dev = max(cell.max_rel_dev,
-                                           dev / max(abs(closed), abs_floor / rel_tol))
-                    if dev > max(rel_tol * abs(closed), abs_floor):
-                        passed = False
-    rows = [c for c in checks.values()]
-    worst = max(c.max_rel_dev for c in rows)
-    return rows, passed, worst
+                dev = abs(closed - quad[col.estimator.key])
+                cell.max_abs_dev = max(cell.max_abs_dev, dev)
+                cell.max_rel_dev = max(cell.max_rel_dev,
+                                       dev / max(abs(closed), abs_floor / rel_tol))
+                if dev > max(rel_tol * abs(closed), abs_floor):
+                    passed = False
+    worst = max(c.max_rel_dev for c in checks)
+    return checks, passed, worst

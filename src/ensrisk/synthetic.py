@@ -126,6 +126,8 @@ class ShiftReport:
 
 def _classify(base: float, shifted: float, threshold: float) -> str:
     delta = shifted - base
+    if delta == 0.0:
+        return "flat"
     if abs(base) > 1e-12:
         if abs(delta) < threshold * abs(base):
             return "flat"
@@ -134,41 +136,62 @@ def _classify(base: float, shifted: float, threshold: float) -> str:
     return "up" if delta > 0 else "down"
 
 
-def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
-                 kind: ShiftKind, flat_threshold: float = 0.01,
-                 oracle_fallback: bool = False) -> ShiftReport:
-    """Mean-measure comparison between the base and shifted posteriors.
+def _column_means(name: str, spec: UniformPosteriorSpec, columns, fill: bool) -> np.ndarray:
+    """Mean of every column over the spec's replicates, ``CHUNK_ROWS`` at a
+    time; ``name`` labels the replicates in a ConvergenceError."""
+    means, variances = _sample_arrays(spec)
+    sums = np.zeros(len(columns))
+    for start in range(0, spec.replicates, CHUNK_ROWS):
+        m, v = means[start:start + CHUNK_ROWS], variances[start:start + CHUNK_ROWS]
+        try:
+            h_ens = _batch_log_mixture_entropy(m, v) if fill else None
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                exc.best, exc.error,
+                f"{name} replicate {start + exc.row}: LOG mixture entropy: {exc}") from exc
+        sums += EnsembleBatch(m, v).columns(columns, h_ens).sum(axis=0)
+    return sums / spec.replicates
 
-    Direction is flat when the mean changes by less than ``flat_threshold``
-    relative to the base mean (absolute guard 1e-12 for measures at zero);
+
+def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
+                  kinds: Sequence[ShiftKind], flat_threshold: float = 0.01,
+                  oracle_fallback: bool = False) -> tuple[ShiftReport, ...]:
+    """One ``ShiftReport`` per kind, in order: the mean of every measure
+    under the base posterior against its mean under the shifted one.
+
+    The base spec is sampled and evaluated once for all kinds, and each
+    shifted spec once.  Direction is flat when the mean is unchanged or
+    changes by less than ``flat_threshold`` (finite, >= 0) relative to the
+    base mean (absolute guard 1e-12 for measures at zero).
     QuadratureRequired cells report 'unavailable' unless the fallback is on,
-    which fills them from ``_batch_log_mixture_entropy`` as ``measure_matrix`` does.
+    which fills them from ``_batch_log_mixture_entropy`` as
+    ``measure_matrix`` does; a replicate whose entropy does not converge
+    raises ConvergenceError naming it (``base replicate N`` or ``shifted
+    replicate N``).
     """
-    shifted = apply_shift(base, kind)
+    if not (math.isfinite(flat_threshold) and flat_threshold >= 0.0):
+        raise ValueError(f"flat threshold must be finite and >= 0, got {flat_threshold}")
     columns = tuple(MeasureColumn(rule, est, availability(rule, est))
                     for rule in rules for est in default_estimators())
     fill = oracle_fallback and any(
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
-    mean_values = []
-    for name, spec in (("base", base), ("shifted", shifted)):
-        means, variances = _sample_arrays(spec)
-        sums = np.zeros(len(columns))
-        for start in range(0, spec.replicates, CHUNK_ROWS):
-            m, v = means[start:start + CHUNK_ROWS], variances[start:start + CHUNK_ROWS]
-            try:
-                h_ens = _batch_log_mixture_entropy(m, v) if fill else None
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    exc.best, exc.error,
-                    f"{name} replicate {start + exc.row}: LOG mixture entropy: {exc}") from exc
-            sums += EnsembleBatch(m, v).columns(columns, h_ens).sum(axis=0)
-        mean_values.append(sums / spec.replicates)
+    base_means = _column_means("base", base, columns, fill)
+    reports = []
+    for kind in kinds:
+        shifted_means = _column_means("shifted", apply_shift(base, kind), columns, fill)
+        rows = tuple(
+            ShiftRow(col.rule, col.estimator, b, s,
+                     "unavailable" if math.isnan(b) else _classify(b, s, flat_threshold))
+            for col, b, s in zip(columns, base_means, shifted_means))
+        reports.append(ShiftReport(kind, flat_threshold, rows))
+    return tuple(reports)
 
-    rows = tuple(
-        ShiftRow(col.rule, col.estimator, b, s,
-                 "unavailable" if math.isnan(b) else _classify(b, s, flat_threshold))
-        for col, b, s in zip(columns, *mean_values))
-    return ShiftReport(kind, flat_threshold, rows)
+
+def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
+                 kind: ShiftKind, flat_threshold: float = 0.01,
+                 oracle_fallback: bool = False) -> ShiftReport:
+    """``shift_reports`` for one kind."""
+    return shift_reports(rules, base, [kind], flat_threshold, oracle_fallback)[0]
 
 
 # -- two-curve regression data -------------------------------------------------

@@ -226,6 +226,36 @@ class TestShiftCommand:
                  and r["direction"] != "unavailable"]
         assert bayes and all(r["direction"] == "up" for r in bayes)
 
+    def test_all_kinds_equal_the_single_kind_runs(self, tmp_path):
+        args = ["--replicates", "500", "--members", "4", "--seed", "2", "--oracle-fallback"]
+        assert main(["shift", "--kind", "all", *args,
+                     "--output-dir", str(tmp_path / "all")]) == 0
+        lines = (tmp_path / "all" / "shift.csv").read_text().splitlines()
+        single = []
+        for kind in ("mean-location", "variance-location", "mean-scale", "variance-scale"):
+            out = tmp_path / kind
+            assert main(["shift", "--kind", kind, *args, "--output-dir", str(out)]) == 0
+            single.extend((out / "shift.csv").read_text().splitlines()[1:])
+        assert len(lines) == 1 + 4 * 64
+        assert lines[1:] == single
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+    def test_bad_flat_threshold_exits_one(self, tmp_path, capsys, threshold):
+        assert main(["shift", "--kind", "mean-location", "--rules", "se",
+                     "--replicates", "20", f"--flat-threshold={threshold}",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "flat threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "shift.csv").exists()
+
+    def test_zero_flat_threshold_keeps_unchanged_means_flat(self, tmp_path):
+        out = tmp_path / "shift"
+        assert main(["shift", "--kind", "mean-location", "--rules", "se",
+                     "--replicates", "500", "--flat-threshold", "0",
+                     "--output-dir", str(out)]) == 0
+        rows = read_csv(out / "shift.csv")
+        unchanged = [r for r in rows if r["base_mean"] == r["shifted_mean"]]
+        assert unchanged and all(r["direction"] == "flat" for r in unchanged)
+
 
 class TestDownstreamCommands:
     def test_selective_prr_columns(self, tmp_path):

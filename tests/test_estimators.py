@@ -466,3 +466,78 @@ class TestMeasureMatrix:
         assert max(len(rows) for rows, _, _ in ps.blocks()) == 7
         chunked = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=fallback)
         np.testing.assert_array_equal(chunked.values, whole.values)
+
+
+class TestBatchMemo:
+    """Each shared term is computed once per batch; the cells that reuse it
+    are bitwise what a fresh batch computes for them alone."""
+
+    @staticmethod
+    def _batch(seed=31, n=6, m=4):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, m)), rng.uniform(0.2, 2.0, (n, m))
+
+    @staticmethod
+    def _columns():
+        return tuple(estimators.MeasureColumn(rule, est, availability(rule, est))
+                     for rule in ScoringRule for est in default_estimators())
+
+    def test_columns_equal_cells_on_fresh_batches(self):
+        means, variances = self._batch()
+        columns = self._columns()
+        assert len(columns) == 64
+        h_ens = np.linspace(1.0, 2.0, len(means))
+        got = EnsembleBatch(means, variances).columns(columns, h_ens)
+        for k, col in enumerate(columns):
+            fresh = EnsembleBatch(means, variances)
+            if col.availability is Availability.QUADRATURE_REQUIRED:
+                want = fresh.log_cells(h_ens)[col.estimator.key]
+            else:
+                want = fresh.evaluate(col.rule, col.estimator)
+            assert got[:, k].tobytes() == np.asarray(want, dtype=float).tobytes(), col.name
+
+    def test_each_kernel_runs_once_per_batch(self, monkeypatch):
+        calls = {}
+
+        def count(name):
+            fn = getattr(estimators, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(estimators, name, counted)
+
+        for name in ("pairwise_abs_moment", "pairwise_overlap",
+                     "abs_moment", "gaussian_overlap"):
+            count(name)
+        EnsembleBatch(*self._batch()).columns(self._columns())
+        # one pairwise reduction per rule; one cross mean per (rule, surrogate)
+        assert calls == {"pairwise_abs_moment": 1, "pairwise_overlap": 1,
+                         "abs_moment": 2, "gaussian_overlap": 2}
+
+    def test_cached_arrays_are_read_only(self):
+        batch = EnsembleBatch(*self._batch())
+        exc = batch.excess(ScoringRule.LOG, (BA, BA))
+        assert batch.excess(ScoringRule.LOG, (BA, BA)) is exc
+        with pytest.raises(ValueError):
+            exc[0] = 0.0
+        mu, var = batch._surrogate(MM)
+        cross = batch._cross_mean(ScoringRule.CRPS, mu, var)
+        with pytest.raises(ValueError):
+            cross[0] = 0.0
+        # Tot is a fresh array built on the cached excess
+        tot = batch.total(ScoringRule.LOG, (BA, BA))
+        tot[0] = 0.0
+        assert batch.excess(ScoringRule.LOG, (BA, BA))[0] != 0.0
+
+    def test_other_gaussians_are_not_cached(self):
+        means, variances = self._batch()
+        batch = EnsembleBatch(means, variances)
+        mu, var = batch._surrogate(MM)
+        for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC):
+            own = batch.gaussian_vs_members(rule, mu, var)
+            other = batch.gaussian_vs_members(rule, mu + 1.0, var)
+            equal = batch.gaussian_vs_members(rule, mu.copy(), var.copy())
+            assert not np.array_equal(own, other)
+            assert equal.tobytes() == own.tobytes()
+            assert equal.flags.writeable

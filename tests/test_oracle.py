@@ -17,7 +17,17 @@ from ensrisk.oracle import (
     oracle_entropy,
     oracle_expected_score,
 )
-from ensrisk.estimators import NOT_CLOSED_FORM, entropy, expected_score
+from ensrisk.estimators import (
+    NOT_CLOSED_FORM,
+    Availability,
+    EnsembleBatch,
+    MeasureColumn,
+    availability,
+    default_estimators,
+    entropy,
+    expected_score,
+    log_quadrature_cells,
+)
 from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import ShiftKind, UniformPosteriorSpec, _sample_arrays, apply_shift
 
@@ -266,6 +276,16 @@ class TestBatchEntropyConvergence:
         assert str(info.value).startswith("quadrature error")
 
 
+class TestSubdivisionLimit:
+    def test_message_names_the_limit_next_to_the_count(self):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_quadrature(lambda t: np.exp(-t * t), -5.0, 5.0, cfg)
+        # the limit is checked before each round; the one round run splits
+        # every seed panel, so the count overshoots it
+        assert "after 24 subdivisions (limit 1, checked before each round" in str(info.value)
+
+
 class TestOracleCheckAccounting:
     def test_unreachable_tolerance_charges_every_cell(self):
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
@@ -273,6 +293,27 @@ class TestOracleCheckAccounting:
         assert not passed
         assert len(rows) == 64
         assert all(c.convergence_failures == 6 for c in rows)
+
+    def test_closed_cells_equal_one_batch_per_trial(self):
+        rng = np.random.default_rng(12)
+        ensembles = [GaussianEnsemble.from_arrays(rng.uniform(-5, 5, m), rng.uniform(0.05, 9, m))
+                     for m in (3, 1, 5, 3, 2, 5, 3)]
+        converged = [{rule: {} for rule in ScoringRule} for _ in ensembles]
+        converged[3][ScoringRule.LOG] = None
+        columns = tuple(MeasureColumn(rule, est, availability(rule, est))
+                        for rule in ScoringRule for est in default_estimators())
+        got = oracle._closed_cells(ensembles, converged, columns, QuadratureConfig())
+        for i, ens in enumerate(ensembles):
+            batch = EnsembleBatch(ens.means[None, :], ens.variances[None, :])
+            fallback = log_quadrature_cells(ens)
+            for k, col in enumerate(columns):
+                if col.availability is not Availability.QUADRATURE_REQUIRED:
+                    want = float(batch.evaluate(col.rule, col.estimator)[0])
+                elif i == 3:
+                    want = math.nan  # its LOG integrals did not converge
+                else:
+                    want = fallback[col.estimator.key]
+                assert float(got[i, k]).hex() == want.hex(), (i, col.name)
 
     def test_failure_is_charged_to_its_rule_only(self):
         cfg = QuadratureConfig(max_subdivisions=3, rel_tol=1e-12)

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from ensrisk import synthetic
 from ensrisk.estimators import EstimatorId
 from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import (
     ShiftKind,
     UniformPosteriorSpec,
+    _classify,
     _sample_arrays,
     apply_shift,
     shift_report,
+    shift_reports,
     two_curve_arrays,
     two_curve_mu1,
     two_curve_mu2,
@@ -105,6 +108,69 @@ class TestShiftReport:
                               oracle_fallback=True)
         assert all(row.direction != "unavailable" for row in report.rows)
         assert all(row.direction == "flat" for row in report.rows)
+
+
+def _bits(report):
+    """A report's rows with the means as exact bit patterns (NaN included)."""
+    return [(r.rule, r.estimator, r.direction, float(r.base_mean).hex(),
+             float(r.shifted_mean).hex()) for r in report.rows]
+
+
+class TestShiftReports:
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_equals_one_report_per_kind(self, fallback):
+        base = UniformPosteriorSpec(members=4, replicates=300, seed=2)
+        reports = shift_reports(list(ScoringRule), base, list(ShiftKind),
+                                oracle_fallback=fallback)
+        assert [r.kind for r in reports] == list(ShiftKind)
+        for report in reports:
+            alone = shift_report(list(ScoringRule), base, report.kind,
+                                 oracle_fallback=fallback)
+            assert _bits(report) == _bits(alone)
+            assert len(report.rows) == 64
+
+    def test_base_is_sampled_and_evaluated_once(self, monkeypatch):
+        calls = {}
+
+        def count(name):
+            fn = getattr(synthetic, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(synthetic, name, counted)
+
+        count("_sample_arrays")
+        count("_batch_log_mixture_entropy")
+        kinds = list(ShiftKind)
+        base = UniformPosteriorSpec(members=3, replicates=200, seed=1)
+        shift_reports([ScoringRule.LOG], base, kinds, oracle_fallback=True)
+        assert calls == {"_sample_arrays": 1 + len(kinds),
+                         "_batch_log_mixture_entropy": 1 + len(kinds)}
+
+
+class TestFlatThreshold:
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_non_finite_or_negative(self, threshold):
+        base = UniformPosteriorSpec(members=3, replicates=10, seed=0)
+        with pytest.raises(ValueError, match="flat threshold"):
+            shift_report([ScoringRule.SE], base, ShiftKind.MEAN_LOCATION,
+                         flat_threshold=threshold)
+
+    def test_unchanged_mean_is_flat_at_zero_threshold(self):
+        base = UniformPosteriorSpec(members=5, replicates=500, seed=0)
+        report = shift_report([ScoringRule.SE], base, ShiftKind.MEAN_LOCATION,
+                              flat_threshold=0.0)
+        unchanged = [r for r in report.rows if r.base_mean == r.shifted_mean]
+        assert unchanged and all(r.direction == "flat" for r in unchanged)
+        assert all(r.direction != "flat" for r in report.rows
+                   if r.base_mean != r.shifted_mean)
+
+    def test_classify_zero_delta(self):
+        assert _classify(2.0, 2.0, 0.0) == "flat"
+        assert _classify(0.0, 0.0, 0.0) == "flat"
+        assert _classify(2.0, 2.0 + 1e-9, 0.0) == "up"
+        assert _classify(2.0, 1.9, 0.01) == "down"
 
 
 class TestTwoCurveGenerator:
