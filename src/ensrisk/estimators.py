@@ -286,7 +286,8 @@ class EnsembleBatch:
         def compute():
             mu_b, var_b = mu[:, None], var[:, None]
             if rule is ScoringRule.CRPS:
-                cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances))
+                cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances),
+                                   check=False)
             else:
                 cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
             return cross.mean(axis=1)

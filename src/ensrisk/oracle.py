@@ -53,7 +53,7 @@ from .estimators import (
     availability,
     default_estimators,
 )
-from .gaussians import GaussianEnsemble, averaged_surrogate, moment_surrogate
+from .gaussians import GaussianEnsemble, _ndtr, averaged_surrogate, moment_surrogate
 from .scores import (
     Distribution,
     ScoringRule,
@@ -62,7 +62,6 @@ from .scores import (
     point_scores,
 )
 
-_SQRT_2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -363,10 +362,9 @@ def _pdf(t, mu, var):
 
 
 def _cdf(t, mu, var):
-    from scipy.special import erfc
-
-    z = (t - mu.T[:, :, None]) * (1.0 / np.sqrt(var)).T[:, :, None]
-    return (0.5 * erfc(-z / _SQRT_2)).mean(axis=0)
+    z = t - mu.T[:, :, None]
+    z *= (1.0 / np.sqrt(var)).T[:, :, None]
+    return _ndtr(z).mean(axis=0)
 
 
 def _log_pdf(t, mu, var):

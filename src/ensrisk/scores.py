@@ -27,7 +27,6 @@ import numpy as np
 from .gaussians import GaussianComponent, GaussianEnsemble, abs_moment
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -56,11 +55,12 @@ def mixture_parameters(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
 def pairwise_abs_moment(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """A(mu_i - mu_j, sqrt(var_i + var_j)) over the trailing axis.
 
-    Input shape (..., M); output (..., M, M).
+    Input shape (..., M); output (..., M, M).  The parameters must already be
+    finite with variances > 0: ``abs_moment``'s checks are skipped.
     """
     dm = means[..., :, None] - means[..., None, :]
     sv = np.sqrt(variances[..., :, None] + variances[..., None, :])
-    return abs_moment(dm, sv)
+    return abs_moment(dm, sv, check=False)
 
 
 def gaussian_overlap(mu_a, var_a, mu_b, var_b):
@@ -119,13 +119,9 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
 
     if rule is ScoringRule.CRPS:
         if len(means) == 1:
-            from scipy.special import erfc
-
-            mu, sigma = float(means[0]), math.sqrt(float(variances[0]))
-            z = (ys - mu) / sigma
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-            cdf = 0.5 * erfc(-z / _SQRT_2)
-            return sigma * (2.0 * pdf + z * (2.0 * cdf - 1.0) - 1.0 / _SQRT_PI)
+            # CRPS(N(mu, sigma^2), y) = E|X - y| - (1/2) E|X - X'|
+            sigma = math.sqrt(float(variances[0]))
+            return abs_moment(ys - means[0], sigma, check=False) - sigma / _SQRT_PI
         # CRPS(P_ens, y) = mean_i E|X_i - y| - (1/2) mean_ij E|X_i - X_j'|
         spread = 0.5 * float(np.mean(pairwise_abs_moment(means, variances)))
         sigmas = np.sqrt(variances)

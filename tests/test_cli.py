@@ -367,3 +367,28 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_commands_never_import_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(ensrisk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        inp = tmp_path / "ps.json"
+        save_prediction_set(make_prediction_set(n=12), str(inp))
+        shift = ["shift", "--kind", "all", "--rules", "all", "--replicates", "20"]
+        runs = [
+            ["measures", "--input", str(inp)],
+            ["selective", "--input", str(inp)],
+            shift,
+            [*shift, "--oracle-fallback"],
+            ["oracle-check", "--trials", "2", "--seed", "3"],
+        ]
+        runs = [[*argv, "--output-dir", str(tmp_path / f"run{i}")]
+                for i, argv in enumerate(runs)]
+        code = ("import json, sys\n"
+                "from ensrisk.cli import main\n"
+                f"assert all(main(argv) == 0 for argv in {runs!r})\n"
+                "print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == []

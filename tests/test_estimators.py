@@ -502,9 +502,9 @@ class TestBatchMemo:
         def count(name):
             fn = getattr(estimators, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             monkeypatch.setattr(estimators, name, counted)
 
         for name in ("pairwise_abs_moment", "pairwise_overlap",

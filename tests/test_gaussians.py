@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ensrisk import gaussians
 from ensrisk.gaussians import (
+    DEGENERATE_SIGMA,
     GaussianComponent,
     GaussianEnsemble,
     abs_moment,
@@ -98,6 +101,119 @@ class TestAbsMoment:
         for sigma in (0.1, 1.0, 7.0):
             assert abs_moment(0.0, sigma) == pytest.approx(
                 sigma * math.sqrt(2.0 / math.pi), rel=1e-14)
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the last place of ref."""
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+def _accuracy_grid():
+    """z in [-40, 40] every 0.02, plus both sides of the branch edges
+    |x| = 1, 8 and sqrt(MAXLOG)."""
+    edges = []
+    for edge in (1.0, 8.0, math.sqrt(gaussians._MAXLOG)):
+        for e in (edge, edge * math.sqrt(2.0)):  # on the erfc and the Phi scale
+            edges += [np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)]
+    edges = np.array(edges)
+    return np.concatenate([np.linspace(-40.0, 40.0, 4001), edges, -edges])
+
+
+class TestCephesCore:
+    """The erf core shared by A, Phi and the oracle's CDF, against mpmath at
+    50 digits and against SciPy.  Below the smallest normal double the
+    reference is compared in absolute terms: Cephes returns 0 once
+    x^2 > MAXLOG, where erfc is still a subnormal ~1e-310."""
+
+    TINY = np.finfo(float).tiny
+    # The Cephes P/Q and R/S forms are up to 5 ulp off on their own in double
+    # arithmetic, and erfc = 1 - erf loses up to 3 more bits just below
+    # |x| = 1 (SciPy's erfc is 9 ulp off there too); A adds erf to 2 phi and
+    # so never cancels.
+    CDF_ULPS = 10
+    ABS_ULPS = 4
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        z = _accuracy_grid()
+        with mpmath.workdps(50):
+            mp_z = [mpmath.mpf(float(v)) for v in z]
+            ref = {
+                "erfc": [mpmath.erfc(v) for v in mp_z],
+                "cdf": [mpmath.ncdf(v) for v in mp_z],
+                # A(z, 1) = 2 phi(z) + z erf(z / sqrt 2)
+                "abs": [2 * mpmath.npdf(v) + v * mpmath.erf(v / mpmath.sqrt(2)) for v in mp_z],
+            }
+            return z, {k: np.array([float(r) for r in v]) for k, v in ref.items()}
+
+    def _check(self, got, ref, ulps):
+        normal = ref >= self.TINY
+        assert _ulps(got[normal], ref[normal]).max() <= ulps
+        assert np.all(np.abs(got[~normal] - ref[~normal]) <= self.TINY)
+
+    def test_erfc_against_mpmath(self, grid):
+        z, ref = grid
+        self._check(gaussians._erfc(z), ref["erfc"], self.CDF_ULPS)
+
+    def test_cdf_against_mpmath(self, grid):
+        z, ref = grid
+        self._check(std_normal_cdf(z), ref["cdf"], self.CDF_ULPS)
+
+    def test_abs_moment_against_mpmath(self, grid):
+        z, ref = grid
+        self._check(abs_moment(z, 1.0), ref["abs"], self.ABS_ULPS)
+
+    def test_erfc_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.normal(0.0, 2.0, 500_000), rng.uniform(-30.0, 30.0, 500_000)])
+        got, ref = gaussians._erfc(x), special.erfc(x)
+        # |x| < 1 is the same T/U evaluation in the same order
+        small = np.abs(x) < 1.0
+        assert np.array_equal(got[small], ref[small])
+        # SciPy rounds x^2 before exp, which costs it up to x^2 ulp in the
+        # upper tail (~500 ulp at x = 24); the core splits x^2 exactly
+        normal = ref >= self.TINY
+        assert np.all(_ulps(got, ref)[normal] <= 4.0 + x[normal] ** 2)
+        assert np.all(np.abs(got - ref)[~normal] <= self.TINY)
+
+    @given(st.floats(-40.0, 40.0))
+    def test_cdf_reflection(self, z):
+        assert std_normal_cdf(z) + std_normal_cdf(-z) == pytest.approx(1.0, abs=1e-15)
+
+    @given(st.floats(-1e150, 1e150), st.floats(0.0, 1e150))
+    def test_abs_moment_at_least_abs_mean(self, mu, sigma):
+        assert abs_moment(mu, sigma) >= abs(mu)
+
+    def test_abs_moment_at_least_abs_mean_where_erf_rounds_to_one(self):
+        # |z| in [5, 10]: erf(|z|/sqrt 2) is within a few ulp of 1 and the
+        # rounded sum can land an ulp below |mu| unless it is held at it
+        rng = np.random.default_rng(2)
+        z = rng.uniform(5.0, 10.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        sigma = rng.lognormal(0.0, 3.0, z.size)
+        mu = z * sigma
+        assert np.all(abs_moment(mu, sigma) >= np.abs(mu))
+
+    @given(st.floats(-1e300, 1e300), st.floats(0.0, DEGENERATE_SIGMA))
+    def test_degenerate_sigma_is_exactly_abs_mean(self, mu, sigma):
+        assert abs_moment(mu, sigma) == abs(mu)
+
+    @pytest.mark.parametrize("fn", [gaussians._erfc, gaussians._ndtr,
+                                    lambda z: abs_moment(z, 0.7)],
+                             ids=["erfc", "cdf", "abs_moment"])
+    def test_result_independent_of_position(self, fn):
+        # one more element than a block, spanning every branch of the core
+        rng = np.random.default_rng(5)
+        n = gaussians._BLOCK + 1
+        x = rng.choice([0.5, 3.0, 30.0], n) * rng.uniform(-1.0, 1.0, n)
+        whole = fn(x)
+        index = np.arange(n)
+        for perm in (index[::-1], np.roll(index, 1), np.roll(index, 4099)):
+            assert fn(x[perm]).tobytes() == whole[perm].tobytes()
+        picks = np.concatenate([rng.choice(n - 1, 40, replace=False), [n - 1]])
+        for i in picks:
+            assert fn(x[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
+            assert float(fn(x[i])) == whole[i]
 
 
 class TestTypes:
