@@ -31,7 +31,7 @@ from .estimators import (
     default_estimators,
     measure_matrix,
 )
-from .metrics import DegenerateMetricError, auroc, kendall_tau_b, prr
+from .metrics import auroc, kendall_tau_b_pairs, prr
 from .oracle import ConvergenceError, run_oracle_check
 from .scores import ScoringRule
 from .synthetic import (
@@ -259,8 +259,18 @@ def _matrix_for(ps: PredictionSet, rules_text: str, oracle_fallback: bool):
     return measure_matrix(rules_list, ps, use_oracle_fallback=oracle_fallback)
 
 
-def _usable(values: np.ndarray) -> bool:
-    return not np.any(np.isnan(values))
+def _usable_columns(matrix) -> np.ndarray:
+    """Which measure columns a rank metric can use.  A column with a NaN
+    (an unavailable cell) renders NA; a column holding +-inf cannot be
+    ranked and stops the command with an error naming it and a point."""
+    usable = ~np.any(np.isnan(matrix.values), axis=0)
+    infinite = np.isinf(matrix.values) & usable
+    if np.any(infinite):
+        k = int(np.flatnonzero(np.any(infinite, axis=0))[0])
+        point = matrix.point_ids[int(np.flatnonzero(infinite[:, k])[0])]
+        raise ValueError(f"measure column {matrix.columns[k].name} is infinite "
+                         f"at point {point!r}")
+    return usable
 
 
 @cli.command("selective")
@@ -280,14 +290,15 @@ def cmd_selective(input_path, rules, oracle_fallback, seed, output_dir):
     for rows, means, _ in ps.blocks():
         mu_star[rows] = means.mean(axis=1)
     errors = (targets - mu_star) ** 2
+    if not np.all(np.isfinite(errors)):
+        point = ps.ids[int(np.flatnonzero(~np.isfinite(errors))[0])]
+        raise ValueError(f"squared error is not finite at point {point!r}")
     matrix = _matrix_for(ps, rules, oracle_fallback)
-    rows = []
-    for k, col in enumerate(matrix.columns):
-        vals = matrix.values[:, k]
-        if not _usable(vals):
-            rows.append([col.rule.value, col.estimator.key, None])
-            continue
-        rows.append([col.rule.value, col.estimator.key, prr(errors, vals)])
+    usable = _usable_columns(matrix)
+    prrs = dict(zip(np.flatnonzero(usable).tolist(),
+                    prr(errors, matrix.values[:, usable]).tolist()))
+    rows = [[col.rule.value, col.estimator.key, prrs.get(k)]
+            for k, col in enumerate(matrix.columns)]
     os.makedirs(output_dir, exist_ok=True)
     write_csv(os.path.join(output_dir, "selective.csv"),
               ["rule", "estimator", "prr"], rows)
@@ -315,14 +326,11 @@ def cmd_ood(input_path, rules, oracle_fallback, seed, output_dir):
     if not (np.any(is_id) and np.any(is_ood)):
         raise SchemaError("ood detection needs points in both groups 'id' and 'ood'")
     matrix = _matrix_for(ps, rules, oracle_fallback)
-    rows = []
-    for k, col in enumerate(matrix.columns):
-        vals = matrix.values[:, k]
-        if not _usable(vals):
-            rows.append([col.rule.value, col.estimator.key, None])
-            continue
-        rows.append([col.rule.value, col.estimator.key,
-                     auroc(vals[is_id], vals[is_ood])])
+    usable = _usable_columns(matrix)
+    rows = [[col.rule.value, col.estimator.key,
+             auroc(matrix.values[is_id, k], matrix.values[is_ood, k])
+             if usable[k] else None]
+            for k, col in enumerate(matrix.columns)]
     os.makedirs(output_dir, exist_ok=True)
     write_csv(os.path.join(output_dir, "ood.csv"),
               ["rule", "estimator", "auroc"], rows)
@@ -331,13 +339,6 @@ def cmd_ood(input_path, rules, oracle_fallback, seed, output_dir):
         "oracle_fallback": oracle_fallback, "output_dir": os.path.abspath(output_dir),
     })
     click.echo(f"wrote {len(rows)} AUROC rows")
-
-
-def _tau_or_none(a: np.ndarray, b: np.ndarray):
-    try:
-        return kendall_tau_b(a, b)
-    except DegenerateMetricError:
-        return None
 
 
 @cli.command("correlate")
@@ -351,27 +352,24 @@ def cmd_correlate(input_path, rules, oracle_fallback, seed, output_dir):
     ps = load_prediction_set(input_path)
     rules_list = _parse_rules(rules)
     matrix = _matrix_for(ps, rules, oracle_fallback)
+    usable = _usable_columns(matrix)
+    index = {(col.rule, col.estimator): k for k, col in enumerate(matrix.columns)}
 
-    taus = {}
+    def pair(ca, cb):
+        """The unordered pair of matrix columns of two (rule, estimator)
+        cells; tau_b is symmetric bit for bit, so each is computed once."""
+        return tuple(sorted((index[ca], index[cb])))
 
-    def tau(ca, cb):
-        """tau_b between columns ca and cb, each a (rule, estimator); tau_b is
-        symmetric bit for bit, so each unordered pair is computed once."""
-        key = frozenset((ca, cb))
-        if key not in taus:
-            va, vb = matrix.column(*ca), matrix.column(*cb)
-            usable = _usable(va) and _usable(vb)
-            taus[key] = _tau_or_none(va, vb) if usable else None
-        return taus[key]
-
-    est_rows = [[rule.value, ea.key, eb.key, tau((rule, ea), (rule, eb))]
-                for rule in rules_list
-                for ea in default_estimators()
-                for eb in default_estimators()]
-    rule_rows = [[est.key, ra.value, rb.value, tau((ra, est), (rb, est))]
-                 for est in default_estimators()
-                 for ra in rules_list
-                 for rb in rules_list]
+    ests = default_estimators()
+    est_cells = [([rule.value, ea.key, eb.key], pair((rule, ea), (rule, eb)))
+                 for rule in rules_list for ea in ests for eb in ests]
+    rule_cells = [([est.key, ra.value, rb.value], pair((ra, est), (rb, est)))
+                  for est in ests for ra in rules_list for rb in rules_list]
+    pairs = sorted({p for _, p in est_cells + rule_cells
+                    if usable[p[0]] and usable[p[1]]})
+    tau = dict(zip(pairs, kendall_tau_b_pairs(matrix.values, pairs).tolist()))
+    est_rows = [[*head, tau.get(p)] for head, p in est_cells]
+    rule_rows = [[*head, tau.get(p)] for head, p in rule_cells]
     os.makedirs(output_dir, exist_ok=True)
     write_csv(os.path.join(output_dir, "correlate_estimators.csv"),
               ["rule", "estimator_a", "estimator_b", "tau_b"], est_rows)

@@ -310,6 +310,37 @@ class TestDownstreamCommands:
                 and r["estimator_b"] == "exc_2_1"][0]
         assert float(cell["tau_b"]) == 1.0
 
+    @pytest.mark.parametrize("command", ["selective", "correlate", "ood"])
+    def test_infinite_column_is_named(self, tmp_path, capsys, command):
+        """Members at +-1e200 overflow the SE cells of one point to inf: the
+        error names the first such column and the point."""
+        ps = make_prediction_set(n=12, seed=6, groups=["id", "ood"] * 6)
+        means = ps.means.copy()
+        means[3 * 4:4 * 4] = [1e200, -1e200, 1e200, -1e200]
+        ps = PredictionSet(ps.ids, means.reshape(12, 4), ps.variances.reshape(12, 4),
+                           ps.target_values.tolist(), list(ps.group_labels))
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        with np.errstate(all="ignore"):
+            code = main([command, "--input", str(inp), "--rules", "se",
+                         "--output-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "se_tot_1_1" in err and "'p3'" in err
+
+    def test_infinite_squared_error_is_named(self, tmp_path, capsys):
+        ps = make_prediction_set(n=6, seed=7)
+        targets = ps.target_values.copy()
+        targets[4] = 1e200
+        ps = PredictionSet(ps.ids, ps.means.reshape(6, 4), ps.variances.reshape(6, 4),
+                           targets.tolist())
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        with np.errstate(over="ignore"):
+            assert main(["selective", "--input", str(inp),
+                         "--output-dir", str(tmp_path / "x")]) == 1
+        assert "squared error is not finite at point 'p4'" in capsys.readouterr().err
+
     def test_correlate_skips_constant_columns(self, tmp_path):
         inp = tmp_path / "preds.json"
         save_prediction_set(make_prediction_set(n=25, seed=4), str(inp))

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ensrisk import metrics
 from ensrisk.metrics import (
     DEFAULT_RETENTION_GRID,
     DegenerateMetricError,
     auroc,
     kendall_tau_b,
+    kendall_tau_b_pairs,
     prr,
     retention_curve,
 )
@@ -105,6 +107,38 @@ class TestPrr:
     def test_degenerate_errors_rejected(self):
         with pytest.raises(DegenerateMetricError):
             prr(np.full(10, 2.0), np.arange(10.0))
+
+    def test_expected_curve_equals_per_retention_loop(self):
+        """The vectorized tie-averaged curve is the same float at each
+        retention as the scalar formula evaluated one kept count at a time."""
+        rng = np.random.default_rng(11)
+        errors = rng.uniform(0, 4, 97)
+        unc = rng.integers(0, 6, 97).astype(float)
+        ks = metrics._kept_counts(np.asarray(DEFAULT_RETENTION_GRID), 97)
+        order = np.argsort(unc, kind="stable")
+        prefix = np.concatenate([[0.0], np.cumsum(errors[order])])
+        sorted_unc = unc[order].tolist()
+        want = []
+        for k in ks:
+            value = sorted_unc[k - 1]
+            s, e = sorted_unc.index(value), 97 - sorted_unc[::-1].index(value)
+            mean_g = (prefix[e] - prefix[s]) / (e - s)
+            want.append(prefix[s] / k + ((k - s) / k) * mean_g)
+        assert metrics._expected_curve(errors, unc, ks).tolist() == want
+
+    def test_many_columns_equal_one_column_calls(self):
+        """One call over many columns gives the same floats as separate
+        one-column calls, ties and constant columns included."""
+        rng = np.random.default_rng(12)
+        errors = rng.uniform(0, 4, 90)
+        columns = np.column_stack([rng.normal(size=90),
+                                   rng.integers(0, 4, 90).astype(float),
+                                   np.zeros(90), -errors, errors])
+        got = prr(errors, columns)
+        assert got.tolist() == [prr(errors, u) for u in columns.T]
+        assert prr(errors, columns[:, :0]).shape == (0,)
+        with pytest.raises(ValueError):
+            prr(errors, np.ones((89, 2)))
 
 
 class TestAuroc:
@@ -263,6 +297,91 @@ class TestKendallTauB:
         if len(set(a)) < 2:
             return
         assert kendall_tau_b(a, b) == 1.0
+
+
+def _tie_heavy_columns(draw, n, c):
+    levels = draw(st.lists(st.integers(1, 6), min_size=c, max_size=c))
+    return np.array([[draw(st.integers(0, lv - 1)) for lv in levels]
+                     for _ in range(n)], dtype=float)
+
+
+class TestKendallTauBPairs:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_exact_against_pure_python_and_one_pair_calls(self, data):
+        n = data.draw(st.integers(2, 70))
+        c = data.draw(st.integers(1, 5))
+        cols = _tie_heavy_columns(data.draw, n, c)
+        pairs = list(itertools.product(range(c), repeat=2))
+        got = kendall_tau_b_pairs(cols, pairs)
+        for (a, b), tau in zip(pairs, got):
+            if len(set(cols[:, a])) < 2 or len(set(cols[:, b])) < 2:
+                assert math.isnan(tau)
+                continue
+            assert tau == _knight_tau_b(cols[:, a].tolist(), cols[:, b].tolist())
+            assert tau == kendall_tau_b(cols[:, a], cols[:, b])
+
+    def test_independent_of_block_budget(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        cols = rng.integers(0, 5, (120, 6)).astype(float)
+        cols[:, 5] = np.round(rng.normal(size=120), 1)
+        pairs = list(itertools.combinations_with_replacement(range(6), 2))
+        default = kendall_tau_b_pairs(cols, pairs)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK_ELEMENTS", 1)
+        assert kendall_tau_b_pairs(cols, pairs).tobytes() == default.tobytes()
+
+    def test_self_pairs_exactly_one(self):
+        rng = np.random.default_rng(14)
+        cols = np.column_stack([rng.normal(size=300), rng.integers(0, 3, 300),
+                                np.round(rng.normal(size=300), 1)])
+        assert kendall_tau_b_pairs(cols, [(k, k) for k in range(3)]).tolist() \
+            == [1.0, 1.0, 1.0]
+
+    def test_entirely_tied_column_is_nan(self):
+        cols = np.column_stack([np.arange(8.0), np.full(8, 2.5), np.arange(8.0) % 3])
+        got = kendall_tau_b_pairs(cols, [(0, 1), (1, 2), (1, 1), (0, 2)])
+        assert np.isnan(got[:3]).all() and np.isfinite(got[3])
+
+    def test_only_named_columns_are_read(self):
+        cols = np.column_stack([np.arange(5.0), np.full(5, np.nan), -np.arange(5.0)])
+        assert kendall_tau_b_pairs(cols, [(0, 2)]).tolist() == [-1.0]
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau_b_pairs(cols, [(0, 1)])
+
+    def test_tied_column_renders_na_in_both_tables(self, tmp_path):
+        from ensrisk.cli import main
+        from ensrisk.dataio import save_prediction_set
+        from ensrisk.estimators import PredictionSet
+
+        # members with equal means: the SE excess column is entirely tied
+        # at zero (halves keep the mean exact)
+        rng = np.random.default_rng(15)
+        means = np.repeat(0.5 * rng.integers(-6, 6, (20, 1)), 3, axis=1)
+        ps = PredictionSet([f"p{i}" for i in range(20)], means,
+                           rng.uniform(0.2, 2.0, (20, 3)))
+        save_prediction_set(ps, str(tmp_path / "preds.json"))
+        out = tmp_path / "corr"
+        assert main(["correlate", "--input", str(tmp_path / "preds.json"),
+                     "--rules", "se", "--output-dir", str(out)]) == 0
+        for name, col in (("correlate_estimators.csv", 1), ("correlate_rules.csv", 0)):
+            with open(out / name) as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+            exc = [r for r in rows if r[col] == "exc_1_1"]
+            assert exc and all(r[3] == "NA" for r in exc)
+            diagonal = [r for r in rows if r[col] == "tot_1_1" and r[1] == r[2]]
+            assert diagonal and all(float(r[3]) == 1.0 for r in diagonal)
+
+    def test_product_beyond_int64_matches_python_ints(self):
+        """At n = 1e5, (n0 - t_a)(n0 - t_b) exceeds 2^63; the kernel forms it
+        in Python ints, as the pure-Python counting does."""
+        n = 100_000
+        rng = np.random.default_rng(16)
+        a = rng.integers(0, 1000, n).astype(float)
+        b = a + rng.integers(0, 5000, n)
+        n0 = n * (n - 1) // 2
+        assert (n0 - n * n // 1000) ** 2 > 2**63
+        want = _knight_tau_b(a.tolist(), b.tolist())
+        assert kendall_tau_b_pairs(np.column_stack((a, b)), [(0, 1)]).tolist() == [want]
 
 
 class TestMeasureEquivalenceRanks:
