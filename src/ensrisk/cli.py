@@ -21,6 +21,7 @@ from .dataio import (
     save_prediction_set,
     write_csv,
     write_manifest,
+    write_measures_csv,
 )
 from .estimators import (
     ApproximationId,
@@ -105,17 +106,13 @@ def cmd_measures(input_path, rules, estimators_text, oracle_fallback, seed, outp
     matrix = measure_matrix(rules_list, ps, use_oracle_fallback=oracle_fallback,
                             estimators=ests)
     os.makedirs(output_dir, exist_ok=True)
-    header = ["point_id", "target", "group"] + [c.name for c in matrix.columns]
-    rows = [[pid, target, group, *values] for pid, target, group, values
-            in zip(ps.ids, ps.target_values.tolist(), ps.group_labels,
-                   matrix.values.tolist())]
-    write_csv(os.path.join(output_dir, "measures.csv"), header, rows)
+    write_measures_csv(os.path.join(output_dir, "measures.csv"), ps, matrix)
     write_manifest(output_dir, "measures", seed, {
         "input": os.path.abspath(input_path), "rules": rules,
         "estimators": estimators_text, "oracle_fallback": oracle_fallback,
         "output_dir": os.path.abspath(output_dir),
     })
-    click.echo(f"wrote {len(rows)} rows x {len(matrix.columns)} measure columns")
+    click.echo(f"wrote {len(ps)} rows x {len(matrix.columns)} measure columns")
 
 
 # -- oracle-check ----------------------------------------------------------------
@@ -259,20 +256,6 @@ def _matrix_for(ps: PredictionSet, rules_text: str, oracle_fallback: bool):
     return measure_matrix(rules_list, ps, use_oracle_fallback=oracle_fallback)
 
 
-def _usable_columns(matrix) -> np.ndarray:
-    """Which measure columns a rank metric can use.  A column with a NaN
-    (an unavailable cell) renders NA; a column holding +-inf cannot be
-    ranked and stops the command with an error naming it and a point."""
-    usable = ~np.any(np.isnan(matrix.values), axis=0)
-    infinite = np.isinf(matrix.values) & usable
-    if np.any(infinite):
-        k = int(np.flatnonzero(np.any(infinite, axis=0))[0])
-        point = matrix.point_ids[int(np.flatnonzero(infinite[:, k])[0])]
-        raise ValueError(f"measure column {matrix.columns[k].name} is infinite "
-                         f"at point {point!r}")
-    return usable
-
-
 @cli.command("selective")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--rules", default="all", show_default=True)
@@ -294,9 +277,8 @@ def cmd_selective(input_path, rules, oracle_fallback, seed, output_dir):
         point = ps.ids[int(np.flatnonzero(~np.isfinite(errors))[0])]
         raise ValueError(f"squared error is not finite at point {point!r}")
     matrix = _matrix_for(ps, rules, oracle_fallback)
-    usable = _usable_columns(matrix)
-    prrs = dict(zip(np.flatnonzero(usable).tolist(),
-                    prr(errors, matrix.values[:, usable]).tolist()))
+    prrs = dict(zip(np.flatnonzero(matrix.available).tolist(),
+                    prr(errors, matrix.values[:, matrix.available]).tolist()))
     rows = [[col.rule.value, col.estimator.key, prrs.get(k)]
             for k, col in enumerate(matrix.columns)]
     os.makedirs(output_dir, exist_ok=True)
@@ -326,10 +308,9 @@ def cmd_ood(input_path, rules, oracle_fallback, seed, output_dir):
     if not (np.any(is_id) and np.any(is_ood)):
         raise SchemaError("ood detection needs points in both groups 'id' and 'ood'")
     matrix = _matrix_for(ps, rules, oracle_fallback)
-    usable = _usable_columns(matrix)
     rows = [[col.rule.value, col.estimator.key,
              auroc(matrix.values[is_id, k], matrix.values[is_ood, k])
-             if usable[k] else None]
+             if matrix.available[k] else None]
             for k, col in enumerate(matrix.columns)]
     os.makedirs(output_dir, exist_ok=True)
     write_csv(os.path.join(output_dir, "ood.csv"),
@@ -352,7 +333,6 @@ def cmd_correlate(input_path, rules, oracle_fallback, seed, output_dir):
     ps = load_prediction_set(input_path)
     rules_list = _parse_rules(rules)
     matrix = _matrix_for(ps, rules, oracle_fallback)
-    usable = _usable_columns(matrix)
     index = {(col.rule, col.estimator): k for k, col in enumerate(matrix.columns)}
 
     def pair(ca, cb):
@@ -366,7 +346,7 @@ def cmd_correlate(input_path, rules, oracle_fallback, seed, output_dir):
     rule_cells = [([est.key, ra.value, rb.value], pair((ra, est), (rb, est)))
                   for est in ests for ra in rules_list for rb in rules_list]
     pairs = sorted({p for _, p in est_cells + rule_cells
-                    if usable[p[0]] and usable[p[1]]})
+                    if matrix.available[p[0]] and matrix.available[p[1]]})
     tau = dict(zip(pairs, kendall_tau_b_pairs(matrix.values, pairs).tolist()))
     est_rows = [[*head, tau.get(p)] for head, p in est_cells]
     rule_rows = [[*head, tau.get(p)] for head, p in rule_cells]

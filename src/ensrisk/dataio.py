@@ -1,11 +1,14 @@
 """File formats for the command-line tool.
 
 Prediction sets travel as a single JSON document, parsed straight into the
-array-backed ``PredictionSet``; CSV is output-only (the per-point member
-lists do not fit a flat table).  Serialization is canonical: fixed field
-order, floats in 17-significant-digit decimal, so serialize -> parse ->
-serialize is byte-identical.  All writes go through a write-temp-then-rename
-so partial files never appear under the target name.
+array-backed ``PredictionSet``: each field is checked on whole lists and
+arrays, and only the first bad point, if any, is looked at on its own, to
+word its error.  CSV is output-only (the per-point member lists do not fit a
+flat table); ``measures.csv`` is streamed in blocks of rows.  Serialization
+is canonical: fixed field order, floats in 17-significant-digit decimal, so
+serialize -> parse -> serialize is byte-identical.  All writes go through a
+write-temp-then-rename (``atomic_write``) so partial files never appear
+under the target name.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .estimators import PredictionSet
+import numpy as np
+
+from .estimators import MeasureMatrix, PredictionSet
 
 SCHEMA_TAG = "prediction_set/v1"
 
@@ -52,41 +58,64 @@ def dumps_prediction_set(ps: PredictionSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _point_from_obj(obj, index: int):
-    """(id, member means, member variances, target, group) of one point."""
+# type(), not isinstance(): JSON true/false decode to bool, an int subclass
+_NUMBERS = frozenset({int, float})
+
+
+def _point_error(obj, index: int) -> SchemaError:
+    """The error of a point that fails a schema check: its first fault, in
+    the order id, members (each member in turn), target, group."""
     where = f"points[{index}]"
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
+        return SchemaError(f"{where}: expected an object")
     pid = obj.get("id")
     if not isinstance(pid, str) or not pid:
-        raise SchemaError(f"{where}.id: expected a non-empty string")
+        return SchemaError(f"{where}.id: expected a non-empty string")
     members = obj.get("members")
     if not isinstance(members, list) or not members:
-        raise SchemaError(f"{where}.members: expected a non-empty list")
-    mus, sig2s = [], []
+        return SchemaError(f"{where}.members: expected a non-empty list")
     for j, m in enumerate(members):
         if not isinstance(m, dict) or "mu" not in m or "sigma2" not in m:
-            raise SchemaError(f"{where}.members[{j}]: expected mu and sigma2")
+            return SchemaError(f"{where}.members[{j}]: expected mu and sigma2")
         mu, s2 = m["mu"], m["sigma2"]
-        # type(), not isinstance(): JSON true/false decode to bool, an int subclass
-        if type(mu) not in (int, float) or type(s2) not in (int, float):
-            raise SchemaError(f"{where}.members[{j}]: mu and sigma2 must be numbers")
+        if type(mu) not in _NUMBERS or type(s2) not in _NUMBERS:
+            return SchemaError(f"{where}.members[{j}]: mu and sigma2 must be numbers")
         if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
-            raise SchemaError(f"{where}.members[{j}]: need finite mu and sigma2 > 0")
-        mus.append(float(mu))
-        sig2s.append(float(s2))
+            return SchemaError(f"{where}.members[{j}]: need finite mu and sigma2 > 0")
     target = obj.get("target")
-    if target is not None:
-        if type(target) not in (int, float) or not math.isfinite(target):
-            raise SchemaError(f"{where}.target: expected a finite number")
-        target = float(target)
+    if target is not None and (type(target) not in _NUMBERS or not math.isfinite(target)):
+        return SchemaError(f"{where}.target: expected a finite number")
     group = obj.get("group")
     if group is not None and not isinstance(group, str):
-        raise SchemaError(f"{where}.group: expected a string")
-    return pid, mus, sig2s, target, group
+        return SchemaError(f"{where}.group: expected a string")
+    raise AssertionError(f"{where} passes every schema check")
+
+
+def _first_false(ok) -> int:
+    """Index of the first False in ``ok``; len(ok) if there is none."""
+    ok = np.asarray(ok, dtype=bool)
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
+def _numbers(values: list, allow_none: bool = False) -> tuple[np.ndarray, int]:
+    """Float array of the leading ``values`` that are JSON numbers (None ->
+    NaN where allowed), and the index of the first that is not (len if all
+    are).  JSON NaN and Infinity are numbers here; callers check finiteness."""
+    allowed = _NUMBERS | {type(None)} if allow_none else _NUMBERS
+    end = len(values)
+    if not set(map(type, values)) <= allowed:
+        end = _first_false([type(v) in allowed for v in values])
+    return np.array(values[:end], dtype=float), end
 
 
 def loads_prediction_set(text: str) -> PredictionSet:
+    """Parse and check a prediction_set/v1 document.
+
+    Each field is pulled out of every point with one list comprehension and
+    checked as a whole list or array.  Each check yields the first point it
+    rejects, checking only points whose earlier fields let it run (objects
+    for every field, member lists for the members), so the earliest of
+    these is the first bad point, and ``_point_error`` words its fault."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -98,20 +127,57 @@ def loads_prediction_set(text: str) -> PredictionSet:
     points = doc.get("points")
     if not isinstance(points, list) or not points:
         raise SchemaError('"points" must be a non-empty list')
-    fields = zip(*(_point_from_obj(o, i) for i, o in enumerate(points)))
+
+    end = _first_false([type(o) is dict for o in points])
+    objs = points[:end]
+    ids = [o.get("id") for o in objs]
+    bad = [_first_false([type(i) is str and i != "" for i in ids])]
+
+    members = [o.get("members") for o in objs]
+    n_ok = _first_false([type(m) is list and len(m) > 0 for m in members])
+    bad.append(n_ok)
+    sizes = np.fromiter(map(len, members[:n_ok]), dtype=np.int64, count=n_ok)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    flat = list(chain.from_iterable(members[:n_ok]))
+    means, mu_ok = _numbers([m.get("mu") if type(m) is dict else None for m in flat])
+    variances, s2_ok = _numbers([m.get("sigma2") if type(m) is dict else None
+                                 for m in flat])
+    k = min(mu_ok, s2_ok)  # members before the first bad one
+    k = min(k, _first_false(np.isfinite(means[:k]) & np.isfinite(variances[:k])
+                            & (variances[:k] > 0.0)))
+    bad.append(int(np.searchsorted(offsets, k, side="right")) - 1)
+
+    targets = [o.get("target") for o in objs]
+    target_values, t_ok = _numbers(targets, allow_none=True)
+    given = np.array([t is not None for t in targets[:t_ok]], dtype=bool)
+    bad.append(min(t_ok, _first_false(np.isfinite(target_values) | ~given)))
+    groups = [o.get("group") for o in objs]
+    bad.append(_first_false([g is None or type(g) is str for g in groups]))
+
+    end = min(end, *bad)
+    if end < len(points):
+        raise _point_error(points[end], end)
     try:
-        return PredictionSet(*fields)
+        return PredictionSet.from_flat(ids, means, variances, offsets,
+                                       target_values, groups)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, content: str | Iterable[str]) -> None:
+    """Write ``content``, one string or an iterable of string chunks
+    written in turn, to a temporary file beside ``path`` and rename it over
+    ``path``.  If anything fails, the temporary file is removed and
+    ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                fh.writelines(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,6 +208,38 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     lines = [",".join(header)]
     lines.extend(",".join(csv_cell(v) for v in row) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")
+
+
+# Rows of measures.csv rendered per chunk: bounds the Python rows and text
+# held at once, so the writer's memory does not grow with n.
+CSV_BLOCK_ROWS = 1024
+
+
+def write_measures_csv(path: str, points: PredictionSet, matrix: MeasureMatrix) -> None:
+    """``measures.csv``: point id, target and group, then one cell per
+    column of the ``MeasureMatrix``, one row per point in input order.
+
+    It is byte for byte what ``write_csv`` writes for those rows.  A measure
+    cell is NaN exactly when its column is unavailable, so each row is one
+    ``%`` format built once from ``matrix.available``, with NA written into
+    it for those columns and ``%.17g`` (``fmt``) for the rest.  Rows go to
+    ``atomic_write`` ``CSV_BLOCK_ROWS`` at a time."""
+    header = ["point_id", "target", "group"] + [c.name for c in matrix.columns]
+    row = ("%s,%s,%s" + "".join(",%.17g" if ok else ",NA" for ok in matrix.available)
+           + "\n")
+    cols = np.flatnonzero(matrix.available)
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, len(points), CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            targets = map(csv_cell, points.target_values[block].tolist())
+            groups = map(csv_cell, points.group_labels[block])
+            values = matrix.values[block, cols].tolist()
+            yield "".join(row % (pid, target, group, *cells) for pid, target, group, cells
+                          in zip(points.ids[block], targets, groups, values))
+
+    atomic_write(path, chunks())
 
 
 def write_manifest(output_dir: str, command: str, seed: int, config: dict) -> str:

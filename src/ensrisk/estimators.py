@@ -26,7 +26,8 @@ wrappers that run a batch of one row (one per label component for
 raises ``NotClosedFormRequested``; the wrappers return ``NOT_CLOSED_FORM``.
 
 ``PredictionSet`` keeps all points' members in flat arrays with per-point
-offsets, a layout only this module knows; everyone else reads it through
+offsets; the prediction-set loader builds that layout directly
+(``PredictionSet.from_flat``), and everyone else reads it through
 ``PredictionSet.blocks()``, (k, M) arrays per ensemble size.
 """
 
@@ -555,6 +556,15 @@ def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
     return flat, np.concatenate(([0], np.cumsum(sizes)))
 
 
+def _unique_ids(ids) -> tuple:
+    ids = tuple(ids)
+    if not ids:
+        raise ValueError("prediction set must contain at least one point")
+    if len(set(ids)) != len(ids):
+        raise ValueError("point ids must be unique")
+    return ids
+
+
 class PredictionSet:
     """The unit of I/O for all downstream metrics: n points' Gaussian
     ensembles with optional targets and group tags, held as arrays.
@@ -566,12 +576,8 @@ class PredictionSet:
     """
 
     def __init__(self, ids, means, variances, targets=None, groups=None):
-        self.ids = tuple(ids)
+        self.ids = _unique_ids(ids)
         n = len(self.ids)
-        if n == 0:
-            raise ValueError("prediction set must contain at least one point")
-        if len(set(self.ids)) != n:
-            raise ValueError("point ids must be unique")
         self.means, self.offsets = _flatten(means)
         self.variances, var_offsets = _flatten(variances)
         if (len(self.offsets) != n + 1 or not np.array_equal(self.offsets, var_offsets)
@@ -589,6 +595,18 @@ class PredictionSet:
         self.group_labels = (None,) * n if groups is None else tuple(groups)
         if len(self.group_labels) != n:
             raise ValueError("need one group (or None) per point")
+
+    @classmethod
+    def from_flat(cls, ids, means, variances, offsets, target_values, group_labels):
+        """A set over its flat layout as a loader that has already checked
+        every member, target and group builds it: float ``means`` and
+        ``variances``, (n+1,) ``offsets``, NaN for a missing target and None
+        for a missing group.  Only the ids are checked here."""
+        self = cls.__new__(cls)
+        self.ids = _unique_ids(ids)
+        self.means, self.variances, self.offsets = means, variances, offsets
+        self.target_values, self.group_labels = target_values, tuple(group_labels)
+        return self
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -631,12 +649,14 @@ class MeasureColumn:
 class MeasureMatrix:
     """Per-point values of every requested (rule, estimator) cell.
 
-    Unavailable cells hold NaN; the availability flag on the column says
-    why (QuadratureRequired without the oracle fallback)."""
+    ``available[k]`` is False for a column nobody computed
+    (QuadratureRequired without the oracle fallback): all its cells are
+    NaN.  Every cell of an available column is finite."""
 
     point_ids: tuple[str, ...]
     columns: tuple[MeasureColumn, ...]
     values: np.ndarray
+    available: np.ndarray
 
     def column(self, rule: ScoringRule, est: EstimatorId) -> np.ndarray:
         for k, col in enumerate(self.columns):
@@ -654,7 +674,9 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     one shot.  QuadratureRequired cells stay NaN unless
     ``use_oracle_fallback`` is set; then the chunk's mixture entropies come
     from the oracle's batched estimator, the one ``shift_reports`` uses; a
-    point whose entropy does not converge raises ConvergenceError naming it."""
+    point whose entropy does not converge raises ConvergenceError naming it.
+    A cell of an available column that overflows to +-inf or NaN raises
+    ValueError naming the first such column and its first such point."""
     from .oracle import ConvergenceError, _batch_log_mixture_entropy
 
     ests = tuple(estimators) if estimators is not None else default_estimators()
@@ -671,4 +693,14 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
                 exc.best, exc.error,
                 f"point {points.ids[rows[exc.row]]}: LOG mixture entropy: {exc}") from exc
         values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
-    return MeasureMatrix(points.ids, columns, values)
+    available = np.array([fill or col.availability is not Availability.QUADRATURE_REQUIRED
+                          for col in columns], dtype=bool)
+    bad = ~np.isfinite(values)
+    bad[:, ~available] = False
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=0))[0])
+        i = int(np.flatnonzero(bad[:, k])[0])
+        what = "infinite" if np.isinf(values[i, k]) else "not finite"
+        raise ValueError(f"measure column {columns[k].name} is {what} "
+                         f"at point {points.ids[i]!r}")
+    return MeasureMatrix(points.ids, columns, values, available)

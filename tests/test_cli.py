@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,15 +12,27 @@ import numpy as np
 import pytest
 
 import ensrisk
-from ensrisk import oracle
-from ensrisk.cli import main
+from ensrisk import dataio, oracle
+from ensrisk.cli import _parse_estimators, _parse_rules, main
 from ensrisk.dataio import (
     SchemaError,
+    atomic_write,
     dumps_prediction_set,
     loads_prediction_set,
     save_prediction_set,
+    write_csv,
+    write_measures_csv,
 )
-from ensrisk.estimators import EnsembleBatch, PredictionSet
+from ensrisk.estimators import (
+    Availability,
+    EnsembleBatch,
+    EstimatorId,
+    MeasureColumn,
+    MeasureMatrix,
+    PredictionSet,
+    measure_matrix,
+)
+from ensrisk.scores import ScoringRule
 
 
 def make_prediction_set(n=10, members=4, seed=0, targets=True, groups=None):
@@ -95,6 +108,308 @@ class TestSerialization:
                 '{"id": "a", "members": [{"mu": 0, "sigma2": 1}]}]}')
 
 
+def _schema_points(n=6, m=4):
+    """A valid prediction_set/v1 point list, to be broken in place."""
+    return [{"id": f"p{i}",
+             "members": [{"mu": 0.5 * j - i, "sigma2": 1.0 + j} for j in range(m)],
+             "target": 0.25 * i, "group": ("id", "ood")[i % 2]} for i in range(n)]
+
+
+def _load_points(points):
+    # json.dumps writes nan/inf as the NaN/Infinity literals json.loads accepts
+    return loads_prediction_set(json.dumps({"schema": "prediction_set/v1",
+                                            "points": points}))
+
+
+_DEL = object()
+
+
+def _set(*path_and_value):
+    """A fault: set points[path] = value (the key is deleted for _DEL)."""
+    *path, value = path_and_value
+
+    def apply(points):
+        node = points
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DEL:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return apply
+
+
+_M = "points[3].members[2]"
+
+SCHEMA_FAULTS = [
+    (_set(3, [1.0, 2.0]), "points[3]: expected an object"),
+    (_set(3, "p3"), "points[3]: expected an object"),
+    (_set(3, None), "points[3]: expected an object"),
+    (_set(3, "id", _DEL), "points[3].id: expected a non-empty string"),
+    (_set(3, "id", ""), "points[3].id: expected a non-empty string"),
+    (_set(3, "id", 7), "points[3].id: expected a non-empty string"),
+    (_set(3, "id", None), "points[3].id: expected a non-empty string"),
+    (_set(3, "members", _DEL), "points[3].members: expected a non-empty list"),
+    (_set(3, "members", []), "points[3].members: expected a non-empty list"),
+    (_set(3, "members", {"mu": 0.0, "sigma2": 1.0}),
+     "points[3].members: expected a non-empty list"),
+    (_set(3, "members", 2, [0.0, 1.0]), f"{_M}: expected mu and sigma2"),
+    (_set(3, "members", 2, 1.5), f"{_M}: expected mu and sigma2"),
+    (_set(3, "members", 2, "sigma2", _DEL), f"{_M}: expected mu and sigma2"),
+    (_set(3, "members", 2, "mu", _DEL), f"{_M}: expected mu and sigma2"),
+    (_set(3, "members", 2, "mu", True), f"{_M}: mu and sigma2 must be numbers"),
+    (_set(3, "members", 2, "sigma2", False), f"{_M}: mu and sigma2 must be numbers"),
+    (_set(3, "members", 2, "mu", "0.5"), f"{_M}: mu and sigma2 must be numbers"),
+    (_set(3, "members", 2, "sigma2", None), f"{_M}: mu and sigma2 must be numbers"),
+    (_set(3, "members", 2, "mu", float("nan")), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "mu", float("-inf")), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "sigma2", float("inf")),
+     f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "sigma2", float("nan")),
+     f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "sigma2", 0), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "sigma2", -1.5), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "target", True), "points[3].target: expected a finite number"),
+    (_set(3, "target", float("nan")), "points[3].target: expected a finite number"),
+    (_set(3, "target", float("inf")), "points[3].target: expected a finite number"),
+    (_set(3, "target", "0.5"), "points[3].target: expected a finite number"),
+    (_set(3, "group", 3), "points[3].group: expected a string"),
+    (_set(3, "group", ["id"]), "points[3].group: expected a string"),
+    (_set(3, "group", True), "points[3].group: expected a string"),
+]
+
+
+class TestSchemaMessages:
+    """Every SchemaError text, byte for byte, with the fault at a later
+    point and member; where several points are bad, the first is named."""
+
+    @pytest.mark.parametrize("fault,message", SCHEMA_FAULTS)
+    def test_single_fault(self, fault, message):
+        points = _schema_points()
+        fault(points)
+        with pytest.raises(SchemaError) as info:
+            _load_points(points)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("faults,message", [
+        # an earlier point's late-checked field beats a later point's member
+        ([_set(3, "members", 2, "mu", True), _set(1, "target", False)],
+         "points[1].target: expected a finite number"),
+        ([_set(3, 7), _set(1, "group", 5)], "points[1].group: expected a string"),
+        ([_set(4, "members", []), _set(2, "id", _DEL)],
+         "points[2].id: expected a non-empty string"),
+        ([_set(5, "id", ""), _set(2, "members", 0, "sigma2", -1.0)],
+         "points[2].members[0]: need finite mu and sigma2 > 0"),
+        ([_set(4, "target", float("nan")), _set(3, "members", 3, "mu", float("inf"))],
+         "points[3].members[3]: need finite mu and sigma2 > 0"),
+        # within a point: the first bad member, then members before target
+        ([_set(3, "members", 2, "mu", True), _set(3, "members", 1, "sigma2", 0.0)],
+         "points[3].members[1]: need finite mu and sigma2 > 0"),
+        ([_set(3, "members", 2, "sigma2", float("nan")), _set(3, "members", 1, "mu", None)],
+         "points[3].members[1]: mu and sigma2 must be numbers"),
+        ([_set(3, "target", "x"), _set(3, "members", 2, "mu", float("nan"))],
+         f"{_M}: need finite mu and sigma2 > 0"),
+        ([_set(3, "group", 1), _set(3, "target", True)],
+         "points[3].target: expected a finite number"),
+        # values are checked before ids are compared for uniqueness
+        ([_set(4, "id", "p1"), _set(5, "members", 2, "sigma2", 0)],
+         "points[5].members[2]: need finite mu and sigma2 > 0"),
+        ([_set(4, "id", "p1")], "point ids must be unique"),
+    ])
+    def test_first_bad_point_is_named(self, faults, message):
+        points = _schema_points()
+        for fault in faults:
+            fault(points)
+        with pytest.raises(SchemaError) as info:
+            _load_points(points)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "missing or unknown \"schema\" (expected 'prediction_set/v1')"),
+        ('{"schema": "prediction_set/v1"}', '"points" must be a non-empty list'),
+        ('{"schema": "prediction_set/v1", "points": []}',
+         '"points" must be a non-empty list'),
+        ('{"schema": "prediction_set/v1", "points": {}}',
+         '"points" must be a non-empty list'),
+        ('{"schema": "prediction_set/v1",\n "points": [}',
+         "not valid JSON at line 2, column 13: Expecting value"),
+    ])
+    def test_document_faults(self, text, message):
+        with pytest.raises(SchemaError) as info:
+            loads_prediction_set(text)
+        assert str(info.value) == message
+
+    def test_json_literals_in_text(self):
+        base = ('{"schema": "prediction_set/v1", "points": [{"id": "a", "members": '
+                '[{"mu": 0, "sigma2": 1}]}, {"id": "b", "members": [{"mu": 0, '
+                '"sigma2": 1}, {"mu": %s, "sigma2": %s}], "target": %s}]}')
+        for mu, s2, target, message in (
+                ("NaN", "1", "0", "points[1].members[1]: need finite mu and sigma2 > 0"),
+                ("0", "Infinity", "0", "points[1].members[1]: need finite mu and sigma2 > 0"),
+                ("-Infinity", "1", "0",
+                 "points[1].members[1]: need finite mu and sigma2 > 0"),
+                ("0", "1", "NaN", "points[1].target: expected a finite number"),
+                ("0", "1", "-Infinity", "points[1].target: expected a finite number"),
+                ("true", "1", "0", "points[1].members[1]: mu and sigma2 must be numbers"),
+                ("0", "1", "false", "points[1].target: expected a finite number")):
+            with pytest.raises(SchemaError) as info:
+                loads_prediction_set(base % (mu, s2, target))
+            assert str(info.value) == message
+
+    def test_ints_and_nulls_accepted(self):
+        points = _schema_points()
+        points[2]["members"][1] = {"mu": -3, "sigma2": 2}
+        points[3]["target"] = 4
+        points[4]["target"] = None
+        points[5]["group"] = None
+        del points[1]["target"], points[1]["group"]
+        ps = _load_points(points)
+        assert ps.means[2 * 4 + 1] == -3.0 and ps.variances[2 * 4 + 1] == 2.0
+        assert ps.target_values[3] == 4.0
+        assert np.isnan(ps.target_values[[1, 4]]).all()
+        assert ps.group_labels[1] is None and ps.group_labels[5] is None
+
+    def test_first_bad_point_matches_a_per_point_scan(self):
+        """Random faults at random points and members: the error is the one
+        the first point that fails when loaded on its own reports."""
+        bad_values = [True, False, None, "", "x", 0, -1.5, float("nan"), float("inf"),
+                      [], [1.0], {}, {"mu": 1.0}]
+        rng = random.Random(5)
+        for _ in range(400):
+            points = _schema_points(n=rng.randint(1, 7), m=rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(points))
+                j = rng.randrange(4)
+                path = rng.choice([(i,), (i, "id"), (i, "members"), (i, "target"),
+                                   (i, "group"), (i, "members", j),
+                                   (i, "members", j, "mu"), (i, "members", j, "sigma2")])
+                value = _DEL if len(path) > 1 and rng.random() < 0.15 \
+                    else rng.choice(bad_values)
+                try:
+                    _set(*path, value)(points)
+                except (TypeError, KeyError, IndexError):
+                    pass  # an earlier fault replaced the container
+            for i, point in enumerate(points):
+                try:
+                    _load_points([point])
+                except SchemaError as exc:
+                    expected = str(exc).replace("points[0]", f"points[{i}]", 1)
+                    break
+            else:
+                ids = [point["id"] for point in points]
+                expected = None if len(set(ids)) == len(ids) else "point ids must be unique"
+            if expected is None:  # every fault happened to be a valid value
+                assert len(_load_points(points)) == len(points)
+                continue
+            with pytest.raises(SchemaError) as info:
+                _load_points(points)
+            assert str(info.value) == expected
+
+
+class TestAtomicWrite:
+    def test_chunks_are_written_in_turn(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write(str(path), (f"{i}\n" for i in range(5)))
+        assert path.read_text() == "0\n1\n2\n3\n4\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [None, "old contents\n"])
+    def test_failing_stream_leaves_no_file_behind(self, tmp_path, existing):
+        path = tmp_path / "out.txt"
+        if existing is not None:
+            path.write_text(existing)
+
+        def chunks():
+            yield "x" * 200_000  # past the file buffer, so the temp file has data
+            yield "more\n"
+            raise RuntimeError("stream broke")
+
+        with pytest.raises(RuntimeError, match="stream broke"):
+            atomic_write(str(path), chunks())
+        assert os.listdir(tmp_path) == ([] if existing is None else ["out.txt"])
+        if existing is not None:
+            assert path.read_text() == existing
+
+
+def _mixed_prediction_set(n, seed=11):
+    """Ensemble sizes 1/2/5/10 interleaved (row order is not blocks() order),
+    with some targets and groups missing."""
+    rng = np.random.default_rng(seed)
+    sizes = [(1, 10, 2, 5, 10, 10, 2, 1, 5)[i % 9] for i in range(n)]
+    return PredictionSet(
+        [f"m{i}" for i in range(n)],
+        [rng.normal(0.0, 2.0, m) for m in sizes],
+        [rng.uniform(0.05, 3.0, m) for m in sizes],
+        [None if i % 4 == 1 else float(rng.normal()) for i in range(n)],
+        [None if i % 3 == 2 else ("id", "ood")[i % 2] for i in range(n)])
+
+
+def _generic_measures_csv(path, ps, matrix):
+    """measures.csv rendered row by row through write_csv / csv_cell."""
+    header = ["point_id", "target", "group"] + [c.name for c in matrix.columns]
+    write_csv(str(path), header,
+              [[pid, target, group, *values] for pid, target, group, values
+               in zip(ps.ids, ps.target_values.tolist(), ps.group_labels,
+                      matrix.values.tolist())])
+
+
+class TestMeasuresCsvBytes:
+    """measures.csv is byte for byte the generic write_csv rendering."""
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["--rules", "log"],
+        ["--rules", "log", "--oracle-fallback"],
+        ["--rules", "crps,log,se", "--estimators", "tot_2_1,bayes_3a,exc_3b_2,bayes_2"],
+        ["--rules", "quadratic", "--estimators", "exc_1_1"],
+    ])
+    def test_command_output_matches_generic_writer(self, tmp_path, monkeypatch, args):
+        monkeypatch.setattr(dataio, "CSV_BLOCK_ROWS", 7)
+        ps = _mixed_prediction_set(40)
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        assert main(["measures", "--input", str(inp), *args,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        opts = dict(zip(args[::2], args[1::2]))
+        matrix = measure_matrix(_parse_rules(opts.get("--rules", "all")), ps,
+                                use_oracle_fallback="--oracle-fallback" in args,
+                                estimators=_parse_estimators(opts.get("--estimators", "all")))
+        _generic_measures_csv(tmp_path / "ref.csv", ps, matrix)
+        assert (tmp_path / "out" / "measures.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    def test_more_rows_than_one_block(self, tmp_path):
+        n = 2 * dataio.CSV_BLOCK_ROWS + 5
+        ps = _mixed_prediction_set(n, seed=12)
+        matrix = measure_matrix([ScoringRule.CRPS, ScoringRule.LOG], ps)
+        write_measures_csv(str(tmp_path / "fast.csv"), ps, matrix)
+        _generic_measures_csv(tmp_path / "ref.csv", ps, matrix)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "ref.csv").read_bytes()
+        assert fast.count(b"\n") == n + 1
+
+    def test_extreme_values_format_like_fmt(self, tmp_path):
+        """%.17g in the row format and fmt() agree on every kind of double."""
+        rng = np.random.default_rng(13)
+        edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.9999999999999e-5,
+                1e-4, 0.1, 1.0 / 3.0, 1e16, 9.999999999999998e16, 1e17, 1e300,
+                -1.7976931348623157e308]
+        bits = rng.integers(0, 2 ** 63 - 1, size=2000, dtype=np.int64).view(float)
+        bits = bits[np.isfinite(bits)]
+        cells = np.concatenate([edge, bits])[:, None] * [1.0, -1.0]
+        rule, est = ScoringRule.SE, EstimatorId.parse("bayes_1")
+        matrix = MeasureMatrix(
+            tuple(f"x{i}" for i in range(len(cells))),
+            (MeasureColumn(rule, est, Availability.CLOSED_FORM),) * 3,
+            np.column_stack([cells[:, 0], np.full(len(cells), np.nan), cells[:, 1]]),
+            np.array([True, False, True]))
+        ps = PredictionSet(matrix.point_ids, np.ones((len(cells), 1)),
+                           np.ones((len(cells), 1)), cells[:, 0].tolist())
+        write_measures_csv(str(tmp_path / "fast.csv"), ps, matrix)
+        _generic_measures_csv(tmp_path / "ref.csv", ps, matrix)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestMeasuresCommand:
     def test_na_rendering_and_manifest(self, tmp_path):
         inp = tmp_path / "preds.json"
@@ -144,6 +459,30 @@ class TestMeasuresCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["measures", "--input", str(bad)]) == 1
+
+    @pytest.mark.parametrize("rules,message", [
+        ("se", "measure column se_tot_1_1 is infinite at point 'p3'"),
+        ("crps", "measure column crps_tot_3a_1 is not finite at point 'p3'"),
+    ])
+    def test_overflow_exits_one_naming_column_and_point(self, tmp_path, capsys,
+                                                        rules, message):
+        """Members at +-1e200 overflow closed forms of one point to inf, and
+        inf - inf to NaN; neither may be written, the NaN least of all, as it
+        would read as an unavailable cell (NA)."""
+        ps = make_prediction_set(n=6, seed=6)
+        means = ps.means.reshape(6, 4).copy()
+        means[3] = [1e200, -1e200, 1e200, -1e200]
+        ps = PredictionSet(ps.ids, means, ps.variances.reshape(6, 4),
+                           ps.target_values.tolist())
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["measures", "--input", str(inp), "--rules", rules,
+                         "--output-dir", str(out)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "measures.csv").exists()
 
     def test_unknown_rule_exits_one(self, tmp_path):
         inp = tmp_path / "preds.json"
