@@ -4,11 +4,12 @@ Prediction sets travel as a single JSON document, parsed straight into the
 array-backed ``PredictionSet``: each field is checked on whole lists and
 arrays, and only the first bad point, if any, is looked at on its own, to
 word its error.  CSV is output-only (the per-point member lists do not fit a
-flat table); ``measures.csv`` is streamed in blocks of rows.  Serialization
-is canonical: fixed field order, floats in 17-significant-digit decimal, so
-serialize -> parse -> serialize is byte-identical.  All writes go through a
-write-temp-then-rename (``atomic_write``) so partial files never appear
-under the target name.
+flat table); ``measures.csv`` is streamed in blocks of rows.  Ids and group
+labels go into CSV cells unquoted, so the loader refuses the characters that
+would need quoting.  Serialization is canonical: fixed field order, floats
+in 17-significant-digit decimal, so serialize -> parse -> serialize is
+byte-identical.  All writes go through a write-temp-then-rename
+(``atomic_write``) so partial files never appear under the target name.
 """
 
 from __future__ import annotations
@@ -61,6 +62,26 @@ def dumps_prediction_set(ps: PredictionSet) -> str:
 # type(), not isinstance(): JSON true/false decode to bool, an int subclass
 _NUMBERS = frozenset({int, float})
 
+# Characters that would break an unquoted CSV cell; ids and groups are
+# written into CSVs as they are.
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+_CSV_SPECIAL_TEXT = "must not contain a comma, a double quote or a line break"
+
+
+def _to_float(value) -> float:
+    """float(value), None as NaN, and a JSON integer beyond the double range
+    as an infinity of its sign (so it fails the finiteness checks)."""
+    if value is None:
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _csv_unsafe(label) -> bool:
+    return type(label) is str and any(c in label for c in _CSV_SPECIAL)
+
 
 def _point_error(obj, index: int) -> SchemaError:
     """The error of a point that fails a schema check: its first fault, in
@@ -71,6 +92,8 @@ def _point_error(obj, index: int) -> SchemaError:
     pid = obj.get("id")
     if not isinstance(pid, str) or not pid:
         return SchemaError(f"{where}.id: expected a non-empty string")
+    if _csv_unsafe(pid):
+        return SchemaError(f"{where}.id: {_CSV_SPECIAL_TEXT}")
     members = obj.get("members")
     if not isinstance(members, list) or not members:
         return SchemaError(f"{where}.members: expected a non-empty list")
@@ -80,14 +103,17 @@ def _point_error(obj, index: int) -> SchemaError:
         mu, s2 = m["mu"], m["sigma2"]
         if type(mu) not in _NUMBERS or type(s2) not in _NUMBERS:
             return SchemaError(f"{where}.members[{j}]: mu and sigma2 must be numbers")
-        if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
+        if not (math.isfinite(_to_float(mu)) and math.isfinite(_to_float(s2))) or s2 <= 0:
             return SchemaError(f"{where}.members[{j}]: need finite mu and sigma2 > 0")
     target = obj.get("target")
-    if target is not None and (type(target) not in _NUMBERS or not math.isfinite(target)):
+    if target is not None and (type(target) not in _NUMBERS
+                               or not math.isfinite(_to_float(target))):
         return SchemaError(f"{where}.target: expected a finite number")
     group = obj.get("group")
     if group is not None and not isinstance(group, str):
         return SchemaError(f"{where}.group: expected a string")
+    if _csv_unsafe(group):
+        return SchemaError(f"{where}.group: {_CSV_SPECIAL_TEXT}")
     raise AssertionError(f"{where} passes every schema check")
 
 
@@ -100,12 +126,25 @@ def _first_false(ok) -> int:
 def _numbers(values: list, allow_none: bool = False) -> tuple[np.ndarray, int]:
     """Float array of the leading ``values`` that are JSON numbers (None ->
     NaN where allowed), and the index of the first that is not (len if all
-    are).  JSON NaN and Infinity are numbers here; callers check finiteness."""
+    are).  JSON NaN and Infinity are numbers here, and so is an integer
+    beyond the double range (as an infinity); callers check finiteness."""
     allowed = _NUMBERS | {type(None)} if allow_none else _NUMBERS
     end = len(values)
     if not set(map(type, values)) <= allowed:
         end = _first_false([type(v) in allowed for v in values])
-    return np.array(values[:end], dtype=float), end
+    try:
+        return np.array(values[:end], dtype=float), end
+    except OverflowError:
+        return np.array([_to_float(v) for v in values[:end]], dtype=float), end
+
+
+def _first_csv_unsafe(labels: list) -> int:
+    """Index of the first string in ``labels`` holding a character of
+    ``_CSV_SPECIAL`` (len if there is none), from one scan of their join."""
+    text = "".join([s for s in labels if type(s) is str])
+    if not any(c in text for c in _CSV_SPECIAL):
+        return len(labels)
+    return _first_false([not _csv_unsafe(s) for s in labels])
 
 
 def loads_prediction_set(text: str) -> PredictionSet:
@@ -131,7 +170,7 @@ def loads_prediction_set(text: str) -> PredictionSet:
     end = _first_false([type(o) is dict for o in points])
     objs = points[:end]
     ids = [o.get("id") for o in objs]
-    bad = [_first_false([type(i) is str and i != "" for i in ids])]
+    bad = [_first_false([type(i) is str and i != "" for i in ids]), _first_csv_unsafe(ids)]
 
     members = [o.get("members") for o in objs]
     n_ok = _first_false([type(m) is list and len(m) > 0 for m in members])
@@ -153,6 +192,7 @@ def loads_prediction_set(text: str) -> PredictionSet:
     bad.append(min(t_ok, _first_false(np.isfinite(target_values) | ~given)))
     groups = [o.get("group") for o in objs]
     bad.append(_first_false([g is None or type(g) is str for g in groups]))
+    bad.append(_first_csv_unsafe(groups))
 
     end = min(end, *bad)
     if end < len(points):
@@ -167,13 +207,18 @@ def loads_prediction_set(text: str) -> PredictionSet:
 def atomic_write(path: str, content: str | Iterable[str]) -> None:
     """Write ``content``, one string or an iterable of string chunks
     written in turn, to a temporary file beside ``path`` and rename it over
-    ``path``.  If anything fails, the temporary file is removed and
-    ``path`` is left as it was."""
+    ``path``, with the mode a new file gets from ``open`` under the current
+    umask.  If anything fails, the temporary file is removed and ``path`` is
+    left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file at 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             if isinstance(content, str):
                 fh.write(content)
             else:

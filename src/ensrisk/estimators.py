@@ -44,6 +44,7 @@ import numpy as np
 from .gaussians import GaussianEnsemble
 from .scores import (
     Distribution,
+    MemberPairs,
     ScoringRule,
     abs_moment,
     gaussian_overlap,
@@ -191,10 +192,12 @@ class EnsembleBatch:
     back as an (n,) array.  Each term the cells share is computed once per
     batch and cached for its lifetime:
 
+    - ``member_pairs``, the (pair, row) layout of the M(M-1)/2 member pairs
+      i < j behind every O(M^2) term;
     - the pairwise reductions ``crps_pair_mean`` and ``quad_pair_mean`` (the
-      O(M^2) sums behind the CRPS and quadratic mixtures);
+      means over member pairs behind the CRPS and quadratic mixtures);
     - ``excess(rule, pair)``, which the Tot(pair) cell reuses, so the LOG
-      (n, M, M) ratio of Exc(1,1) is built once;
+      pairwise KL mean of Exc(1,1) is computed once;
     - the mean cross kernel between each surrogate and the members (CRPS
       E|S - X_j|, QUADRATIC overlap), shared by the (s,1) and (s,2) cells.
 
@@ -225,23 +228,29 @@ class EnsembleBatch:
     def size(self) -> int:
         return self.means.shape[1]
 
-    def _cached(self, key: tuple, compute) -> np.ndarray:
-        """``compute()`` once per key for the life of the batch, read-only."""
+    def _cached(self, key: tuple, compute):
+        """``compute()`` once per key for the life of the batch; an array
+        comes back read-only."""
         if key not in self._memo:
             value = compute()
-            value.flags.writeable = False
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             self._memo[key] = value
         return self._memo[key]
+
+    def member_pairs(self) -> MemberPairs:
+        """The (pair, row) layout of the member pairs i < j (read-only)."""
+        return self._cached(("layout",), lambda: MemberPairs(self.means, self.variances))
 
     def crps_pair_mean(self) -> np.ndarray:
         """mean_ij A(mu_i - mu_j, sqrt(var_i + var_j)) = E|X - X'|."""
         return self._cached(("pairs", ScoringRule.CRPS), lambda: pairwise_abs_moment(
-            self.means, self.variances).mean(axis=(1, 2)))
+            self.means, self.variances, self.member_pairs()))
 
     def quad_pair_mean(self) -> np.ndarray:
         """mean_ij N(mu_i | mu_j, var_i + var_j) = integral p_ens^2."""
         return self._cached(("pairs", ScoringRule.QUADRATIC), lambda: pairwise_overlap(
-            self.means, self.variances).mean(axis=(1, 2)))
+            self.means, self.variances, self.member_pairs()))
 
     def _surrogate(self, approx: ApproximationId) -> tuple[np.ndarray, np.ndarray]:
         if approx is ApproximationId.MM:
@@ -353,10 +362,18 @@ class EnsembleBatch:
                 return (self.crps_pair_mean()
                         - 2.0 * self.sigmas.mean(axis=1) / _SQRT_PI)
             if rule is ScoringRule.LOG:
-                ratio = (self.variances[:, None, :]
-                         + (self.means[:, :, None] - self.means[:, None, :]) ** 2) \
-                    / self.variances[:, :, None]
-                return 0.5 * (ratio - 1.0).mean(axis=(1, 2))
+                # mean_ij KL(P_j || P_i): the log-variance terms cancel
+                # between (i, j) and (j, i), and the diagonal is 0
+                pairs = self.member_pairs()
+                d2 = pairs.dm * pairs.dm
+                kl = pairs.var_j + d2
+                kl /= pairs.var_i
+                kl -= 1.0
+                d2 += pairs.var_i
+                d2 /= pairs.var_j
+                d2 -= 1.0
+                kl += d2
+                return pairs.pair_sum(kl) / (2.0 * self.size ** 2)
             if rule is ScoringRule.QUADRATIC:
                 return ((1.0 / self.sigmas).mean(axis=1) / _SQRT_PI
                         - 2.0 * self.quad_pair_mean())
@@ -542,7 +559,7 @@ def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:
 # -- prediction sets and the measure matrix ----------------------------------
 
 # Rows per EnsembleBatch in measure_matrix and shift_reports: it bounds the
-# (rows, M, M) pairwise temporaries, so peak memory does not grow with n.
+# (M(M-1)/2, rows) pairwise temporaries, so peak memory does not grow with n.
 CHUNK_ROWS = 16384
 
 

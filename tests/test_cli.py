@@ -1,5 +1,6 @@
 """File formats and the command-line surface."""
 
+import ast
 import csv
 import functools
 import json
@@ -140,6 +141,9 @@ def _set(*path_and_value):
 
 
 _M = "points[3].members[2]"
+_CSV = "must not contain a comma, a double quote or a line break"
+# a JSON integer beyond the double range
+_HUGE = 10 ** 400
 
 SCHEMA_FAULTS = [
     (_set(3, [1.0, 2.0]), "points[3]: expected an object"),
@@ -149,6 +153,10 @@ SCHEMA_FAULTS = [
     (_set(3, "id", ""), "points[3].id: expected a non-empty string"),
     (_set(3, "id", 7), "points[3].id: expected a non-empty string"),
     (_set(3, "id", None), "points[3].id: expected a non-empty string"),
+    (_set(3, "id", "a,b"), f"points[3].id: {_CSV}"),
+    (_set(3, "id", 'a"b'), f"points[3].id: {_CSV}"),
+    (_set(3, "id", "a\rb"), f"points[3].id: {_CSV}"),
+    (_set(3, "id", "a\n"), f"points[3].id: {_CSV}"),
     (_set(3, "members", _DEL), "points[3].members: expected a non-empty list"),
     (_set(3, "members", []), "points[3].members: expected a non-empty list"),
     (_set(3, "members", {"mu": 0.0, "sigma2": 1.0}),
@@ -169,13 +177,20 @@ SCHEMA_FAULTS = [
      f"{_M}: need finite mu and sigma2 > 0"),
     (_set(3, "members", 2, "sigma2", 0), f"{_M}: need finite mu and sigma2 > 0"),
     (_set(3, "members", 2, "sigma2", -1.5), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "mu", _HUGE), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "mu", -_HUGE), f"{_M}: need finite mu and sigma2 > 0"),
+    (_set(3, "members", 2, "sigma2", _HUGE), f"{_M}: need finite mu and sigma2 > 0"),
     (_set(3, "target", True), "points[3].target: expected a finite number"),
     (_set(3, "target", float("nan")), "points[3].target: expected a finite number"),
     (_set(3, "target", float("inf")), "points[3].target: expected a finite number"),
     (_set(3, "target", "0.5"), "points[3].target: expected a finite number"),
+    (_set(3, "target", -_HUGE), "points[3].target: expected a finite number"),
     (_set(3, "group", 3), "points[3].group: expected a string"),
     (_set(3, "group", ["id"]), "points[3].group: expected a string"),
     (_set(3, "group", True), "points[3].group: expected a string"),
+    (_set(3, "group", "x,y"), f"points[3].group: {_CSV}"),
+    (_set(3, "group", '"ood"'), f"points[3].group: {_CSV}"),
+    (_set(3, "group", "\r\n"), f"points[3].group: {_CSV}"),
 ]
 
 
@@ -215,6 +230,13 @@ class TestSchemaMessages:
         ([_set(4, "id", "p1"), _set(5, "members", 2, "sigma2", 0)],
          "points[5].members[2]: need finite mu and sigma2 > 0"),
         ([_set(4, "id", "p1")], "point ids must be unique"),
+        # an id's characters come first in its point, a group's last
+        ([_set(3, "members", 2, "mu", True), _set(3, "id", "a,b")], f"points[3].id: {_CSV}"),
+        ([_set(3, "group", "a,b"), _set(3, "target", _HUGE)],
+         "points[3].target: expected a finite number"),
+        ([_set(4, "id", 5), _set(2, "group", "a\nb")], f"points[2].group: {_CSV}"),
+        ([_set(4, "members", 0, "mu", _HUGE), _set(2, "members", 1, "sigma2", -_HUGE)],
+         "points[2].members[1]: need finite mu and sigma2 > 0"),
     ])
     def test_first_bad_point_is_named(self, faults, message):
         points = _schema_points()
@@ -273,7 +295,7 @@ class TestSchemaMessages:
         """Random faults at random points and members: the error is the one
         the first point that fails when loaded on its own reports."""
         bad_values = [True, False, None, "", "x", 0, -1.5, float("nan"), float("inf"),
-                      [], [1.0], {}, {"mu": 1.0}]
+                      [], [1.0], {}, {"mu": 1.0}, "a,b", _HUGE]
         rng = random.Random(5)
         for _ in range(400):
             points = _schema_points(n=rng.randint(1, 7), m=rng.randint(1, 4))
@@ -307,6 +329,16 @@ class TestSchemaMessages:
 
 
 class TestAtomicWrite:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write(str(path), "x\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode
+
     def test_chunks_are_written_in_turn(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write(str(path), (f"{i}\n" for i in range(5)))
@@ -483,6 +515,24 @@ class TestMeasuresCommand:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "measures.csv").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("mu", _HUGE, "points[1].members[1]: need finite mu and sigma2 > 0"),
+        ("id", "b,c", f"points[1].id: {_CSV}"),
+        ("group", 'o"d', f"points[1].group: {_CSV}"),
+    ], ids=["huge-mu", "comma-id", "quote-group"])
+    def test_bad_point_exits_one_naming_it(self, tmp_path, capsys, field, value, message):
+        points = _schema_points(n=3, m=2)
+        if field == "mu":
+            points[1]["members"][1]["mu"] = value
+        else:
+            points[1][field] = value
+        inp = tmp_path / "preds.json"
+        inp.write_text(json.dumps({"schema": "prediction_set/v1", "points": points}))
+        out = tmp_path / "out"
+        assert main(["measures", "--input", str(inp), "--output-dir", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_rule_exits_one(self, tmp_path):
         inp = tmp_path / "preds.json"
@@ -762,3 +812,35 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
+    def test_every_trace_shim_resolves(self):
+        """Each (layer, attribute) that ``perfbench/tracing.py`` wraps by name
+        exists once ``ensrisk.cli`` is imported: a renamed function would
+        otherwise break ``--trace 1``.  The file is only read, not imported."""
+        tracing = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "perfbench", "tracing.py")
+        with open(tracing) as fh:
+            tree = ast.parse(fh.read())
+        shims = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "SHIMS" for t in node.targets))
+        names = sorted(shims)
+        assert names
+        src = os.path.dirname(os.path.dirname(ensrisk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = ("import functools, json, sys, ensrisk.cli\n"
+                f"names = {names!r}\n"
+                "missing = []\n"
+                "for layer, attr in names:\n"
+                "    try:\n"
+                "        obj = functools.reduce(getattr, attr.split('.'),\n"
+                "                               sys.modules['ensrisk.' + layer])\n"
+                "    except (KeyError, AttributeError):\n"
+                "        obj = None\n"
+                "    if not callable(obj):\n"
+                "        missing.append(f'{layer}.{attr}')\n"
+                "print(json.dumps(missing))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ensrisk import estimators
+from ensrisk import estimators, scores
 from ensrisk.estimators import (
     NOT_CLOSED_FORM,
     ApproximationId,
@@ -514,6 +514,24 @@ class TestBatchMemo:
         # one pairwise reduction per rule; one cross mean per (rule, surrogate)
         assert calls == {"pairwise_abs_moment": 1, "pairwise_overlap": 1,
                          "abs_moment": 2, "gaussian_overlap": 2}
+
+    def test_pair_layout_is_built_once_per_batch(self, monkeypatch):
+        built = []
+
+        class Counted(scores.MemberPairs):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(estimators, "MemberPairs", Counted)
+        monkeypatch.setattr(scores, "MemberPairs", Counted)
+        batch = EnsembleBatch(*self._batch(m=5))
+        batch.columns(self._columns(), np.linspace(1.0, 2.0, 6))
+        assert len(built) == 1
+        pairs = batch.member_pairs()
+        assert pairs is batch.member_pairs() and pairs.dm.shape == (10, 6)
+        for field in (pairs.dm, pairs.sv, pairs.var_i, pairs.var_j, pairs.var):
+            assert not field.flags.writeable and field.flags.c_contiguous
 
     def test_cached_arrays_are_read_only(self):
         batch = EnsembleBatch(*self._batch())

@@ -4,16 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ensrisk.gaussians import GaussianComponent, GaussianEnsemble
+from ensrisk.gaussians import GaussianComponent, GaussianEnsemble, abs_moment
 from ensrisk.oracle import (
     McConfig,
     crps_point_quadrature,
     mc_expected_score,
     oracle_divergence,
 )
-from ensrisk.estimators import NOT_CLOSED_FORM, divergence, entropy, expected_score
-from ensrisk.scores import ScoringRule, point_score, point_scores
+from ensrisk.estimators import (
+    NOT_CLOSED_FORM,
+    ApproximationId,
+    EnsembleBatch,
+    divergence,
+    entropy,
+    expected_score,
+)
+from ensrisk.scores import (
+    ScoringRule,
+    gaussian_overlap,
+    pairwise_abs_moment,
+    pairwise_overlap,
+    point_score,
+    point_scores,
+)
 
 G01 = GaussianComponent(0.0, 1.0)
 G11 = GaussianComponent(1.0, 1.0)
@@ -252,3 +267,67 @@ class TestMonteCarloCrossChecks:
             mc = mc_expected_score(rule, mix, G11, McConfig(samples=200_000, seed=9))
             assert expected_score(rule, mix, G11) == pytest.approx(
                 mc.value, abs=4 * mc.standard_error)
+
+
+def _full_pair_means(means, variances):
+    """The three O(M^2) means over all M^2 ordered member pairs, as the
+    full (n, M, M) formulas give them, with each row's largest |term|:
+    CRPS E|X - X'|, QUADRATIC integral p^2 and LOG Exc(1,1)."""
+    dm = means[:, :, None] - means[:, None, :]
+    sv = variances[:, :, None] + variances[:, None, :]
+    terms = {
+        ScoringRule.CRPS: abs_moment(dm, np.sqrt(sv), check=False),
+        ScoringRule.QUADRATIC: gaussian_overlap(means[:, :, None], variances[:, :, None],
+                                                means[:, None, :], variances[:, None, :]),
+        ScoringRule.LOG: 0.5 * ((variances[:, None, :] + dm ** 2)
+                                / variances[:, :, None] - 1.0),
+    }
+    return {rule: (t.mean(axis=(1, 2)), np.abs(t).max(axis=(1, 2)))
+            for rule, t in terms.items()}
+
+
+class TestMemberPairs:
+    """The kernels that evaluate each member pair i < j once, against the
+    full (M, M) formulas, within a few ulps of the largest term."""
+
+    ULPS = 8
+
+    def _check(self, means, variances):
+        batch = EnsembleBatch(means, variances)
+        ba = ApproximationId.BA
+        got = {ScoringRule.CRPS: batch.crps_pair_mean(),
+               ScoringRule.QUADRATIC: batch.quad_pair_mean(),
+               ScoringRule.LOG: batch.excess(ScoringRule.LOG, (ba, ba))}
+        eps = np.finfo(float).eps
+        for rule, (want, largest) in _full_pair_means(means, variances).items():
+            assert np.all(np.abs(got[rule] - want) <= self.ULPS * eps * largest), rule
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    def test_matches_full_formulas(self, m):
+        rng = np.random.default_rng(60 + m)
+        self._check(rng.uniform(-5.0, 5.0, (40, m)), rng.uniform(0.05, 9.0, (40, m)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_full_formulas_sweep(self, data):
+        m = data.draw(st.integers(2, 10))
+        n = data.draw(st.integers(1, 3))
+        scale = data.draw(st.floats(1e-3, 1e3))
+        means = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n * m, max_size=n * m,
+                                   unique=True))
+        variances = data.draw(st.lists(st.floats(1e-2, 1e2), min_size=n * m,
+                                       max_size=n * m))
+        self._check(scale * np.reshape(means, (n, m)),
+                    scale * scale * np.reshape(variances, (n, m)))
+
+    def test_scalar_calls_match_batch_rows_bitwise(self):
+        """The sums over pairs run in one order whatever the number of rows,
+        so a row alone gets the bits it gets inside a batch."""
+        rng = np.random.default_rng(70)
+        means, variances = rng.normal(size=(7, 10)), rng.uniform(0.2, 2.0, (7, 10))
+        for kernel in (pairwise_abs_moment, pairwise_overlap):
+            rows = kernel(means, variances)
+            assert rows.shape == (7,)
+            for i in range(7):
+                alone = kernel(means[i], variances[i])
+                assert alone.shape == () and alone.tobytes() == rows[i].tobytes()
