@@ -23,6 +23,15 @@ objective is the sum over members of each member's mean NLL; the members
 share no parameters, so its gradient block m is exactly member m's own
 gradient, and every member trains bit for bit as it would alone.
 
+A training step is bound by NumPy call overhead, not arithmetic, so the
+stack keeps every parameter in one contiguous vector (layer views on top),
+backpropagation fills one gradient vector of the same layout, and Adam
+updates the flat (parameters, m, v) vectors in one pass of ufuncs.  Each
+epoch's permuted minibatches are gathered once.  The step works in place
+but keeps the textbook expressions' evaluation order, so the trained
+weights are the same bits as a per-array implementation gives, and each
+member's mean NLL is summed per epoch to detect divergence.
+
 Inputs and targets are z-scored from the training split and the
 standardization is inverted at prediction time, which these narrow networks
 need for stable NLL training.
@@ -31,7 +40,7 @@ need for stable NLL training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -127,7 +136,7 @@ def _softplus(x):
 
 def _sigmoid(x):
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 # -- the network ---------------------------------------------------------------
@@ -136,116 +145,191 @@ class Mlp:
     """M ensemble members stacked on a leading axis: dense layers plus the
     two natural-parameter heads.
 
-    One member is built per generator, each drawing its layers in order, so
-    weights are (M, fan_in, fan_out) and biases (M, fan_out).  ``Mlp(spec,
-    rng)`` is a one-member stack.
+    Every parameter lives in one contiguous float64 vector ``params``, laid
+    out as all weights then all biases, layer by layer; ``weights`` (M,
+    fan_in, fan_out) and ``biases`` (M, fan_out) are reshaped views of it.
+    One member is built per generator, each drawing its layers in order.
+    ``Mlp(spec, rng)`` is a one-member stack.
     """
 
     def __init__(self, spec: MlpSpec, *rngs: np.random.Generator):
+        if not rngs:
+            raise ValueError("an Mlp needs one generator per member")
         self.spec = spec
         dims = [spec.input_dim, *spec.hidden_widths, 2]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        members = len(rngs)
+        self._shapes = ([(members, i, o) for i, o in zip(dims[:-1], dims[1:])]
+                        + [(members, o) for o in dims[1:]])
+        self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
+        self.weights, self.biases = self.layer_views(self.params)
+        self._grad = np.empty_like(self.params)
+        self._grad_weights, self._grad_biases = self.layer_views(self._grad)
+        for w in self.weights:
+            fan_in, fan_out = w.shape[1:]
             scale = 1.0 / math.sqrt(fan_in)
-            self.weights.append(np.stack(
-                [rng.normal(0.0, scale, size=(fan_in, fan_out)) for rng in rngs]))
-            self.biases.append(np.zeros((len(rngs), fan_out)))
+            for m, rng in enumerate(rngs):
+                w[m] = rng.normal(0.0, scale, size=(fan_in, fan_out))
 
-    def _act(self, z):
-        """Activation at z, plus the sigmoid its derivative reuses (SiLU)."""
-        if self.spec.activation is Activation.RELU:
-            return np.maximum(z, 0.0), None
-        s = _sigmoid(z)
-        return z * s, s
+    def layer_views(self, vec: np.ndarray) -> tuple[list, list]:
+        """(weights, biases) views of a vector laid out like ``params``."""
+        views, offset = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            views.append(vec[offset:offset + size].reshape(shape))
+            offset += size
+        layers = len(self._shapes) // 2
+        return views[:layers], views[layers:]
 
-    def _act_grad(self, z, s):
-        if self.spec.activation is Activation.RELU:
-            return (z > 0.0).astype(float)
-        return s * (1.0 + z * (1.0 - s))
+    def _forward(self, x):
+        """Head outputs (M, n, 2) plus the pre-activations, sigmoids and
+        layer inputs that backpropagation reads."""
+        a = x
+        pre, sig, post = [], [], [x]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            z = np.matmul(a, w)
+            z += b[:, None, :]
+            if self.spec.activation is Activation.RELU:
+                s, a = None, np.maximum(z, 0.0)
+            else:
+                s = _sigmoid(z)
+                a = z * s
+            pre.append(z)
+            sig.append(s)
+            post.append(a)
+        out = np.matmul(a, self.weights[-1])
+        out += self.biases[-1][:, None, :]
+        return out, pre, sig, post
 
     def forward(self, x: np.ndarray):
         """Natural parameters, (M, n) each, for a shared (n, input_dim) batch
         or a per-member (M, n, input_dim) one."""
-        a = x
-        pre = []
-        sig = []
-        post = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = np.matmul(a, w) + b[:, None, :]
-            a, s = self._act(z)
-            pre.append(z)
-            sig.append(s)
-            post.append(a)
-        out = np.matmul(a, self.weights[-1]) + self.biases[-1][:, None, :]
-        eta1 = out[..., 0]
-        raw = out[..., 1]
-        eta2 = -_softplus(raw) - _ETA2_MARGIN
-        cache = (pre, sig, post, raw)
-        return eta1, eta2, cache
+        out = self._forward(x)[0]
+        return out[..., 0], _eta2(out[..., 1])
 
     def loss_and_gradients(self, x: np.ndarray, y: np.ndarray):
         """Sum over members of each member's mean natural NLL over its batch,
-        and the parameter gradients.  Members are independent, so gradient
-        block m is member m's own gradient."""
-        n = y.shape[-1]
-        eta1, eta2, (pre, sig, post, raw) = self.forward(x)
-        loss = float(np.sum(np.mean(nll_natural(eta1, eta2, y), axis=-1)))
-        # dL/deta are the moment mismatches of the predicted Gaussian
-        d_eta1 = (-y - eta1 / (2.0 * eta2)) / n
-        d_eta2 = (-y * y + eta1 * eta1 / (4.0 * eta2 * eta2)
-                  - 1.0 / (2.0 * eta2)) / n
-        d_out = np.stack([d_eta1, d_eta2 * (-_sigmoid(raw))], axis=-1)
+        its gradient, and the (M,) member means.
 
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = d_out
+        The gradient is laid out like ``params`` and is the network's own
+        buffer, overwritten by the next call.  Members are independent, so
+        gradient block m is member m's own gradient.  The in-place steps
+        round exactly as the textbook expressions do: IEEE + and * commute
+        and negation is exact, so only the grouping has to be kept.
+        """
+        n = y.shape[-1]
+        out, pre, sig, post = self._forward(x)
+        eta1 = out[..., 0]
+        raw = out[..., 1]
+        eta2 = _eta2(raw)
+        neg_y = np.negative(y)
+        two_eta2 = 2.0 * eta2
+        four_eta2 = 4.0 * eta2
+        eta1_sq = eta1 * eta1
+        # nll_natural, term by term in its own evaluation order
+        nll = eta1 * y
+        t = eta2 * y
+        t *= y
+        nll += t
+        np.negative(nll, out=nll)
+        np.divide(eta1_sq, four_eta2, out=t)
+        nll -= t
+        np.negative(two_eta2, out=t)
+        np.log(t, out=t)
+        t *= 0.5
+        nll -= t
+        nll += 0.5 * _LOG_2PI
+        member_loss = np.add.reduce(nll, axis=-1)
+        member_loss /= n
+        # dL/deta are the moment mismatches of the predicted Gaussian; the
+        # eta2 column is chained through eta2 = -softplus(raw) - margin
+        head = np.empty(out.shape)
+        d_eta1, d_eta2 = head[..., 0], head[..., 1]
+        np.divide(eta1, two_eta2, out=d_eta1)
+        np.subtract(neg_y, d_eta1, out=d_eta1)
+        d_eta1 /= n
+        np.multiply(four_eta2, eta2, out=t)
+        np.divide(eta1_sq, t, out=t)
+        np.multiply(neg_y, y, out=d_eta2)
+        d_eta2 += t
+        np.divide(1.0, two_eta2, out=t)
+        d_eta2 -= t
+        d_eta2 /= n
+        s = _sigmoid(raw)
+        np.negative(s, out=s)
+        d_eta2 *= s
+
+        delta = head
         for layer in reversed(range(len(self.weights))):
-            grads_w[layer] = np.matmul(post[layer].swapaxes(-1, -2), delta)
-            grads_b[layer] = delta.sum(axis=-2)
+            np.matmul(post[layer].swapaxes(-1, -2), delta, out=self._grad_weights[layer])
+            np.add.reduce(delta, axis=-2, out=self._grad_biases[layer])
             if layer > 0:
-                delta = (np.matmul(delta, self.weights[layer].swapaxes(-1, -2))
-                         * self._act_grad(pre[layer - 1], sig[layer - 1]))
-        return loss, grads_w, grads_b
+                delta = np.matmul(delta, self.weights[layer].swapaxes(-1, -2))
+                z, s = pre[layer - 1], sig[layer - 1]
+                if s is None:
+                    delta *= z > 0.0
+                else:  # SiLU': s (1 + z (1 - s))
+                    g = np.subtract(1.0, s)
+                    g *= z
+                    g += 1.0
+                    g *= s
+                    delta *= g
+        return member_loss.sum(), self._grad, member_loss
 
     # flat views used by the finite-difference audit
     def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in (*self.weights, *self.biases)])
+        return self.params.copy()
 
     def set_parameter_vector(self, theta: np.ndarray) -> None:
-        offset = 0
-        for params in (self.weights, self.biases):
-            for i, p in enumerate(params):
-                params[i] = theta[offset:offset + p.size].reshape(p.shape).copy()
-                offset += p.size
-        if offset != len(theta):
+        if np.shape(theta) != self.params.shape:
             raise ValueError("parameter vector has wrong length")
+        self.params[...] = theta
 
     def gradient_vector(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, gw, gb = self.loss_and_gradients(x, y)
-        return loss, np.concatenate([g.ravel() for g in (*gw, *gb)])
+        loss, grad, _ = self.loss_and_gradients(x, y)
+        return loss, grad.copy()
 
 
-@dataclass
+def _eta2(raw):
+    """eta2 = -softplus(raw) - margin, in place over softplus(raw)."""
+    eta2 = _softplus(raw)
+    np.negative(eta2, out=eta2)
+    eta2 -= _ETA2_MARGIN
+    return eta2
+
+
 class _AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    t: int = 0
+    """Adam moments and step scratch, laid out like the parameter vector."""
+
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step = np.empty(size)
+        self.denom = np.empty(size)
+        self.t = 0
 
 
-def _adam_step(params: list, grads: list, state: _AdamState, cfg: TrainConfig):
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+def _adam_step(params: np.ndarray, grad: np.ndarray, state: _AdamState, cfg: TrainConfig):
+    """One Adam update of the flat ``params``, in place.  Each line is one
+    ufunc of the textbook expression p -= lr (m / bc1) / (sqrt(v / bc2) +
+    eps), evaluated in that order."""
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    m, v, step, denom = state.m, state.v, state.step, state.denom
+    m *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=step)
+    m += step
+    v *= cfg.beta2
+    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    step *= grad
+    v += step
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    np.divide(m, bc1, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    params -= step
 
 
 @dataclass(frozen=True)
@@ -291,8 +375,8 @@ def train_ensemble(x, y, members: int, spec: MlpSpec | None = None,
     Member m draws its initialization and its minibatch order from its own
     ``default_rng([seed, m])`` stream; all members take one stacked step
     per minibatch.  Deterministic given the config seed; raises
-    TrainingError, naming the lowest-index member, if an epoch produces a
-    non-finite loss.
+    TrainingError, naming the lowest-index member, if a member's mean NLL
+    summed over an epoch's minibatches is non-finite.
     """
     spec = spec or MlpSpec()
     cfg = cfg or TrainConfig()
@@ -306,21 +390,21 @@ def train_ensemble(x, y, members: int, spec: MlpSpec | None = None,
 
     rngs = [np.random.default_rng([cfg.seed, idx]) for idx in range(members)]
     net = Mlp(spec, *rngs)
-    state = _AdamState()
+    state = _AdamState(net.params.size)
     n = len(ys)
     for epoch in range(cfg.epochs):
         perm = np.stack([rng.permutation(n) for rng in rngs])
-        diverged = np.zeros(members, dtype=bool)
+        x_epoch, y_epoch = xs[perm], ys[perm]
+        epoch_loss = np.zeros(members)
         for lo in range(0, n, cfg.batch_size):
-            sel = perm[:, lo:lo + cfg.batch_size]
-            loss, gw, gb = net.loss_and_gradients(xs[sel], ys[sel])
-            if not math.isfinite(loss):
-                eta1, eta2, _ = net.forward(xs[sel])
-                member_loss = np.mean(nll_natural(eta1, eta2, ys[sel]), axis=-1)
-                diverged |= ~np.isfinite(member_loss)
-            _adam_step([*net.weights, *net.biases], [*gw, *gb], state, cfg)
-        if diverged.any():
-            raise TrainingError(f"member {int(np.argmax(diverged))} diverged "
+            hi = lo + cfg.batch_size
+            _, grad, member_loss = net.loss_and_gradients(x_epoch[:, lo:hi],
+                                                          y_epoch[:, lo:hi])
+            epoch_loss += member_loss
+            _adam_step(net.params, grad, state, cfg)
+        finite = np.isfinite(epoch_loss)
+        if not finite.all():
+            raise TrainingError(f"member {int(np.argmin(finite))} diverged "
                                 f"at epoch {epoch} (non-finite loss)")
     return EnsemblePredictor(spec, net, x_mean, x_scale,
                              float(y_mean), float(y_scale))
@@ -334,7 +418,7 @@ def predict_arrays(pred: EnsemblePredictor, xs) -> tuple[np.ndarray, np.ndarray]
     if xs.shape[1] != pred.spec.input_dim:
         raise ValueError("input dimensionality does not match the model spec")
     xn = (xs - pred.x_mean) / pred.x_scale
-    eta1, eta2, _ = pred.net.forward(xn)
+    eta1, eta2 = pred.net.forward(xn)
     mu, var = moments_from_natural(eta1, eta2)
     means = np.ascontiguousarray((mu * pred.y_scale + pred.y_mean).T)
     variances = np.ascontiguousarray((var * pred.y_scale ** 2).T)
@@ -406,11 +490,16 @@ def load_checkpoint(path: str) -> EnsemblePredictor:
     spec = MlpSpec(doc["spec"]["input_dim"], tuple(doc["spec"]["hidden_widths"]),
                    Activation(doc["spec"]["activation"]))
     entries = doc["members"]
-    net = Mlp(spec, np.random.default_rng(0))
-    net.weights = [np.array(layer, dtype=float)
-                   for layer in zip(*(e["weights"] for e in entries))]
-    net.biases = [np.array(layer, dtype=float)
-                  for layer in zip(*(e["biases"] for e in entries))]
+    net = Mlp(spec, *(np.random.default_rng(0) for _ in entries))
+    stored = (*zip(*(e["weights"] for e in entries)), *zip(*(e["biases"] for e in entries)))
+    views = (*net.weights, *net.biases)
+    if len(stored) != len(views):
+        raise ValueError("checkpoint layers do not match its spec")
+    for view, layer in zip(views, stored):
+        layer = np.array(layer, dtype=float)
+        if layer.shape != view.shape:
+            raise ValueError("checkpoint layers do not match its spec")
+        view[...] = layer
     norm = doc["normalization"]
     return EnsemblePredictor(spec, net,
                              np.asarray(norm["x_mean"], dtype=float),
@@ -463,6 +552,10 @@ def active_learning_loop(pool_x, pool_y, initial_indices, measure,
     train_idx = sorted(set(int(i) for i in initial_indices))
     if not train_idx:
         raise ValueError("initial index set must be non-empty")
+    outside = [i for i in train_idx if not 0 <= i < len(pool_y)]
+    if outside:
+        raise ValueError(f"initial index {outside[0]} is outside the pool "
+                         f"of {len(pool_y)} points")
     remaining = sorted(set(range(len(pool_y))) - set(train_idx))
     acq_rng = np.random.default_rng([cfg.seed, 0xACC])
     trajectory = []

@@ -15,8 +15,6 @@ from ensrisk.trainer import (
     MlpSpec,
     TrainConfig,
     TrainingError,
-    _adam_step,
-    _AdamState,
     _sigmoid,
     _standardize_stats,
     active_learning_loop,
@@ -138,10 +136,11 @@ class TestBackpropagation:
             np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
         assert rel.max() < 1e-4
 
-        _, gw, gb = net.loss_and_gradients(x, y)
+        _, grad, _ = net.loss_and_gradients(x, y)
+        gw, gb = net.layer_views(grad)
         for m in range(3):
             single = Mlp(spec, np.random.default_rng(200 + m))
-            _, sw, sb = single.loss_and_gradients(x[m], y[m])
+            sw, sb = single.layer_views(single.loss_and_gradients(x[m], y[m])[1])
             for stacked, alone in zip((*gw, *gb), (*sw, *sb)):
                 np.testing.assert_array_equal(stacked[m], alone[0])
 
@@ -159,7 +158,7 @@ class TestBackpropagation:
         spec = MlpSpec()
         net = Mlp(spec, np.random.default_rng(3))
         xs = np.linspace(-50, 50, 1000)[:, None]
-        _, eta2, _ = net.forward(xs)
+        _, eta2 = net.forward(xs)
         assert np.all(eta2 < 0.0)
 
 
@@ -248,6 +247,31 @@ class TestTraining:
                 TrainingError, match="member 1 diverged at epoch 0"):
             train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=3, seed=9))
 
+    def test_divergence_names_the_member_and_a_later_epoch(self, monkeypatch):
+        """A NaN written into member 2's head after the second step of epoch
+        2 (four steps an epoch) poisons that member's loss from the next
+        step on, and only that member's."""
+        nets = []
+
+        class Recorded(Mlp):
+            def __init__(self, spec, *rngs):
+                super().__init__(spec, *rngs)
+                nets.append(self)
+
+        adam = trainer._adam_step
+
+        def poisoned(params, grad, state, cfg):
+            adam(params, grad, state, cfg)
+            if state.t == 10:
+                nets[0].biases[-1][2, 1] = np.nan
+
+        monkeypatch.setattr(trainer, "Mlp", Recorded)
+        monkeypatch.setattr(trainer, "_adam_step", poisoned)
+        x, y, _ = two_curve_arrays(100, -4, 4, seed=9)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match="member 2 diverged at epoch 2 "):
+            train_ensemble(x, y, 3, MlpSpec(), TrainConfig(epochs=5, seed=9, batch_size=32))
+
     @pytest.mark.parametrize("bad", [dict(beta1=1.0), dict(beta2=1.0),
                                      dict(beta1=-0.5), dict(beta2=1.5),
                                      dict(eps=0.0), dict(eps=-1e-8)])
@@ -256,8 +280,59 @@ class TestTraining:
             TrainConfig(**bad)
 
 
+def _masked_sigmoid(x):
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def _reference_loss_and_gradients(net, x, y):
+    """The textbook backward pass, one fresh array per layer and term:
+    (loss, weight gradients, bias gradients)."""
+    relu = net.spec.activation is Activation.RELU
+    n = y.shape[-1]
+    a, pre, sig, post = x, [], [], [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = np.matmul(a, w) + b[:, None, :]
+        s = None if relu else _masked_sigmoid(z)
+        a = np.maximum(z, 0.0) if relu else z * s
+        pre.append(z)
+        sig.append(s)
+        post.append(a)
+    out = np.matmul(a, net.weights[-1]) + net.biases[-1][:, None, :]
+    eta1, raw = out[..., 0], out[..., 1]
+    eta2 = -np.logaddexp(0.0, raw) - 1e-6
+    loss = float(np.sum(np.mean(nll_natural(eta1, eta2, y), axis=-1)))
+    d_eta1 = (-y - eta1 / (2.0 * eta2)) / n
+    d_eta2 = (-y * y + eta1 * eta1 / (4.0 * eta2 * eta2) - 1.0 / (2.0 * eta2)) / n
+    delta = np.stack([d_eta1, d_eta2 * (-_masked_sigmoid(raw))], axis=-1)
+    gw, gb = [None] * len(net.weights), [None] * len(net.biases)
+    for layer in reversed(range(len(net.weights))):
+        gw[layer] = np.matmul(post[layer].swapaxes(-1, -2), delta)
+        gb[layer] = delta.sum(axis=-2)
+        if layer > 0:
+            z, s = pre[layer - 1], sig[layer - 1]
+            act_grad = (z > 0.0).astype(float) if relu else s * (1.0 + z * (1.0 - s))
+            delta = np.matmul(delta, net.weights[layer].swapaxes(-1, -2)) * act_grad
+    return loss, gw, gb
+
+
+def _reference_adam(params, grads, state, cfg):
+    """Adam on a list of arrays, one at a time; ``state`` is (m, v, [t])."""
+    m_list, v_list, t = state
+    t[0] += 1
+    bc1 = 1.0 - cfg.beta1 ** t[0]
+    bc2 = 1.0 - cfg.beta2 ** t[0]
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
 def _per_member_reference(x, y, members, spec, cfg):
-    """Training with one network and one Adam state per member, in turn."""
+    """Training with one network and one per-array Adam state per member, in
+    turn, through the reference backward pass."""
     x_mean, x_scale = _standardize_stats(x)
     y_mean, y_scale = _standardize_stats(y)
     xs = (x - x_mean) / x_scale
@@ -266,13 +341,14 @@ def _per_member_reference(x, y, members, spec, cfg):
     for idx in range(members):
         rng = np.random.default_rng([cfg.seed, idx])
         net = Mlp(spec, rng)
-        state = _AdamState()
+        params = [*net.weights, *net.biases]
+        state = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], [0])
         for _ in range(cfg.epochs):
             perm = rng.permutation(len(ys))
             for lo in range(0, len(ys), cfg.batch_size):
                 sel = perm[lo:lo + cfg.batch_size]
-                _, gw, gb = net.loss_and_gradients(xs[sel], ys[sel])
-                _adam_step([*net.weights, *net.biases], [*gw, *gb], state, cfg)
+                _, gw, gb = _reference_loss_and_gradients(net, xs[sel], ys[sel])
+                _reference_adam(params, [*gw, *gb], state, cfg)
         nets.append(net)
     return nets
 
@@ -297,6 +373,55 @@ class TestStackedTraining:
                 np.testing.assert_array_equal(stacked[m], alone[0])
 
 
+class TestFlatParameters:
+    def _net(self):
+        spec = MlpSpec(input_dim=2, hidden_widths=(5, 4))
+        return Mlp(spec, *(np.random.default_rng(30 + m) for m in range(3)))
+
+    def test_layers_sit_in_parameter_vector_order(self):
+        net = self._net()
+        layers = (*net.weights, *net.biases)
+        assert net.params.flags.c_contiguous
+        assert all(np.shares_memory(p, net.params) for p in layers)
+        np.testing.assert_array_equal(net.parameter_vector(),
+                                      np.concatenate([p.ravel() for p in layers]))
+
+    def test_set_parameter_vector_writes_through_the_views(self):
+        net = self._net()
+        layers = (*net.weights, *net.biases)
+        theta = np.arange(net.params.size, dtype=float)
+        net.set_parameter_vector(theta)
+        assert all(a is b for a, b in zip(layers, (*net.weights, *net.biases)))
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in layers]), theta)
+        with pytest.raises(ValueError, match="wrong length"):
+            net.set_parameter_vector(theta[:-1])
+
+    def test_gradient_blocks_follow_the_parameter_layout(self):
+        net = self._net()
+        rng = np.random.default_rng(31)
+        x, y = rng.normal(size=(3, 12, 2)), rng.normal(size=(3, 12))
+        _, grad, member_loss = net.loss_and_gradients(x, y)
+        _, gw, gb = _reference_loss_and_gradients(net, x, y)
+        np.testing.assert_array_equal(grad, np.concatenate([g.ravel() for g in (*gw, *gb)]))
+        np.testing.assert_array_equal(
+            member_loss, np.mean(nll_natural(*net.forward(x), y), axis=-1))
+
+    def test_loaded_checkpoint_is_flat(self, tmp_path):
+        x, y, _ = two_curve_arrays(120, -4, 4, seed=32)
+        pred = train_ensemble(x, y, 3, MlpSpec(), TrainConfig(epochs=3, seed=32))
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(pred, path)
+        net = load_checkpoint(path).net
+        assert all(np.shares_memory(p, net.params) for p in (*net.weights, *net.biases))
+        np.testing.assert_array_equal(net.parameter_vector(), pred.net.parameter_vector())
+        rng = np.random.default_rng(32)
+        xb, yb = rng.normal(size=(3, 16, 1)), rng.normal(size=(3, 16))
+        want_loss, want = pred.net.gradient_vector(xb, yb)
+        got_loss, got = net.gradient_vector(xb, yb)
+        assert got_loss == want_loss
+        np.testing.assert_array_equal(got, want)
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         x, y, _ = two_curve_arrays(200, -4, 4, seed=10)
@@ -309,6 +434,21 @@ class TestCheckpoints:
         m2, v2 = predict_arrays(loaded, grid)
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(v1, v2)
+
+    def test_layers_that_do_not_match_the_spec_rejected(self, tmp_path):
+        import json
+
+        x, y, _ = two_curve_arrays(100, -4, 4, seed=10)
+        pred = train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=1, seed=10))
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(pred, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["spec"]["hidden_widths"] = [8, 7]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match="checkpoint layers do not match its spec"):
+            load_checkpoint(path)
 
 
 class TestActiveLearning:
@@ -348,6 +488,14 @@ class TestActiveLearning:
             active_learning_loop(x, y, range(10),
                                  (ScoringRule.LOG, EstimatorId.parse("bayes_2")),
                                  1, 10, 1, x, y, MlpSpec(), TrainConfig(epochs=2, seed=17))
+
+    @pytest.mark.parametrize("initial", [[-1, 0, 1], [0, 1, 30]], ids=["negative", "past-end"])
+    def test_initial_index_outside_pool_rejected(self, initial):
+        x, y, _ = self._pool(20, n=30)
+        bad = min(initial) if min(initial) < 0 else max(initial)
+        with pytest.raises(ValueError, match=f"initial index {bad} is outside the pool of 30"):
+            active_learning_loop(x, y, initial, None, 1, 5, 1, x, y,
+                                 MlpSpec(), TrainConfig(epochs=1, seed=20))
 
     def test_trajectory_deterministic(self):
         x, y, _ = self._pool(18, n=150)
