@@ -717,20 +717,18 @@ def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> list[dict]:
     return out
 
 
-def _closed_cells(ensembles, quads, columns) -> np.ndarray:
+def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarray:
     """(trials, columns) values of the ``MeasureColumn``s from one
     ``EnsembleBatch`` per ensemble size.  The LOG cells that need quadrature
-    come from each mixture's LOG entropy plus closed forms, as
-    ``--oracle-fallback`` fills them.  That entropy is the LOG ``bayes_2``
-    of ``quads``, the same integral ``oracle_entropy`` runs and bitwise its
-    value; the cells are NaN for a trial whose LOG integrals did not
-    converge."""
+    come from each mixture's ``oracle_entropy`` plus closed forms, as
+    ``--oracle-fallback`` fills them; they are NaN for a trial whose LOG
+    integrals in ``quads`` did not converge."""
     sizes = np.array([ens.size for ens in ensembles])
     out = np.empty((len(ensembles), len(columns)))
     for size in np.unique(sizes):
         rows = np.flatnonzero(sizes == size)
         h_ens = np.array([np.nan if quads[r][ScoringRule.LOG] is None
-                          else quads[r][ScoringRule.LOG]["bayes_2"]
+                          else oracle_entropy(ScoringRule.LOG, ensembles[r], cfg)
                           for r in rows])
         batch = EnsembleBatch(np.array([ensembles[r].means for r in rows]),
                               np.array([ensembles[r].variances for r in rows]))
@@ -773,7 +771,7 @@ def run_oracle_check(trials: int, seed: int,
             ensembles.append(GaussianEnsemble.from_arrays(rng.uniform(-5.0, 5.0, size=m),
                                                           rng.uniform(0.05, 9.0, size=m)))
         quads = _quadrature_cells(ensembles, cfg)
-        for quad_by_rule, closed_row in zip(quads, _closed_cells(ensembles, quads, columns)):
+        for quad_by_rule, closed_row in zip(quads, _closed_cells(ensembles, quads, columns, cfg)):
             for col, cell, closed in zip(columns, checks, closed_row.tolist()):
                 quad = quad_by_rule[col.rule]
                 if quad is None:

@@ -148,27 +148,34 @@ class Mlp:
     Every parameter lives in one contiguous float64 vector ``params``, laid
     out as all weights then all biases, layer by layer; ``weights`` (M,
     fan_in, fan_out) and ``biases`` (M, fan_out) are reshaped views of it.
-    One member is built per generator, each drawing its layers in order.
-    ``Mlp(spec, rng)`` is a one-member stack.
+    ``Mlp(spec, members)`` starts from zeros; ``Mlp.from_generators``
+    draws a random initialization.
     """
 
-    def __init__(self, spec: MlpSpec, *rngs: np.random.Generator):
-        if not rngs:
-            raise ValueError("an Mlp needs one generator per member")
+    def __init__(self, spec: MlpSpec, members: int = 1):
+        if members < 1:
+            raise ValueError("an Mlp needs at least one member")
         self.spec = spec
         dims = [spec.input_dim, *spec.hidden_widths, 2]
-        members = len(rngs)
         self._shapes = ([(members, i, o) for i, o in zip(dims[:-1], dims[1:])]
                         + [(members, o) for o in dims[1:]])
         self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
         self.weights, self.biases = self.layer_views(self.params)
         self._grad = np.empty_like(self.params)
         self._grad_weights, self._grad_biases = self.layer_views(self._grad)
-        for w in self.weights:
+
+    @classmethod
+    def from_generators(cls, spec: MlpSpec, *rngs: np.random.Generator) -> "Mlp":
+        """One member per generator, each drawing its weights layer by layer
+        from N(0, 1 / fan_in); biases start at zero.  ``from_generators(spec,
+        rng)`` is a one-member stack."""
+        net = cls(spec, len(rngs))
+        for w in net.weights:
             fan_in, fan_out = w.shape[1:]
             scale = 1.0 / math.sqrt(fan_in)
             for m, rng in enumerate(rngs):
                 w[m] = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        return net
 
     def layer_views(self, vec: np.ndarray) -> tuple[list, list]:
         """(weights, biases) views of a vector laid out like ``params``."""
@@ -210,45 +217,31 @@ class Mlp:
         """Sum over members of each member's mean natural NLL over its batch,
         its gradient, and the (M,) member means.
 
-        The gradient is laid out like ``params`` and is the network's own
-        buffer, overwritten by the next call.  Members are independent, so
-        gradient block m is member m's own gradient.  The in-place steps
-        round exactly as the textbook expressions do: IEEE + and * commute
-        and negation is exact, so only the grouping has to be kept.
+        The gradient is a new vector laid out like ``params``, copied from
+        the buffer the backward pass writes into.  Members are
+        independent, so gradient block m is member m's own gradient.  The
+        in-place steps round exactly as the textbook expressions do: IEEE +
+        and * commute and negation is exact, so only the grouping has to be
+        kept.
         """
         n = y.shape[-1]
         out, pre, sig, post = self._forward(x)
         eta1 = out[..., 0]
         raw = out[..., 1]
         eta2 = _eta2(raw)
-        neg_y = np.negative(y)
-        two_eta2 = 2.0 * eta2
-        four_eta2 = 4.0 * eta2
-        eta1_sq = eta1 * eta1
-        # nll_natural, term by term in its own evaluation order
-        nll = eta1 * y
-        t = eta2 * y
-        t *= y
-        nll += t
-        np.negative(nll, out=nll)
-        np.divide(eta1_sq, four_eta2, out=t)
-        nll -= t
-        np.negative(two_eta2, out=t)
-        np.log(t, out=t)
-        t *= 0.5
-        nll -= t
-        nll += 0.5 * _LOG_2PI
-        member_loss = np.add.reduce(nll, axis=-1)
-        member_loss /= n
+        member_loss = np.mean(nll_natural(eta1, eta2, y), axis=-1)
         # dL/deta are the moment mismatches of the predicted Gaussian; the
         # eta2 column is chained through eta2 = -softplus(raw) - margin
+        neg_y = np.negative(y)
+        two_eta2 = 2.0 * eta2
         head = np.empty(out.shape)
         d_eta1, d_eta2 = head[..., 0], head[..., 1]
         np.divide(eta1, two_eta2, out=d_eta1)
         np.subtract(neg_y, d_eta1, out=d_eta1)
         d_eta1 /= n
-        np.multiply(four_eta2, eta2, out=t)
-        np.divide(eta1_sq, t, out=t)
+        t = 4.0 * eta2
+        t *= eta2
+        np.divide(eta1 * eta1, t, out=t)
         np.multiply(neg_y, y, out=d_eta2)
         d_eta2 += t
         np.divide(1.0, two_eta2, out=t)
@@ -273,7 +266,7 @@ class Mlp:
                     g += 1.0
                     g *= s
                     delta *= g
-        return member_loss.sum(), self._grad, member_loss
+        return float(member_loss.sum()), self._grad.copy(), member_loss
 
     # flat views used by the finite-difference audit
     def parameter_vector(self) -> np.ndarray:
@@ -286,7 +279,7 @@ class Mlp:
 
     def gradient_vector(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grad, _ = self.loss_and_gradients(x, y)
-        return loss, grad.copy()
+        return loss, grad
 
 
 def _eta2(raw):
@@ -389,7 +382,7 @@ def train_ensemble(x, y, members: int, spec: MlpSpec | None = None,
     ys = (y - y_mean) / y_scale
 
     rngs = [np.random.default_rng([cfg.seed, idx]) for idx in range(members)]
-    net = Mlp(spec, *rngs)
+    net = Mlp.from_generators(spec, *rngs)
     state = _AdamState(net.params.size)
     n = len(ys)
     for epoch in range(cfg.epochs):
@@ -490,7 +483,7 @@ def load_checkpoint(path: str) -> EnsemblePredictor:
     spec = MlpSpec(doc["spec"]["input_dim"], tuple(doc["spec"]["hidden_widths"]),
                    Activation(doc["spec"]["activation"]))
     entries = doc["members"]
-    net = Mlp(spec, *(np.random.default_rng(0) for _ in entries))
+    net = Mlp(spec, len(entries))
     stored = (*zip(*(e["weights"] for e in entries)), *zip(*(e["biases"] for e in entries)))
     views = (*net.weights, *net.biases)
     if len(stored) != len(views):

@@ -186,7 +186,7 @@ def test_criterion_06_gradient_correctness():
     t = rng.normal(size=32)
     worst = 0.0
     for point in range(10):
-        net = Mlp(spec, np.random.default_rng(660 + point))
+        net = Mlp.from_generators(spec, np.random.default_rng(660 + point))
         _, grad = net.gradient_vector(x, t)
         theta = net.parameter_vector()
         h = 1e-5

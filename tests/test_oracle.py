@@ -298,11 +298,11 @@ class TestOracleCheckAccounting:
         rng = np.random.default_rng(12)
         ensembles = [GaussianEnsemble.from_arrays(rng.uniform(-5, 5, m), rng.uniform(0.05, 9, m))
                      for m in (3, 1, 5, 3, 2, 5, 3)]
-        quads = oracle._quadrature_cells(ensembles, QuadratureConfig())
-        quads[3][ScoringRule.LOG] = None
+        converged = [{rule: {} for rule in ScoringRule} for _ in ensembles]
+        converged[3][ScoringRule.LOG] = None
         columns = tuple(MeasureColumn(rule, est, availability(rule, est))
                         for rule in ScoringRule for est in default_estimators())
-        got = oracle._closed_cells(ensembles, quads, columns)
+        got = oracle._closed_cells(ensembles, converged, columns, QuadratureConfig())
         for i, ens in enumerate(ensembles):
             batch = EnsembleBatch(ens.means[None, :], ens.variances[None, :])
             fallback = log_quadrature_cells(ens)

@@ -91,7 +91,7 @@ class TestBackpropagation:
         x = rng.normal(size=(24, 2))
         y = rng.normal(size=24)
         for point in range(10):
-            net = Mlp(spec, np.random.default_rng(100 + point))
+            net = Mlp.from_generators(spec, np.random.default_rng(100 + point))
             _, grad = net.gradient_vector(x, y)
             theta = net.parameter_vector()
             h = 1e-5
@@ -117,7 +117,7 @@ class TestBackpropagation:
         rng = np.random.default_rng(20)
         x = rng.normal(size=(3, 20, 2))
         y = rng.normal(size=(3, 20))
-        net = Mlp(spec, *(np.random.default_rng(200 + m) for m in range(3)))
+        net = Mlp.from_generators(spec, *(np.random.default_rng(200 + m) for m in range(3)))
         _, grad = net.gradient_vector(x, y)
         theta = net.parameter_vector()
         h = 1e-5
@@ -139,7 +139,7 @@ class TestBackpropagation:
         _, grad, _ = net.loss_and_gradients(x, y)
         gw, gb = net.layer_views(grad)
         for m in range(3):
-            single = Mlp(spec, np.random.default_rng(200 + m))
+            single = Mlp.from_generators(spec, np.random.default_rng(200 + m))
             sw, sb = single.layer_views(single.loss_and_gradients(x[m], y[m])[1])
             for stacked, alone in zip((*gw, *gb), (*sw, *sb)):
                 np.testing.assert_array_equal(stacked[m], alone[0])
@@ -156,7 +156,7 @@ class TestBackpropagation:
 
     def test_eta2_always_negative(self):
         spec = MlpSpec()
-        net = Mlp(spec, np.random.default_rng(3))
+        net = Mlp.from_generators(spec, np.random.default_rng(3))
         xs = np.linspace(-50, 50, 1000)[:, None]
         _, eta2 = net.forward(xs)
         assert np.all(eta2 < 0.0)
@@ -237,9 +237,11 @@ class TestTraining:
 
     def test_divergence_names_the_member(self, monkeypatch):
         class SecondMemberBlowsUp(Mlp):
-            def __init__(self, spec, *rngs):
-                super().__init__(spec, *rngs)
-                self.weights[0][1] *= 1e300
+            @classmethod
+            def from_generators(cls, spec, *rngs):
+                net = super().from_generators(spec, *rngs)
+                net.weights[0][1] *= 1e300
+                return net
 
         monkeypatch.setattr(trainer, "Mlp", SecondMemberBlowsUp)
         x, y, _ = two_curve_arrays(100, -4, 4, seed=9)
@@ -254,8 +256,8 @@ class TestTraining:
         nets = []
 
         class Recorded(Mlp):
-            def __init__(self, spec, *rngs):
-                super().__init__(spec, *rngs)
+            def __init__(self, spec, members):
+                super().__init__(spec, members)
                 nets.append(self)
 
         adam = trainer._adam_step
@@ -340,7 +342,7 @@ def _per_member_reference(x, y, members, spec, cfg):
     nets = []
     for idx in range(members):
         rng = np.random.default_rng([cfg.seed, idx])
-        net = Mlp(spec, rng)
+        net = Mlp.from_generators(spec, rng)
         params = [*net.weights, *net.biases]
         state = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], [0])
         for _ in range(cfg.epochs):
@@ -376,7 +378,7 @@ class TestStackedTraining:
 class TestFlatParameters:
     def _net(self):
         spec = MlpSpec(input_dim=2, hidden_widths=(5, 4))
-        return Mlp(spec, *(np.random.default_rng(30 + m) for m in range(3)))
+        return Mlp.from_generators(spec, *(np.random.default_rng(30 + m) for m in range(3)))
 
     def test_layers_sit_in_parameter_vector_order(self):
         net = self._net()
@@ -405,6 +407,25 @@ class TestFlatParameters:
         np.testing.assert_array_equal(grad, np.concatenate([g.ravel() for g in (*gw, *gb)]))
         np.testing.assert_array_equal(
             member_loss, np.mean(nll_natural(*net.forward(x), y), axis=-1))
+
+    def test_gradient_is_a_new_vector_each_call(self):
+        net = self._net()
+        rng = np.random.default_rng(33)
+        x, y = rng.normal(size=(3, 12, 2)), rng.normal(size=(3, 12))
+        _, first, _ = net.loss_and_gradients(x, y)
+        kept = first.copy()
+        _, second, _ = net.loss_and_gradients(2.0 * x, y)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.params)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_member_count_gives_a_zero_stack(self):
+        net = Mlp(MlpSpec(input_dim=2, hidden_widths=(5, 4)), 3)
+        assert [w.shape for w in net.weights] == [(3, 2, 5), (3, 5, 4), (3, 4, 2)]
+        assert [b.shape for b in net.biases] == [(3, 5), (3, 4), (3, 2)]
+        assert not net.params.any()
+        with pytest.raises(ValueError, match="at least one member"):
+            Mlp(MlpSpec(), 0)
 
     def test_loaded_checkpoint_is_flat(self, tmp_path):
         x, y, _ = two_curve_arrays(120, -4, 4, seed=32)
