@@ -18,11 +18,18 @@ max(abs_tol, rel_tol |total|) bisected, until that tolerance is met or
 ``max_subdivisions`` is reached.  That limit is checked before each round of
 bisection and a round may bisect many panels, so an integral that fails can
 report up to one round's bisections more than the limit.  Integrals run in
-consecutive groups of a few dozen; each round evaluates the new panels of
-all unconverged integrals of a group together, in blocks of at most
+consecutive groups of ``_BLOCK_ELEMS // _INITIAL_PANELS``, which bounds the
+panel state; each round evaluates the new panels of all unconverged
+integrals of a group together, family by family, in blocks of at most
 ``_BLOCK_ELEMS`` integrand elements, and no integral's result depends on the
 others in its batch.  A K=1 call is one integral run alone, as
 ``adaptive_quadrature`` runs it.
+
+The integrands work member-major: a block's nodes are a (15, P) array, one
+column per panel, and each member's parameters a row of P, so every member
+term is a C-ordered (M, 15, P) slab whose elementwise steps run over long
+contiguous rows.  Sums over members add slab after slab in member order, and
+each panel's K15 and G7 sums run over its 15 values as one contiguous row.
 
 Entropies, expected scores and divergences are built from the integrals in
 one place, ``_oracle_tables``, for any set of distributions and ordered
@@ -52,6 +59,7 @@ from .estimators import (
     MeasureColumn,
     availability,
     default_estimators,
+    distinct_sizes,
 )
 from .gaussians import GaussianEnsemble, _ndtr, averaged_surrogate, moment_surrogate
 from .scores import (
@@ -90,7 +98,7 @@ _G7_WEIGHTS = np.array([
     0.129484966168870,
 ])
 _INITIAL_PANELS = 24
-# (panel, node, member) integrand elements per block: bounds the engine's memory.
+# (member, node, panel) integrand elements per block: bounds the engine's memory.
 _BLOCK_ELEMS = 2**15
 
 
@@ -160,9 +168,11 @@ class ConvergenceError(RuntimeError):
 class _Family(NamedTuple):
     """K integrals of one integrand over stacked parameters.
 
-    ``integrand(t, *rows)`` gets the (P, 15) nodes of P panels and, for each
+    ``integrand(t, *rows)`` gets the (15, P) nodes of P panels and, for each
     array in ``params`` (K leading rows), the rows of the integrals owning
-    them.  ``knots`` (K, J), NaN for none, are forced panel boundaries.
+    them, member-major: an (M, P) C-ordered array for a (K, M) parameter, a
+    (P,) one for a (K,) parameter.  It returns the (15, P) values.
+    ``knots`` (K, J), NaN for none, are forced panel boundaries.
     """
 
     integrand: Callable
@@ -205,11 +215,12 @@ def _seed_panels(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray | None):
     max(2, ceil(_INITIAL_PANELS / pieces)) equal panels, as np.linspace
     spaces them."""
     if knots is None:
-        knots = np.empty((len(lo), 0))
-    inner = np.where((knots > lo[:, None]) & (knots < hi[:, None]), knots, np.nan)
-    inner.sort(axis=1)
-    inner[:, 1:][inner[:, 1:] == inner[:, :-1]] = np.nan  # a repeated knot
-    pts = np.sort(np.column_stack([lo, inner, hi]), axis=1)  # NaNs sort last
+        pts = np.column_stack([lo, hi])
+    else:
+        inner = np.where((knots > lo[:, None]) & (knots < hi[:, None]), knots, np.nan)
+        inner.sort(axis=1)
+        inner[:, 1:][inner[:, 1:] == inner[:, :-1]] = np.nan  # a repeated knot
+        pts = np.sort(np.column_stack([lo, inner, hi]), axis=1)  # NaNs sort last
     owner, piece = np.nonzero(~np.isnan(pts[:, 1:]))
     pieces = np.bincount(owner, minlength=len(lo))
     n = np.maximum(2, -(-_INITIAL_PANELS // pieces))[owner]  # panels per piece
@@ -221,24 +232,38 @@ def _seed_panels(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray | None):
     return np.repeat(owner, n), a + j * step, np.where(j + 1 < m, a + (j + 1) * step, b)
 
 
+def _member_major(families):
+    """Per family: its integrand, its parameters transposed once to C-ordered
+    (M, K) arrays (K-leading 1-D ones as they are), and the panels per block
+    that keep a block's (member, node, panel) slabs within ``_BLOCK_ELEMS``."""
+    out = []
+    for fam in families:
+        # members one node touches, which sizes the blocks
+        width = max((p.shape[-1] for p in fam.params if p.ndim == 2), default=1)
+        out.append((fam.integrand, tuple(np.ascontiguousarray(p.T) for p in fam.params),
+                    max(1, _BLOCK_ELEMS // (len(_K15_NODES) * width))))
+    return out
+
+
 def _evaluate(families, first, owner, lo, hi):
     """Kronrod value and |K15 - G7| error estimate of each panel (owners
-    ascending); ``first`` holds each family's first integral id."""
+    ascending); ``families`` come from ``_member_major`` and ``first`` holds
+    each one's first integral id."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     value, error = np.empty(len(owner)), np.empty(len(owner))
     cuts = np.searchsorted(owner, first)
-    for fam, start, end, base in zip(families, cuts[:-1], cuts[1:], first):
-        if start == end:  # no live panels this round
-            continue
-        # members one node touches, which sizes the blocks
-        width = max((p.shape[-1] for p in fam.params if p.ndim == 2), default=1)
-        step = max(1, _BLOCK_ELEMS // (len(_K15_NODES) * width))
+    for f in np.flatnonzero(cuts[1:] > cuts[:-1]):  # families with live panels
+        integrand, params, step = families[f]
+        start, end, base = cuts[f], cuts[f + 1], first[f]
         for s in range(start, end, step):
             blk = slice(s, min(s + step, end))
             rows = owner[blk] - base
-            fx = fam.integrand(mid[blk, None] + half[blk, None] * _K15_NODES,
-                               *(p[rows] for p in fam.params))
+            # np.take keeps the gathered (M, P) rows C-ordered, so every sum
+            # over members runs slab by slab, in member order
+            fx = integrand(mid[blk] + half[blk] * _K15_NODES[:, None],
+                           *(np.take(p, rows, axis=-1) for p in params))
+            fx = np.ascontiguousarray(fx.T)  # (P, 15): the rule sums run along rows
             k15 = half[blk] * (fx * _K15_WEIGHTS).sum(axis=1)
             g7 = half[blk] * (fx[:, 1:14:2] * _G7_WEIGHTS).sum(axis=1)
             value[blk] = k15
@@ -253,25 +278,25 @@ def _integrate(families: list[_Family], cfg: QuadratureConfig) -> _Integrals:
     configured tolerance, bisecting each one's worst panels until it
     converges or runs out of subdivisions.
 
-    Integrals run in consecutive groups whose initial nodes fit the
-    ``_BLOCK_ELEMS`` budget, which bounds the panel state as the blocks
-    bound the integrand's temporaries.  Each integral's panels stay
-    contiguous, in the order one integral run alone would keep them (kept
-    panels, then left halves, then right halves), and every sum over them is
-    a per-integral segment sum, so each result is bitwise the same as in a
-    K=1 call.
+    Integrals run in consecutive groups of ``_BLOCK_ELEMS // _INITIAL_PANELS``,
+    which bounds the panel state as the blocks bound the integrand's
+    temporaries.  Each integral's panels stay contiguous, in the order one
+    integral run alone would keep them (kept panels, then left halves, then
+    right halves), and every sum over them is a per-integral segment sum, so
+    each result is bitwise the same as in a K=1 call.
     """
     first = np.cumsum([0] + [len(f.lo) for f in families])
     n = int(first[-1])
     out = _Integrals(np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan),
                      np.zeros(n, dtype=np.int64), np.full(n, cfg.max_subdivisions))
-    group = max(1, _BLOCK_ELEMS // (_INITIAL_PANELS * len(_K15_NODES)))
+    layout = _member_major(families)
+    group = max(1, _BLOCK_ELEMS // _INITIAL_PANELS)
     for start in range(0, n, group):
-        _refine(families, first, start, min(start + group, n), cfg, out)
+        _refine(families, layout, first, start, min(start + group, n), cfg, out)
     return out
 
 
-def _refine(families, first, start: int, stop: int, cfg: QuadratureConfig,
+def _refine(families, layout, first, start: int, stop: int, cfg: QuadratureConfig,
             out: _Integrals) -> None:
     """Run integrals ``start`` to ``stop - 1`` to the end, into ``out``."""
     seeds = []
@@ -282,10 +307,10 @@ def _refine(families, first, start: int, stop: int, cfg: QuadratureConfig,
                                    None if fam.knots is None else fam.knots[r0:r1])
             seeds.append((o + base + r0, a, b))
     owner, lo, hi = (np.concatenate(x) for x in zip(*seeds))
-    val, err = _evaluate(families, first, owner, lo, hi)
+    val, err = _evaluate(layout, first, owner, lo, hi)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    ids, counts = owner[starts], np.diff(starts, append=owner.size)
     while True:
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        ids, counts = owner[starts], np.diff(starts, append=owner.size)
         total = np.add.reduceat(val, starts)
         total_err = np.add.reduceat(err, starts)
         need = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
@@ -310,6 +335,8 @@ def _refine(families, first, start: int, stop: int, cfg: QuadratureConfig,
             worst |= np.repeat(n_split == 0, counts) & (err == top)
             n_split = np.add.reduceat(worst.astype(np.int64), starts)
         out.splits[ids] += n_split
+        counts = counts + n_split  # each split panel becomes two
+        starts = np.cumsum(counts) - counts
         # New layout: each integral's kept panels, its left halves, its right halves.
         kept, split = np.flatnonzero(~worst), np.flatnonzero(worst)
         src = np.concatenate([kept, split, split])
@@ -323,7 +350,7 @@ def _refine(families, first, start: int, stop: int, cfg: QuadratureConfig,
         mid = 0.5 * (a + b)
         lo[fresh] = a = np.where(left, a, mid)
         hi[fresh] = b = np.where(left, mid, b)
-        val[fresh], err[fresh] = _evaluate(families, first, owner[fresh], a, b)
+        val[fresh], err[fresh] = _evaluate(layout, first, owner[fresh], a, b)
 
 
 def adaptive_quadrature(f: Callable, lo: float, hi: float,
@@ -346,14 +373,15 @@ def adaptive_quadrature(f: Callable, lo: float, hi: float,
 
 # -- integrands over stacked mixtures ---------------------------------------------
 #
-# t is (P, N) nodes; mu, var (and q_mu, q_var) are (P, M) member parameters
-# of the mixture each panel integrates; every integrand returns (P, N).
-# Member terms are laid out (M, P, N), so the sums over members run over
-# whole slabs instead of short rows.
+# t is (N, P) nodes, one column per panel; mu, var (and q_mu, q_var) are (M, P)
+# member parameters of the mixture each panel integrates, one C-ordered row per
+# member; every integrand returns (N, P).  Member terms are laid out as
+# C-ordered (M, N, P) slabs, so each elementwise step runs over whole rows of
+# P panels and each sum over members adds slab after slab, in member order.
 
 def _pdf(t, mu, var):
-    inv_sig = (1.0 / np.sqrt(var)).T[:, :, None]
-    z = t - mu.T[:, :, None]
+    inv_sig = (1.0 / np.sqrt(var))[:, None, :]
+    z = t - mu[:, None, :]
     z *= inv_sig
     dens = -0.5 * z
     dens *= z
@@ -364,19 +392,19 @@ def _pdf(t, mu, var):
 
 
 def _cdf(t, mu, var):
-    z = t - mu.T[:, :, None]
-    z *= (1.0 / np.sqrt(var)).T[:, :, None]
+    z = t - mu[:, None, :]
+    z *= (1.0 / np.sqrt(var))[:, None, :]
     return _ndtr(z).mean(axis=0)
 
 
 def _log_pdf(t, mu, var):
     """Exact log-density; immune to the underflow that makes log(density)
     bottom out far from the mixture."""
-    x = t - mu.T[:, :, None]
+    x = t - mu[:, None, :]
     np.square(x, out=x)
-    x /= var.T[:, :, None]
+    x /= var[:, None, :]
     x *= -0.5
-    x += (-0.5 * (_LOG_2PI + np.log(var))).T[:, :, None]
+    x += (-0.5 * (_LOG_2PI + np.log(var)))[:, None, :]
     return log_mean_exp(x, axis=0)
 
 
@@ -410,7 +438,7 @@ def _mean_integrand(t, mu, var):
 
 def _centred_integrand(t, mu, var, center):
     """(t - c)^2 p: the SE entropy for c the mean of p, the score otherwise."""
-    return (t - center[:, None]) ** 2 * _pdf(t, mu, var)
+    return (t - center) ** 2 * _pdf(t, mu, var)
 
 
 _SCORE_INTEGRAND = {
@@ -428,39 +456,62 @@ def _window(width: float, *members) -> tuple:
     return lo, hi
 
 
-def _integrate_jobs(jobs, dists, cfg: QuadratureConfig) -> list[_Integrals]:
+class _Stacked(NamedTuple):
+    """Distributions stacked by member count: distribution d is row
+    ``pos[d]`` of ``members[size[d]]``, a (means, variances) pair of
+    (n, size) arrays, and integrates over [``lo[d]``, ``hi[d]``]."""
+
+    size: np.ndarray
+    pos: np.ndarray
+    members: dict
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _stack(dists, width: float) -> _Stacked:
+    """Stack ``dists`` ((means, variances) each) by member count, with the
+    windows of tail width ``width``."""
+    size = np.array([len(mu) for mu, _ in dists], dtype=np.int64)
+    pos = np.empty(len(dists), dtype=np.int64)
+    lo, hi = np.empty(len(dists)), np.empty(len(dists))
+    members = {}
+    for m in distinct_sizes(size):
+        ids = np.flatnonzero(size == m)
+        pos[ids] = np.arange(len(ids))
+        members[m] = tuple(np.array([dists[d][i] for d in ids]) for i in (0, 1))
+        lo[ids], hi[ids] = _window(width, members[m])
+    return _Stacked(size, pos, members, lo, hi)
+
+
+def _integrate_jobs(jobs, dists: _Stacked, cfg: QuadratureConfig) -> _Integrals:
     """Integrate jobs (integrand, refs, extra, lo, hi) in one engine call.
 
     A job is K integrals whose parameters are the members of the
-    distributions ``refs`` (K, r) (ids into ``dists``, a list of (means,
-    variances)), followed by ``extra`` (K,) when it is given; its rows are
-    stacked into one family per combination of member counts.  Returns one
-    result per job, in row order.
+    distributions ``refs`` (K, r) (ids into ``dists``), followed by
+    ``extra`` (K,) when it is given; its rows are stacked into one family
+    per combination of member counts.  Returns the results of every job's
+    rows, job after job.
     """
-    sizes = np.array([len(mu) for mu, _ in dists])
-    stacks, pos = {}, np.empty(len(dists), dtype=np.int64)
-    for size in np.unique(sizes):
-        ids = np.flatnonzero(sizes == size)
-        pos[ids] = np.arange(len(ids))
-        stacks[size] = tuple(np.array([dists[d][i] for d in ids]) for i in (0, 1))
-    families, placed = [], []
-    for j, (f, refs, extra, lo, hi) in enumerate(jobs):
-        combos, combo_of = np.unique(sizes[refs], axis=0, return_inverse=True)
-        for c, combo in enumerate(combos):
-            rows = np.flatnonzero(combo_of.ravel() == c)
-            params = [stack[pos[refs[rows, col]]]
-                      for col, size in enumerate(combo) for stack in stacks[size]]
-            if extra is not None:
-                params.append(extra[rows])
-            families.append(_Family(f, tuple(params), lo[rows], hi[rows]))
-            placed.append((j, rows))
+    families, where, start = [], [], 0
+    for f, refs, extra, lo, hi in jobs:
+        if len(refs):
+            size_of = dists.size[refs]
+            order = np.lexsort(size_of.T[::-1])  # by member counts, rows ascending
+            combo = size_of[order]
+            cuts = np.flatnonzero((combo[1:] != combo[:-1]).any(axis=1)) + 1
+            for rows in np.split(order, cuts):
+                params = [stack[dists.pos[refs[rows, col]]]
+                          for col, m in enumerate(size_of[rows[0]]) for stack in dists.members[m]]
+                if extra is not None:
+                    params.append(extra[rows])
+                families.append(_Family(f, tuple(params), lo[rows], hi[rows]))
+                where.append(start + rows)
+        start += len(refs)
     res = _integrate(families, cfg)
-    out = [_Integrals(*(np.empty(len(job[1]), dtype=x.dtype) for x in res)) for job in jobs]
-    start = 0
-    for j, rows in placed:
-        for dst, src in zip(out[j], res):
-            dst[rows] = src[start:start + len(rows)]
-        start += len(rows)
+    where = np.concatenate(where)
+    out = _Integrals(*(np.empty_like(x) for x in res))
+    for dst, src in zip(out, res):
+        dst[where] = src
     return out
 
 
@@ -509,25 +560,27 @@ def _oracle_tables(rules, dists, pairs, cfg: QuadratureConfig) -> dict:
     for rule in rules:
         if rule is not ScoringRule.SE and rule not in _SCORE_INTEGRAND:
             raise ValueError(f"unknown rule {rule!r}")
-    p_of, q_of = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    lo, hi = np.array([_window(cfg.tail_width, d) for d in dists]).T
+    pair = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    p_of, q_of = pair.T
+    stacked = _stack(dists, cfg.tail_width)
+    lo, hi = stacked.lo, stacked.hi
     pair_lo, pair_hi = np.minimum(lo[p_of], lo[q_of]), np.maximum(hi[p_of], hi[q_of])
-    own, pair = np.arange(len(dists))[:, None], np.column_stack([p_of, q_of])
+    own = np.arange(len(dists))[:, None]
     scored = [r for r in rules if r in _SCORE_INTEGRAND]
     jobs = ([(_SCORE_INTEGRAND[r], own, None, lo, hi) for r in scored]
             + [(_SCORE_INTEGRAND[r], pair, None, pair_lo, pair_hi) for r in scored])
     if ScoringRule.SE in rules:
         jobs.append((_mean_integrand, own, None, lo, hi))
-    raw = _integrate_jobs(jobs, dists, cfg)
+    flat = _integrate_jobs(jobs, stacked, cfg)
     if ScoringRule.SE in rules:
-        means = raw[-1].value
-        raw += _integrate_jobs(
-            [(_centred_integrand, own, means, lo, hi),
-             (_centred_integrand, q_of[:, None], means[p_of], pair_lo, pair_hi)],
-            dists, cfg)
-    first = np.cumsum([0] + [len(r.value) for r in raw])
-    ids = [start + np.arange(len(r.value)) for start, r in zip(first, raw)]
-    flat = _Integrals(*(np.concatenate(x) for x in zip(*raw)))
+        means = flat.value[-len(dists):]
+        centred = [(_centred_integrand, own, means, lo, hi),
+                   (_centred_integrand, q_of[:, None], means[p_of], pair_lo, pair_hi)]
+        flat = _Integrals(*(np.concatenate(x) for x in
+                            zip(flat, _integrate_jobs(centred, stacked, cfg))))
+        jobs += centred
+    first = np.cumsum([0] + [len(job[1]) for job in jobs])
+    ids = [np.arange(a, b) for a, b in zip(first[:-1], first[1:])]
     v, e = flat.value, flat.error
 
     def quantity(value, error, *parts):
@@ -635,7 +688,7 @@ def crps_point_quadrature(pred: Distribution, y: float,
     lo, hi = _window(cfg.tail_width, (mu, var), (np.array([y]), np.ones(1)))
 
     def integrand(t):
-        return (_cdf(t[None, :], mu[None, :], var[None, :])[0] - (y <= t)) ** 2
+        return (_cdf(t[None, :], mu[:, None], var[:, None])[0] - (y <= t)) ** 2
 
     return adaptive_quadrature(integrand, lo, hi, cfg, knots=(y,)).value
 
@@ -725,7 +778,7 @@ def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarra
     integrals in ``quads`` did not converge."""
     sizes = np.array([ens.size for ens in ensembles])
     out = np.empty((len(ensembles), len(columns)))
-    for size in np.unique(sizes):
+    for size in distinct_sizes(sizes):
         rows = np.flatnonzero(sizes == size)
         h_ens = np.array([np.nan if quads[r][ScoringRule.LOG] is None
                           else oracle_entropy(ScoringRule.LOG, ensembles[r], cfg)

@@ -813,6 +813,29 @@ class TestImport:
                              capture_output=True, text=True, check=True)
         assert json.loads(out.stdout.strip().splitlines()[-1]) == []
 
+    def test_commands_never_import_numpy_ma(self, tmp_path):
+        """A plain ``np.unique`` imports ``numpy.ma`` (its masked-array
+        check), about 10 ms per process; no command needs it."""
+        src = os.path.dirname(os.path.dirname(ensrisk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        inp = tmp_path / "ps.json"
+        save_prediction_set(_mixed_prediction_set(18), str(inp))
+        runs = [
+            ["measures", "--input", str(inp)],
+            ["measures", "--input", str(inp), "--oracle-fallback"],
+            ["oracle-check", "--trials", "3", "--seed", "3"],
+        ]
+        runs = [[*argv, "--output-dir", str(tmp_path / f"run{i}")]
+                for i, argv in enumerate(runs)]
+        code = ("import sys\n"
+                "from ensrisk.cli import main\n"
+                f"assert all(main(argv) == 0 for argv in {runs!r})\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "False"
+
     def test_every_trace_shim_resolves(self):
         """Each (layer, attribute) that ``perfbench/tracing.py`` wraps by name
         exists once ``ensrisk.cli`` is imported: a renamed function would

@@ -164,6 +164,36 @@ class TestBatchLogMixtureEntropy:
         assert np.array_equal(_batch_log_mixture_entropy(means, variances), whole)
 
 
+def _member_loop_log_integrand(t, mu, var):
+    """-p log p with the mixture density summed member by member, in member
+    order, each term in the same steps as ``_pdf``."""
+    total = 0.0
+    for m_k, v_k in zip(mu, var):
+        inv_sig = 1.0 / np.sqrt(v_k)
+        z = (t - m_k) * inv_sig
+        dens = -0.5 * z * z
+        with np.errstate(under="ignore"):
+            dens = np.exp(dens)
+        total = total + dens * (oracle._INV_SQRT_2PI * inv_sig)
+    p = total / len(mu)
+    return -p * np.log(np.maximum(p, 1e-300))
+
+
+class TestMemberSumOrder:
+    def test_m10_entropies_equal_a_member_loop_bitwise(self):
+        """Summed pairwise, as NumPy sums an F-ordered (M, N, P) slab over
+        M >= 8 members, the densities differ from the member-order sum in
+        their last bits, and so do some of these entropies."""
+        rng = np.random.default_rng(61)
+        means, variances = rng.uniform(-6, 6, (300, 10)), rng.uniform(0.05, 4, (300, 10))
+        cfg = QuadratureConfig()
+        lo, hi = oracle._window(cfg.tail_width, (means, variances))
+        loop = oracle._integrate(
+            [oracle._Family(_member_loop_log_integrand, (means, variances), lo, hi)], cfg)
+        got = _batch_log_mixture_entropy(means, variances)
+        assert [x.hex() for x in got] == [x.hex() for x in loop.value]
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
         cfg = McConfig(samples=50_000, seed=77)
@@ -200,17 +230,22 @@ class TestMonteCarlo:
 
 
 def _engine_families():
-    """Five integral families of different integrands and member counts,
-    one with knots and one that cannot converge in a few dozen subdivisions."""
+    """Six integral families of different integrands and member counts (up
+    to M=10, where a pairwise sum over members would differ from the
+    member-order one), one with knots and one that cannot converge in a few
+    dozen subdivisions."""
     rng = np.random.default_rng(43)
     cfg = QuadratureConfig()
     mu, var = rng.uniform(-4, 4, (5, 3)), rng.uniform(0.05, 6, (5, 3))
     mp, vp = rng.uniform(-4, 4, (4, 2)), rng.uniform(0.05, 6, (4, 2))
     mq, vq = rng.uniform(-4, 4, (4, 1)), rng.uniform(0.05, 6, (4, 1))
     ms, vs = rng.uniform(-4, 4, (3, 4)), rng.uniform(0.05, 6, (3, 4))
+    mt, vt = rng.uniform(-4, 4, (4, 10)), rng.uniform(0.05, 6, (4, 10))
     return [
         oracle._Family(oracle._log_integrand, (mu, var),
                        *oracle._window(cfg.tail_width, (mu, var))),
+        oracle._Family(oracle._log_integrand, (mt, vt),
+                       *oracle._window(cfg.tail_width, (mt, vt))),
         oracle._Family(oracle._crps_integrand, (mp, vp, mq, vq),
                        *oracle._window(cfg.tail_width, (mp, vp), (mq, vq))),
         oracle._Family(oracle._centred_integrand, (ms, vs, rng.uniform(-1, 1, 3)),
@@ -249,6 +284,27 @@ class TestEngine:
         assert with_failure.failed()[-1] and not without.failed().any()
         assert np.array_equal(with_failure.value[:-1], without.value)
         assert np.array_equal(with_failure.error[:-1], without.error)
+
+    def test_rule_sums_run_along_each_panel(self):
+        """A panel's K15 and G7 sums are those of its values as one
+        contiguous row, in NumPy's summation order for such a row, whatever
+        the layout the integrand returns them in."""
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-3.0, 0.0, 40)
+        hi = lo + rng.uniform(0.1, 3.0, 40)
+
+        def f(t):
+            return np.exp(np.sin(7.0 * t)) * 1e3 + t
+
+        fam = oracle._Family(f, (), lo, hi)
+        value, error = oracle._evaluate(oracle._member_major([fam]), np.array([0, 40]),
+                                        np.arange(40), lo, hi)
+        for k in range(40):
+            half = 0.5 * (hi[k] - lo[k])
+            fx = f(0.5 * (lo[k] + hi[k]) + half * oracle._K15_NODES)
+            k15 = half * (fx * oracle._K15_WEIGHTS).sum()
+            g7 = half * (fx[1:14:2] * oracle._G7_WEIGHTS).sum()
+            assert (value[k].hex(), error[k].hex()) == (k15.hex(), abs(k15 - g7).hex()), k
 
     def test_knots_seed_the_panels_like_linspace(self):
         owner, lo, hi = oracle._seed_panels(np.array([-1.0, 0.0]), np.array([2.0, 1.0]),
