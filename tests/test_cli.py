@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import ensrisk
+import ensrisk.cli
 from ensrisk import dataio, oracle
 from ensrisk.cli import _parse_estimators, _parse_rules, main
 from ensrisk.dataio import (
@@ -778,6 +780,113 @@ class TestTrainingCommands:
         assert "nll_log_exc_1_1" in rows[0] and "nll_random" in rows[0]
 
 
+class TestUsage:
+    """The command-line contract: usage errors exit 1 naming the option,
+    before any work is done; help and version exit 0."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["measures", "--input", "{inp}", "--bogus"], "--bogus"),
+        (["measures", "--input", "{inp}", "--inp", "{inp}"], "--inp"),
+        (["measures"], "--input"),
+        (["measures", "--input", "{missing}"], "--input"),
+        (["shift", "--kind", "bogus"], "--kind"),
+        (["oracle-check", "--trials", "x"], "--trials"),
+    ], ids=["unknown", "abbreviated", "missing-input", "input-not-found", "bad-choice",
+            "bad-int"])
+    def test_usage_error_exits_one_naming_the_option(self, tmp_path, capsys, argv, option):
+        inp = tmp_path / "preds.json"
+        save_prediction_set(make_prediction_set(n=2), str(inp))
+        out = tmp_path / "out"
+        argv = [a.format(inp=inp, missing=tmp_path / "missing.json") for a in argv]
+        assert main([*argv, "--output-dir", str(out)]) == 1
+        assert re.search(re.escape(option) + r"(?![\w-])", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_no_command_exits_one(self):
+        assert main([]) == 1
+
+    def test_help_lists_options_with_defaults(self, capsys):
+        assert main(["measures", "--help"]) == 0
+        text = capsys.readouterr().out
+        for option in ("--input", "--rules", "--estimators", "--oracle-fallback",
+                       "--seed", "--output-dir"):
+            assert option in text
+        assert "default: all" in text
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert f"version {ensrisk.__version__}" in capsys.readouterr().out
+
+    def test_interrupt_prints_aborted_and_exits_one(self, tmp_path, capsys, monkeypatch):
+        def interrupt(trials, seed):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ensrisk.cli, "run_oracle_check", interrupt)
+        assert main(["oracle-check", "--trials", "2", "--output-dir", str(tmp_path)]) == 1
+        assert "aborted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("input_name,output_name,bad", [
+        ("preds.json", "preds.json", "preds.json"),
+        ("folder", "out", "folder"),
+    ], ids=["output-dir-is-a-file", "input-is-a-directory"])
+    def test_bad_path_exits_one_naming_it(self, tmp_path, capsys, input_name, output_name,
+                                          bad):
+        save_prediction_set(make_prediction_set(n=2), str(tmp_path / "preds.json"))
+        (tmp_path / "folder").mkdir()
+        assert main(["measures", "--input", str(tmp_path / input_name),
+                     "--output-dir", str(tmp_path / output_name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and repr(str(tmp_path / bad)) in err
+
+
+class TestManifests:
+    """Each command's manifest holds its options, except --seed, in
+    declaration order, with absolute paths and output_dir last."""
+
+    @pytest.mark.parametrize("argv,config", [
+        (["measures", "--input", "preds.json", "--rules", "se", "--estimators", "bayes_1"],
+         {"input": "preds.json", "rules": "se", "estimators": "bayes_1",
+          "oracle_fallback": False}),
+        (["oracle-check", "--trials", "2"], {"trials": 2}),
+        (["shift", "--kind", "mean-location", "--rules", "se", "--replicates", "50",
+          "--members", "3", "--flat-threshold", "0.05"],
+         {"kind": "mean-location", "rules": "se", "replicates": 50, "members": 3,
+          "flat_threshold": 0.05, "oracle_fallback": False}),
+        (["synth-demo", "--n-train", "40", "--members", "1", "--epochs", "1",
+          "--rules", "se"],
+         {"n_train": 40, "members": 1, "epochs": 1, "rules": "se"}),
+        (["train", "--n-train", "40", "--n-test", "10", "--members", "1", "--epochs", "1",
+          "--x-low", "-2", "--x-high", "2"],
+         {"n_train": 40, "n_test": 10, "members": 1, "epochs": 1, "x_low": -2.0,
+          "x_high": 2.0}),
+        (["selective", "--input", "preds.json", "--rules", "se", "--oracle-fallback"],
+         {"input": "preds.json", "rules": "se", "oracle_fallback": True}),
+        (["ood", "--input", "preds.json", "--rules", "se"],
+         {"input": "preds.json", "rules": "se", "oracle_fallback": False}),
+        (["correlate", "--input", "preds.json", "--rules", "se"],
+         {"input": "preds.json", "rules": "se", "oracle_fallback": False}),
+        (["active", "--iterations", "1", "--batch", "5", "--members", "1",
+          "--pool-size", "40", "--initial", "10", "--heldout", "20", "--epochs", "1"],
+         {"iterations": 1, "batch": 5, "members": 1, "pool_size": 40, "initial": 10,
+          "heldout": 20, "epochs": 1, "measure": "log:exc_1_1",
+          "truncated": {"measure": False, "random": False}}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_config_follows_the_options(self, tmp_path, monkeypatch, argv, config):
+        monkeypatch.chdir(tmp_path)
+        save_prediction_set(make_prediction_set(groups=["id"] * 5 + ["ood"] * 5),
+                            "preds.json")
+        assert main([*argv, "--seed", "4", "--output-dir", "out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == 4
+        expected = dict(config, output_dir="out")
+        for key in ("input", "output_dir"):
+            if key in expected:
+                expected[key] = os.path.abspath(expected[key])
+                assert os.path.isabs(manifest["config"][key])
+        assert list(manifest["config"].items()) == list(expected.items())
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_special_unloaded(self):
         src = os.path.dirname(os.path.dirname(ensrisk.__file__))
@@ -808,7 +917,7 @@ class TestImport:
                 "from ensrisk.cli import main\n"
                 f"assert all(main(argv) == 0 for argv in {runs!r})\n"
                 "print(json.dumps(sorted(m for m in sys.modules\n"
-                "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+                "                        if m.split('.')[0] in ('scipy', 'click'))))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert json.loads(out.stdout.strip().splitlines()[-1]) == []
