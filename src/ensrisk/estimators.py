@@ -701,8 +701,6 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     point whose entropy does not converge raises ConvergenceError naming it.
     A cell of an available column that overflows to +-inf or NaN raises
     ValueError naming the first such column and its first such point."""
-    from .oracle import ConvergenceError, _batch_log_mixture_entropy
-
     ests = tuple(estimators) if estimators is not None else default_estimators()
     columns = tuple(MeasureColumn(rule, est, availability(rule, est))
                     for rule in rules for est in ests)
@@ -710,12 +708,7 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
     values = np.empty((len(points), len(columns)))
     for rows, means, variances in points.blocks():
-        try:
-            h_ens = _batch_log_mixture_entropy(means, variances) if fill else None
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                exc.best, exc.error,
-                f"point {points.ids[rows[exc.row]]}: LOG mixture entropy: {exc}") from exc
+        h_ens = _fallback_entropies(points.ids, rows, means, variances) if fill else None
         values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
     available = np.array([fill or col.availability is not Availability.QUADRATURE_REQUIRED
                           for col in columns], dtype=bool)
@@ -728,3 +721,17 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
         raise ValueError(f"measure column {columns[k].name} is {what} "
                          f"at point {points.ids[i]!r}")
     return MeasureMatrix(points.ids, columns, values, available)
+
+
+def _fallback_entropies(ids, rows, means, variances) -> np.ndarray:
+    """The LOG mixture entropies of one ``measure_matrix`` block, from the
+    oracle, which is imported only here: a run without the fallback never
+    loads it."""
+    from .oracle import ConvergenceError, _batch_log_mixture_entropy
+
+    try:
+        return _batch_log_mixture_entropy(means, variances)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            exc.best, exc.error,
+            f"point {ids[rows[exc.row]]}: LOG mixture entropy: {exc}") from exc

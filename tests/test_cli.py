@@ -838,6 +838,45 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and repr(str(tmp_path / bad)) in err
 
+    @pytest.mark.parametrize("argv,entry", [
+        (["measures", "--rules", "log,log", "--estimators", "exc_1_1,exc_1_1"], "'log'"),
+        (["measures", "--estimators", "exc_1_1,bayes_2,EXC_1_1"], "'exc_1_1'"),
+        (["selective", "--rules", "se,se"], "'se'"),
+        (["correlate", "--rules", "log,crps,log"], "'log'"),
+    ], ids=["measures-rules", "measures-estimators", "selective", "correlate"])
+    def test_repeated_entry_exits_one_naming_it(self, tmp_path, capsys, argv, entry):
+        """A repeated rule or estimator would write its columns or rows twice."""
+        inp = tmp_path / "preds.json"
+        save_prediction_set(make_prediction_set(n=4), str(inp))
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(inp), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"--(rules|estimators) names {entry} twice", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message,leaked", [
+        (["--initial", "60", "--pool-size", "50"],
+         "--initial must be between 1 and --pool-size (50), got 60",
+         "Cannot take a larger sample"),
+        (["--measure", "log"],
+         "bad --measure 'log': expected RULE:ESTIMATOR, e.g. log:exc_1_1",
+         "values to unpack"),
+    ], ids=["initial-beyond-pool", "measure-without-estimator"])
+    def test_active_names_the_bad_option(self, tmp_path, capsys, argv, message, leaked):
+        out = tmp_path / "out"
+        assert main(["active", *argv, "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and leaked not in err
+        assert not out.exists()
+
+    def test_shift_kind_choices_are_the_shift_kinds(self):
+        """The --kind choices are spelled out in the command table, so that
+        building the parser loads no layer; they must stay ShiftKind's."""
+        from ensrisk.synthetic import ShiftKind
+
+        kinds = ensrisk.cli.COMMANDS["shift"][1]["--kind"]
+        assert list(kinds) == ["all", *(k.value for k in ShiftKind)]
+
 
 class TestManifests:
     """Each command's manifest holds its options, except --seed, in
@@ -976,3 +1015,51 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == []
+
+    def test_each_command_runs_only_its_layers(self, tmp_path):
+        """Importing the package registers every layer without running it
+        (a lazily registered module becomes a plain ``types.ModuleType`` when
+        its body runs), so each command runs only the layers it uses, and
+        help, version and usage errors load neither NumPy nor any layer."""
+        src = os.path.dirname(os.path.dirname(ensrisk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        inp = tmp_path / "ps.json"
+        save_prediction_set(make_prediction_set(n=12, groups=["id", "ood"] * 6), str(inp))
+        code = ("import json, sys, types\n"
+                "from ensrisk.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "layers = sorted(name.split('.')[1] for name, mod in sys.modules.items()\n"
+                "                if name.startswith('ensrisk.') and name != 'ensrisk.cli'\n"
+                "                and type(mod) is types.ModuleType)\n"
+                "print(json.dumps([code, 'numpy' in sys.modules, layers]))\n")
+
+        def run(*argv):
+            out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                 capture_output=True, text=True, check=True)
+            return json.loads(out.stdout.strip().splitlines()[-1])
+
+        for argv in (["--version"], ["--help"], ["measures", "--help"],
+                     ["measures", "--bogus"]):
+            assert run(*argv)[1:] == [False, []], argv
+        out = ["--output-dir", str(tmp_path / "out")]
+        measures = ["dataio", "estimators", "gaussians", "scores"]
+        assert run("measures", "--input", str(inp), *out) == [0, True, measures]
+        for command in ("selective", "ood", "correlate"):
+            assert run(command, "--input", str(inp), *out) == \
+                [0, True, sorted(measures + ["metrics"])]
+        train = run("train", "--n-train", "40", "--n-test", "10", "--members", "1",
+                    "--epochs", "1", *out)
+        active = run("active", "--iterations", "1", "--batch", "5", "--members", "1",
+                     "--pool-size", "40", "--initial", "10", "--heldout", "20",
+                     "--epochs", "1", *out)
+        for result in (train, active):
+            assert result[0] == 0 and "metrics" not in result[2]
+
+    def test_package_serves_its_public_names(self):
+        names = {}
+        exec("from ensrisk import *", names)
+        public = set(ensrisk.__all__)
+        assert public <= set(names) and public <= set(dir(ensrisk))
+        assert ensrisk.GaussianEnsemble is ensrisk.gaussians.GaussianEnsemble
+        assert ensrisk.oracle_entropy is oracle.oracle_entropy
