@@ -47,7 +47,7 @@ _EXPORTS = {
                      "averaged_surrogate", "moment_surrogate", "std_normal_cdf",
                      "std_normal_pdf"), "gaussians"),
     **dict.fromkeys(("ScoringRule", "point_score"), "scores"),
-    **dict.fromkeys(("NOT_CLOSED_FORM", "NotClosedForm", "divergence", "entropy",
+    **dict.fromkeys(("NotClosedForm", "divergence", "entropy",
                      "expected_score", "Availability", "ApproximationId",
                      "EstimatorId", "RiskKind", "PredictionSet", "availability",
                      "bayes_risk", "excess_risk", "measure_matrix", "total_risk"),

@@ -14,16 +14,18 @@ Tot(3b,2) collapses onto Bayes(3b), Tot(3b,1) onto Bayes(3a), and Tot(1,1),
 Tot(2,1), Tot(3a,1) agree exactly (see the identity tests).
 
 Cells with no closed form (anything that needs the Shannon entropy of a
-mixture under the LOG rule) are flagged QuadratureRequired and can be filled
-from the oracle module; the SE cells Exc(3a,2) and Exc(3b,2) are identically
-zero because both surrogates share the mixture mean.
+mixture under the LOG rule) are flagged QuadratureRequired by
+``availability`` and can be filled from the oracle module; the SE cells
+Exc(3a,2) and Exc(3b,2) are identically zero because both surrogates share
+the mixture mean.
 
 ``EnsembleBatch`` is the closed-form layer: it is the only place a risk,
 entropy or divergence formula is written.  The scalar functions below it
 (``entropy``, ``expected_score``, ``divergence`` and the three risks) are thin
 wrappers that run a batch of one row (one per label component for
-``expected_score``).  Inside the batch a missing closed form
-raises ``NotClosedFormRequested``; the wrappers return ``NOT_CLOSED_FORM``.
+``expected_score``).  A missing closed form raises ``NotClosedForm``, in
+the batch and through every wrapper, e.g. ``bayes_risk(ScoringRule.LOG,
+ens, ApproximationId.ENS)`` for a mixture's Shannon entropy.
 
 ``PredictionSet`` keeps all points' members in flat arrays with per-point
 offsets; the prediction-set loader builds that layout directly
@@ -162,27 +164,9 @@ def availability(rule: ScoringRule, est: EstimatorId) -> Availability:
     return Availability.CLOSED_FORM
 
 
-class NotClosedFormRequested(ValueError):
-    """A batch evaluation asked for a cell that has no closed form."""
-
-
-class NotClosedForm:
-    """Marker the scalar wrappers return for results with no closed form
-    (the '-' table cells); callers that need the number anyway should hand
-    the computation to the oracle module."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_CLOSED_FORM"
-
-
-NOT_CLOSED_FORM = NotClosedForm()
+class NotClosedForm(ValueError):
+    """The requested result has no closed form (the '-' table cells);
+    callers that need the number anyway hand it to the oracle module."""
 
 
 class EnsembleBatch:
@@ -272,7 +256,7 @@ class EnsembleBatch:
             if approx is ApproximationId.BA:
                 return 0.5 * (_LOG_2PI + 1.0 + np.log(self.variances)).mean(axis=1)
             if approx is ApproximationId.ENS:
-                raise NotClosedFormRequested("LOG Bayes(2) has no closed form")
+                raise NotClosedForm("LOG Bayes(2) has no closed form")
             return 0.5 * (_LOG_2PI + 1.0 + np.log(self._surrogate(approx)[1]))
         if rule is ScoringRule.QUADRATIC:
             if approx is ApproximationId.BA:
@@ -343,7 +327,7 @@ class EnsembleBatch:
             return (0.5 / (_SQRT_PI * np.sqrt(var))
                     + self.quad_pair_mean() - 2.0 * self._cross_mean(rule, mu, var))
         if rule is ScoringRule.LOG:
-            raise NotClosedFormRequested(
+            raise NotClosedForm(
                 "LOG d(Gaussian, mixture) needs the mixture Shannon entropy")
         raise ValueError(f"unknown rule {rule!r}")
 
@@ -385,7 +369,7 @@ class EnsembleBatch:
             # Bregman information: equals Bayes(2) - Bayes(1) for every rule,
             # and the two orientations coincide for symmetric divergences.
             if rule is ScoringRule.LOG:
-                raise NotClosedFormRequested(
+                raise NotClosedForm(
                     "LOG Bregman information needs the mixture Shannon entropy")
             return self.bayes(rule, ens) - self.bayes(rule, ba)
 
@@ -444,18 +428,9 @@ def _as_batch(dist: Distribution) -> EnsembleBatch:
     return EnsembleBatch(means[None, :], variances[None, :])
 
 
-def _closed_form(compute):
-    """``compute()`` as a float, or NOT_CLOSED_FORM if the batch raised
-    NotClosedFormRequested."""
-    try:
-        return float(compute())
-    except NotClosedFormRequested:
-        return NOT_CLOSED_FORM
-
-
 def bayes_risk(rule: ScoringRule, ens: GaussianEnsemble, approx: ApproximationId):
-    """Bayes-risk (aleatoric) estimate; NOT_CLOSED_FORM for (LOG, ENS)."""
-    return _closed_form(lambda: _as_batch(ens).bayes(rule, approx)[0])
+    """Bayes-risk (aleatoric) estimate; (LOG, ENS) raises NotClosedForm."""
+    return float(_as_batch(ens).bayes(rule, approx)[0])
 
 
 def excess_risk(rule: ScoringRule, ens: GaussianEnsemble,
@@ -468,7 +443,7 @@ def excess_risk(rule: ScoringRule, ens: GaussianEnsemble,
     allowed = set(SUPPORTED_PAIRS) | {(ApproximationId.BA, ApproximationId.ENS)}
     if tuple(pair) not in allowed:
         raise ValueError(f"unsupported pair {pair!r}")
-    return _closed_form(lambda: _as_batch(ens).excess(rule, tuple(pair))[0])
+    return float(_as_batch(ens).excess(rule, tuple(pair))[0])
 
 
 def total_risk(rule: ScoringRule, ens: GaussianEnsemble,
@@ -476,7 +451,7 @@ def total_risk(rule: ScoringRule, ens: GaussianEnsemble,
     """Total risk Tot(alpha, beta) = Bayes(alpha) + Exc(alpha, beta)."""
     if tuple(pair) not in SUPPORTED_PAIRS:
         raise ValueError(f"unsupported pair {pair!r}")
-    return _closed_form(lambda: _as_batch(ens).total(rule, tuple(pair))[0])
+    return float(_as_batch(ens).total(rule, tuple(pair))[0])
 
 
 def entropy(rule: ScoringRule, p: Distribution):
@@ -484,11 +459,11 @@ def entropy(rule: ScoringRule, p: Distribution):
 
     Gaussian inputs are always closed-form.  For M >= 2 mixtures: CRPS and
     QUADRATIC have exact mixture entropies, SE uses the mixture variance,
-    and LOG (Shannon entropy of a mixture) returns NOT_CLOSED_FORM.
+    and LOG (Shannon entropy of a mixture) raises NotClosedForm.
     """
     batch = _as_batch(p)
     approx = ApproximationId.BA if batch.size == 1 else ApproximationId.ENS
-    return _closed_form(lambda: batch.bayes(rule, approx)[0])
+    return float(batch.bayes(rule, approx)[0])
 
 
 def _divergences_to(rule: ScoringRule, pred: Distribution,
@@ -511,11 +486,11 @@ def expected_score(rule: ScoringRule, pred: Distribution, label: Distribution):
     Mixture labels expand by linearity of the expectation:
     S(pred, Q) = mean_k [H(Q_k) + d(pred, Q_k)].  A mixture in the
     prediction slot is closed-form for CRPS, QUADRATIC and SE, but not for
-    LOG (log of a sum): that combination returns NOT_CLOSED_FORM.
+    LOG (log of a sum): that combination raises NotClosedForm.
     """
     mu, var = mixture_parameters(label)
     h = EnsembleBatch(mu[:, None], var[:, None]).bayes(rule, ApproximationId.BA)
-    return _closed_form(lambda: np.mean(h + _divergences_to(rule, pred, mu, var)))
+    return float(np.mean(h + _divergences_to(rule, pred, mu, var)))
 
 
 def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
@@ -524,17 +499,15 @@ def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
 
     CRPS, QUADRATIC and SE divergences are symmetric and closed-form for
     mixtures on both sides.  LOG divergence is KL(label || pred); it is
-    closed only when both sides are single Gaussians.
+    closed only when both sides are single Gaussians, and raises
+    NotClosedForm otherwise.
     """
     p_means, p_vars = mixture_parameters(pred)
     if len(p_means) == 1:
         batch = _as_batch(label)
         vs = batch.gaussian_vs_members if batch.size == 1 else batch.gaussian_vs_mixture
-        return _closed_form(lambda: vs(rule, p_means, p_vars)[0])
-    score = expected_score(rule, pred, label)
-    if score is NOT_CLOSED_FORM:
-        return NOT_CLOSED_FORM
-    return score - entropy(rule, label)
+        return float(vs(rule, p_means, p_vars)[0])
+    return expected_score(rule, pred, label) - entropy(rule, label)
 
 
 def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, float]:
@@ -662,7 +635,10 @@ class PredictionSet:
 class MeasureColumn:
     rule: ScoringRule
     estimator: EstimatorId
-    availability: Availability
+
+    @property
+    def availability(self) -> Availability:
+        return availability(self.rule, self.estimator)
 
     @property
     def name(self) -> str:
@@ -702,8 +678,7 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     A cell of an available column that overflows to +-inf or NaN raises
     ValueError naming the first such column and its first such point."""
     ests = tuple(estimators) if estimators is not None else default_estimators()
-    columns = tuple(MeasureColumn(rule, est, availability(rule, est))
-                    for rule in rules for est in ests)
+    columns = tuple(MeasureColumn(rule, est) for rule in rules for est in ests)
     fill = use_oracle_fallback and any(
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
     values = np.empty((len(points), len(columns)))

@@ -57,7 +57,6 @@ from .estimators import (
     EnsembleBatch,
     EstimatorId,
     MeasureColumn,
-    availability,
     default_estimators,
     distinct_sizes,
 )
@@ -813,7 +812,7 @@ def run_oracle_check(trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     cfg = cfg or QuadratureConfig()
     rng = np.random.default_rng(seed)
-    columns = tuple(MeasureColumn(rule, est, availability(rule, est))
+    columns = tuple(MeasureColumn(rule, est)
                     for rule in ScoringRule for est in default_estimators())
     checks = [_CellCheck(col.rule, col.estimator) for col in columns]
     passed = True

@@ -34,7 +34,6 @@ from .estimators import (
     EnsembleBatch,
     EstimatorId,
     MeasureColumn,
-    availability,
     default_estimators,
 )
 from .oracle import ConvergenceError, _batch_log_mixture_entropy
@@ -171,7 +170,7 @@ def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
     """
     if not (math.isfinite(flat_threshold) and flat_threshold >= 0.0):
         raise ValueError(f"flat threshold must be finite and >= 0, got {flat_threshold}")
-    columns = tuple(MeasureColumn(rule, est, availability(rule, est))
+    columns = tuple(MeasureColumn(rule, est)
                     for rule in rules for est in default_estimators())
     fill = oracle_fallback and any(
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)

@@ -27,7 +27,6 @@ from ensrisk.dataio import (
     write_measures_csv,
 )
 from ensrisk.estimators import (
-    Availability,
     EnsembleBatch,
     EstimatorId,
     MeasureColumn,
@@ -434,7 +433,7 @@ class TestMeasuresCsvBytes:
         rule, est = ScoringRule.SE, EstimatorId.parse("bayes_1")
         matrix = MeasureMatrix(
             tuple(f"x{i}" for i in range(len(cells))),
-            (MeasureColumn(rule, est, Availability.CLOSED_FORM),) * 3,
+            (MeasureColumn(rule, est),) * 3,
             np.column_stack([cells[:, 0], np.full(len(cells), np.nan), cells[:, 1]]),
             np.array([True, False, True]))
         ps = PredictionSet(matrix.point_ids, np.ones((len(cells), 1)),

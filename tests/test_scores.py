@@ -14,9 +14,9 @@ from ensrisk.oracle import (
     oracle_divergence,
 )
 from ensrisk.estimators import (
-    NOT_CLOSED_FORM,
     ApproximationId,
     EnsembleBatch,
+    NotClosedForm,
     divergence,
     entropy,
     expected_score,
@@ -146,7 +146,8 @@ class TestEntropy:
 
     def test_log_mixture_has_no_closed_form(self):
         mix = GaussianEnsemble.from_arrays([0.0, 3.0], [1.0, 2.0])
-        assert entropy(ScoringRule.LOG, mix) is NOT_CLOSED_FORM
+        with pytest.raises(NotClosedForm):
+            entropy(ScoringRule.LOG, mix)
 
     def test_se_mixture_is_total_variance(self):
         mix = GaussianEnsemble.from_arrays([0.0, 2.0], [1.0, 1.0])
@@ -195,7 +196,8 @@ class TestExpectedScore:
 
     def test_log_mixture_prediction_not_closed(self):
         mix = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 1.0])
-        assert expected_score(ScoringRule.LOG, mix, G01) is NOT_CLOSED_FORM
+        with pytest.raises(NotClosedForm):
+            expected_score(ScoringRule.LOG, mix, G01)
 
 
 class TestDivergence:
@@ -243,8 +245,10 @@ class TestDivergence:
 
     def test_log_mixture_not_closed(self):
         mix = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 2.0])
-        assert divergence(ScoringRule.LOG, G01, mix) is NOT_CLOSED_FORM
-        assert divergence(ScoringRule.LOG, mix, G01) is NOT_CLOSED_FORM
+        with pytest.raises(NotClosedForm):
+            divergence(ScoringRule.LOG, G01, mix)
+        with pytest.raises(NotClosedForm):
+            divergence(ScoringRule.LOG, mix, G01)
 
     def test_properness_sweep(self):
         rng = np.random.default_rng(5)
