@@ -150,10 +150,11 @@ def cmd_shift(args):
 # -- training-based commands ------------------------------------------------------
 
 def _train_on_two_curve(n_train, members, epochs, seed, x_low, x_high):
-    xs, ys, _ = synthetic.two_curve_arrays(n_train, x_low, x_high, seed)
+    """The trained predictor and its training set (x, y, component)."""
+    xs, ys, comp = synthetic.two_curve_arrays(n_train, x_low, x_high, seed)
     cfg = trainer.TrainConfig(epochs=epochs, seed=seed)
     predictor = trainer.train_ensemble(xs, ys, members, trainer.MlpSpec(), cfg)
-    return predictor, xs, ys
+    return predictor, xs, ys, comp
 
 
 def cmd_synth_demo(args):
@@ -161,9 +162,8 @@ def cmd_synth_demo(args):
     import numpy as np
 
     rules_list = _parse_rules(args.rules)
-    predictor, xs, ys = _train_on_two_curve(args.n_train, args.members, args.epochs,
-                                            args.seed, -4.0, 4.0)
-    _, _, comp = synthetic.two_curve_arrays(args.n_train, -4.0, 4.0, args.seed)
+    predictor, xs, ys, comp = _train_on_two_curve(args.n_train, args.members,
+                                                  args.epochs, args.seed, -4.0, 4.0)
     grid = np.linspace(-7.0, 7.0, 281)
     means, variances = trainer.predict_arrays(predictor, grid)
     batch = estimators.EnsembleBatch(means, variances)
@@ -188,8 +188,8 @@ def cmd_synth_demo(args):
 
 def cmd_train(args):
     """Train a two-curve ensemble; write a checkpoint and test predictions."""
-    predictor, _, _ = _train_on_two_curve(args.n_train, args.members, args.epochs,
-                                          args.seed, args.x_low, args.x_high)
+    predictor = _train_on_two_curve(args.n_train, args.members, args.epochs,
+                                    args.seed, args.x_low, args.x_high)[0]
     xs_test, ys_test, _ = synthetic.two_curve_arrays(args.n_test, args.x_low,
                                                      args.x_high, args.seed + 1)
     ps = trainer.predict(predictor, xs_test, targets=ys_test, group="id")
@@ -332,6 +332,18 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _int_from(low: int):
+    """An int option's converter: below ``low`` is a usage error."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
+
+
 def _reading_predictions(options=None) -> dict:
     """The options of a command on a stored prediction set, with its own
     ``options`` between ``--rules`` and ``--oracle-fallback``."""
@@ -340,10 +352,11 @@ def _reading_predictions(options=None) -> dict:
 
 
 # Each command's handler and options as flag -> default.  The type follows
-# the default; False makes a flag, a tuple the choices (its first is the
-# default), and a function a required option that it converts.  The --kind
-# choices are the values of synthetic.ShiftKind, spelled out so that building
-# the parser loads no layer (a test pins the two together).
+# the default, and an int must be at least 1 (--seed at least 0); False
+# makes a flag, a tuple the choices (its first is the default), and a
+# function a required option that it converts.  The --kind choices are the
+# values of synthetic.ShiftKind, spelled out so that building the parser
+# loads no layer (a test pins the two together).
 COMMANDS = {
     "measures": (cmd_measures, _reading_predictions({"--estimators": "all"})),
     "oracle-check": (cmd_oracle_check, {"--trials": 200}),
@@ -396,7 +409,9 @@ def _parser() -> argparse.ArgumentParser:
                 sub.add_argument(flag, choices=default, default=default[0],
                                  help="default: %(default)s")
             else:
-                sub.add_argument(flag, type=type(default), default=default,
+                convert = (_int_from(0 if flag == "--seed" else 1)
+                           if type(default) is int else type(default))
+                sub.add_argument(flag, type=convert, default=default,
                                  metavar=type(default).__name__.upper(),
                                  help="default: %(default)s")
     return parser

@@ -52,6 +52,7 @@ from .estimators import (
     PredictionSet,
     availability,
 )
+from .scores import log_mean_exp
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ETA2_MARGIN = 1e-6
@@ -433,9 +434,7 @@ def ensemble_nll(pred: EnsemblePredictor, xs, ys) -> float:
     ys = np.asarray(ys, dtype=float)
     log_comp = -0.5 * (_LOG_2PI + np.log(variances)
                        + (ys[:, None] - means) ** 2 / variances)
-    shift = log_comp.max(axis=1, keepdims=True)
-    log_mix = shift[:, 0] + np.log(np.mean(np.exp(log_comp - shift), axis=1))
-    return float(-np.mean(log_mix))
+    return float(-np.mean(log_mean_exp(log_comp, axis=1)))
 
 
 # -- checkpoints -----------------------------------------------------------------

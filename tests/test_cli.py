@@ -801,6 +801,23 @@ class TestUsage:
         assert re.search(re.escape(option) + r"(?![\w-])", capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in ensrisk.cli.COMMANDS
+        for flag, default in ensrisk.cli._options(command).items() if type(default) is int])
+    def test_int_below_its_bound_exits_one_naming_it(self, tmp_path, capsys, command, flag):
+        """--seed must be >= 0 and every other int option >= 1; a value below
+        is a usage error before any work, not a message from NumPy or a layer."""
+        inp = tmp_path / "preds.json"
+        save_prediction_set(make_prediction_set(n=4, groups=["id", "ood"] * 2), str(inp))
+        low = 0 if flag == "--seed" else 1
+        argv = [command, flag, str(low - 1)]
+        if "--input" in ensrisk.cli.COMMANDS[command][1]:
+            argv += ["--input", str(inp)]
+        out = tmp_path / "out"
+        assert main([*argv, "--output-dir", str(out)]) == 1
+        assert f"argument {flag}: must be >= {low}, got {low - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_exits_one(self):
         assert main([]) == 1
 
