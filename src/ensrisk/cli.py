@@ -166,19 +166,12 @@ def cmd_synth_demo(args):
                                                   args.epochs, args.seed, -4.0, 4.0)
     grid = np.linspace(-7.0, 7.0, 281)
     means, variances = trainer.predict_arrays(predictor, grid)
-    batch = estimators.EnsembleBatch(means, variances)
-    header = ["x", "pred_mean"]
-    cols = [grid, means.mean(axis=1)]
-    EstimatorId, RiskKind = estimators.EstimatorId, estimators.RiskKind
-    ba = estimators.ApproximationId.BA
-    for rule in rules_list:
-        for est in (EstimatorId(RiskKind.TOTAL, ba, ba),
-                    EstimatorId(RiskKind.BAYES, ba),
-                    EstimatorId(RiskKind.EXCESS, ba, ba)):
-            header.append(f"{rule.value}_{est.key}")
-            cols.append(batch.evaluate(rule, est))
-    dataio.write_csv(os.path.join(args.output_dir, "synth_demo.csv"), header,
-                     [[float(c[i]) for c in cols] for i in range(len(grid))])
+    columns = [estimators.MeasureColumn(rule, estimators.EstimatorId.parse(key))
+               for rule in rules_list for key in ("tot_1_1", "bayes_1", "exc_1_1")]
+    values = estimators.EnsembleBatch(means, variances).columns(columns)
+    dataio.write_csv(os.path.join(args.output_dir, "synth_demo.csv"),
+                     ["x", "pred_mean", *(col.name for col in columns)],
+                     np.column_stack([grid, means.mean(axis=1), values]).tolist())
     dataio.write_csv(os.path.join(args.output_dir, "synth_data.csv"),
                      ["x", "y", "component"],
                      [[float(x), float(y), int(k)] for x, y, k in zip(xs, ys, comp)])
@@ -219,7 +212,8 @@ def cmd_selective(args):
     mu_star = np.empty(len(ps))
     for rows, means, _ in ps.blocks():
         mu_star[rows] = means.mean(axis=1)
-    errors = (targets - mu_star) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+        errors = (targets - mu_star) ** 2
     if not np.all(np.isfinite(errors)):
         point = ps.ids[int(np.flatnonzero(~np.isfinite(errors))[0])]
         raise ValueError(f"squared error is not finite at point {point!r}")

@@ -10,6 +10,8 @@ would need quoting.  Serialization is canonical: fixed field order, floats
 in 17-significant-digit decimal, so serialize -> parse -> serialize is
 byte-identical.  All writes go through a write-temp-then-rename
 (``atomic_write``) so partial files never appear under the target name.
+Every file is read and written as UTF-8 (RFC 8259 for JSON), whatever the
+locale.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def atomic_write(path: str, content: str | Iterable[str]) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp creates the file at 0600; give it the mode open() would
             umask = os.umask(0)
             os.umask(umask)
@@ -231,7 +233,7 @@ def atomic_write(path: str, content: str | Iterable[str]) -> None:
 
 
 def load_prediction_set(path: str) -> PredictionSet:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return loads_prediction_set(fh.read())
 
 

@@ -676,15 +676,19 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     from the oracle's batched estimator, the one ``shift_reports`` uses; a
     point whose entropy does not converge raises ConvergenceError naming it.
     A cell of an available column that overflows to +-inf or NaN raises
-    ValueError naming the first such column and its first such point."""
+    ValueError naming the first such column and its first such point; NumPy's
+    overflow and invalid-value warnings are silenced while the blocks are
+    evaluated, so that error is the one report."""
     ests = tuple(estimators) if estimators is not None else default_estimators()
     columns = tuple(MeasureColumn(rule, est) for rule in rules for est in ests)
     fill = use_oracle_fallback and any(
         col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
     values = np.empty((len(points), len(columns)))
     for rows, means, variances in points.blocks():
-        h_ens = _fallback_entropies(points.ids, rows, means, variances) if fill else None
-        values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
+        # a cell that overflows is reported below, once, by column and point
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_ens = _fallback_entropies(points.ids, rows, means, variances) if fill else None
+            values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
     available = np.array([fill or col.availability is not Availability.QUADRATURE_REQUIRED
                           for col in columns], dtype=bool)
     bad = ~np.isfinite(values)

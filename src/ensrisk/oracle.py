@@ -694,39 +694,30 @@ def crps_point_quadrature(pred: Distribution, y: float,
 
 # -- oracle-check: closed forms against quadrature ------------------------------
 
-@dataclass
-class _CellCheck:
+class _CellCheck(NamedTuple):
     rule: ScoringRule
     estimator: EstimatorId
-    max_abs_dev: float = 0.0
-    max_rel_dev: float = 0.0
-    convergence_failures: int = 0
+    max_abs_dev: float
+    max_rel_dev: float
+    convergence_failures: int
 
 
-def _cells(h, div, comps, ens, mm, av) -> dict[str, float]:
-    """Every estimator cell of one rule from the entropies ``h[d]`` and the
-    divergences ``div(pred, label)`` of the member, mixture and surrogate
-    distributions."""
-    bayes = {"1": float(np.mean(h[comps])), "2": h[ens], "3a": h[mm], "3b": h[av]}
-    exc = {
-        "1_1": float(np.mean([div(a, b) for a in comps for b in comps])),
-        "2_1": float(np.mean([div(ens, c) for c in comps])),
-        "3a_1": float(np.mean([div(mm, c) for c in comps])),
-        "3b_1": float(np.mean([div(av, c) for c in comps])),
-        "3a_2": div(mm, ens),
-        "3b_2": div(av, ens),
-    }
-    cells = {f"bayes_{k}": v for k, v in bayes.items()}
-    cells.update({f"exc_{k}": v for k, v in exc.items()})
-    for pair, value in exc.items():
-        alpha = pair.split("_")[0]
-        cells[f"tot_{pair}"] = bayes[alpha] + value
-    return cells
+def _cells(h, div, comps, ens, mm, av) -> np.ndarray:
+    """One rule's 16 estimator cells, in ``default_estimators()`` order, from
+    the entropies ``h[d]`` and the divergences ``div(pred, label)`` of the
+    member, mixture and surrogate distributions."""
+    bayes = np.array([np.mean(h[comps]), h[ens], h[mm], h[av]])  # 1, 2, 3a, 3b
+    exc = np.array([np.mean([div(a, b) for a in comps for b in comps]),
+                    *(np.mean([div(p, c) for c in comps]) for p in (ens, mm, av)),
+                    div(mm, ens), div(av, ens)])  # the pairs of SUPPORTED_PAIRS
+    return np.concatenate([bayes[[0, 1, 2, 3, 2, 3]] + exc, bayes, exc])
 
 
-def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> list[dict]:
-    """Per ensemble, {rule: cells} assembled from quadrature, with None for
-    a rule whose integrals did not all converge.
+def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> np.ndarray:
+    """(trials, 64) cells assembled from quadrature, in ``MeasureColumn``
+    order: the rules in ``ScoringRule`` order, each with its estimators in
+    ``default_estimators()`` order.  A rule whose integrals for a trial did
+    not all converge is NaN in every cell of that trial.
 
     The distinct distributions of all ensembles (members, mixtures and
     surrogates) and the ordered pairs of distinct ones that the cells use go
@@ -750,22 +741,16 @@ def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> list[dict]:
 
     pairs = list(dict.fromkeys(pq for t in trials for pq in trial_pairs(*t) if pq[0] != pq[1]))
     pair_id = {pq: k for k, pq in enumerate(pairs)}
-    tables = {rule: (t.entropy.value, t.divergence.value,
-                     t.failed(t.entropy), t.failed(t.divergence))
-              for rule, t in _oracle_tables(ScoringRule, dists, pairs, cfg).items()}
-    out = []
-    for comps, ens, mm, av in trials:
-        ids = [*comps, ens, mm, av]
-        used = [pair_id[pq] for pq in trial_pairs(comps, ens, mm, av) if pq[0] != pq[1]]
-        per_rule = {}
-        for rule, (h, div, h_bad, div_bad) in tables.items():
-            if h_bad[ids].any() or div_bad[used].any():
-                per_rule[rule] = None
-            else:
-                per_rule[rule] = _cells(
-                    h, lambda p, q, div=div: 0.0 if p == q else div[pair_id[(p, q)]],
-                    comps, ens, mm, av)
-        out.append(per_rule)
+    # per rule: each entropy and divergence, NaN where its integrals failed
+    tables = [(np.where(t.failed(t.entropy), np.nan, t.entropy.value),
+               np.where(t.failed(t.divergence), np.nan, t.divergence.value))
+              for t in _oracle_tables(ScoringRule, dists, pairs, cfg).values()]
+    out = np.array([np.concatenate([
+        _cells(h, lambda p, q, div=div: 0.0 if p == q else div[pair_id[p, q]], *trial)
+        for h, div in tables]) for trial in trials])
+    # a failed value makes NaN only the cells built from it; charge its whole rule
+    by_rule = out.reshape(len(trials), len(tables), -1)
+    by_rule[np.isnan(by_rule).any(axis=2)] = np.nan
     return out
 
 
@@ -774,12 +759,13 @@ def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarra
     ``EnsembleBatch`` per ensemble size.  The LOG cells that need quadrature
     come from each mixture's ``oracle_entropy`` plus closed forms, as
     ``--oracle-fallback`` fills them; they are NaN for a trial whose LOG
-    integrals in ``quads`` did not converge."""
+    cells in ``quads``, the (trials, columns) quadrature cells, are NaN."""
+    log_failed = np.isnan(quads[:, [col.rule is ScoringRule.LOG for col in columns]]).any(axis=1)
     sizes = np.array([ens.size for ens in ensembles])
     out = np.empty((len(ensembles), len(columns)))
     for size in distinct_sizes(sizes):
         rows = np.flatnonzero(sizes == size)
-        h_ens = np.array([np.nan if quads[r][ScoringRule.LOG] is None
+        h_ens = np.array([np.nan if log_failed[r]
                           else oracle_entropy(ScoringRule.LOG, ensembles[r], cfg)
                           for r in rows])
         batch = EnsembleBatch(np.array([ensembles[r].means for r in rows]),
@@ -806,7 +792,8 @@ def run_oracle_check(trials: int, seed: int,
     max(rel_tol * |closed|, abs_floor); a trial whose integrals for a rule
     did not converge counts as a convergence failure of every cell of that
     rule.  Trials are drawn, integrated and evaluated ``_CHECK_TRIALS`` at a
-    time, with one ``EnsembleBatch`` per ensemble size.
+    time, with one ``EnsembleBatch`` per ensemble size, and each block's
+    (trials, 64) closed and quadrature cells are compared as whole arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -814,7 +801,8 @@ def run_oracle_check(trials: int, seed: int,
     rng = np.random.default_rng(seed)
     columns = tuple(MeasureColumn(rule, est)
                     for rule in ScoringRule for est in default_estimators())
-    checks = [_CellCheck(col.rule, col.estimator) for col in columns]
+    max_abs, max_rel = np.zeros(len(columns)), np.zeros(len(columns))
+    failures = np.zeros(len(columns), dtype=np.int64)
     passed = True
     for start in range(0, trials, _CHECK_TRIALS):
         ensembles = []
@@ -822,19 +810,16 @@ def run_oracle_check(trials: int, seed: int,
             m = int(rng.integers(1, 6))
             ensembles.append(GaussianEnsemble.from_arrays(rng.uniform(-5.0, 5.0, size=m),
                                                           rng.uniform(0.05, 9.0, size=m)))
-        quads = _quadrature_cells(ensembles, cfg)
-        for quad_by_rule, closed_row in zip(quads, _closed_cells(ensembles, quads, columns, cfg)):
-            for col, cell, closed in zip(columns, checks, closed_row.tolist()):
-                quad = quad_by_rule[col.rule]
-                if quad is None:
-                    cell.convergence_failures += 1
-                    passed = False
-                    continue
-                dev = abs(closed - quad[col.estimator.key])
-                cell.max_abs_dev = max(cell.max_abs_dev, dev)
-                cell.max_rel_dev = max(cell.max_rel_dev,
-                                       dev / max(abs(closed), abs_floor / rel_tol))
-                if dev > max(rel_tol * abs(closed), abs_floor):
-                    passed = False
-    worst = max(c.max_rel_dev for c in checks)
-    return checks, passed, worst
+        quad = _quadrature_cells(ensembles, cfg)
+        closed = _closed_cells(ensembles, quad, columns, cfg)
+        failed = np.isnan(quad)
+        dev = np.where(failed, 0.0, np.abs(closed - quad))
+        rel = np.where(failed, 0.0, dev / np.maximum(np.abs(closed), abs_floor / rel_tol))
+        max_abs = np.maximum(max_abs, dev.max(axis=0))
+        max_rel = np.maximum(max_rel, rel.max(axis=0))
+        failures += failed.sum(axis=0)
+        passed = passed and not failed.any() and not np.any(
+            dev > np.maximum(rel_tol * np.abs(closed), abs_floor))
+    checks = [_CellCheck(col.rule, col.estimator, *cell) for col, *cell
+              in zip(columns, max_abs.tolist(), max_rel.tolist(), failures.tolist())]
+    return checks, passed, float(max_rel.max())

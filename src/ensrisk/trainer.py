@@ -475,7 +475,7 @@ def save_checkpoint(pred: EnsemblePredictor, path: str) -> None:
 def load_checkpoint(path: str) -> EnsemblePredictor:
     import json
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")

@@ -510,9 +510,8 @@ class TestMeasuresCommand:
         inp = tmp_path / "preds.json"
         save_prediction_set(ps, str(inp))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = main(["measures", "--input", str(inp), "--rules", rules,
-                         "--output-dir", str(out)])
+        code = main(["measures", "--input", str(inp), "--rules", rules,
+                     "--output-dir", str(out)])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "measures.csv").exists()
@@ -539,6 +538,55 @@ class TestMeasuresCommand:
         inp = tmp_path / "preds.json"
         save_prediction_set(make_prediction_set(n=2), str(inp))
         assert main(["measures", "--input", str(inp), "--rules", "huber"]) == 1
+
+
+def _run_cli(argv, **env):
+    """``ensrisk`` in a fresh interpreter with ``env`` added to its
+    environment: the CompletedProcess, stdout and stderr as bytes."""
+    src = os.path.dirname(os.path.dirname(ensrisk.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "ensrisk.cli", *argv], env=env,
+                          capture_output=True)
+
+
+class TestProcessOutput:
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        points = _schema_points(n=2, m=2)
+        points[0]["id"] = "caf\u00e9"
+        inp = tmp_path / "preds.json"
+        inp.write_bytes(json.dumps({"schema": "prediction_set/v1", "points": points},
+                                   ensure_ascii=False).encode("utf-8"))
+        out = tmp_path / "out"
+        proc = _run_cli(["measures", "--input", str(inp), "--output-dir", str(out)],
+                        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "measures.csv").read_bytes().splitlines()[1].startswith(b"caf\xc3\xa9,")
+
+    @pytest.mark.parametrize("command,field", [
+        ("measures", "mu"), ("selective", "mu"), ("ood", "mu"), ("correlate", "mu"),
+        ("selective", "target"),
+    ])
+    def test_overflow_is_one_stderr_line(self, tmp_path, command, field):
+        """Members at +-1e200 overflow closed forms of one point, a target at
+        1e200 its squared error; the command stops with its own error and no
+        NumPy warning before it."""
+        ps = make_prediction_set(n=4, seed=6, groups=["id", "ood"] * 2)
+        means, targets = ps.means.reshape(4, 4).copy(), ps.target_values.copy()
+        if field == "mu":
+            means[1] = [1e200, -1e200, 1e200, -1e200]
+            what = b"measure column crps_tot_3a_1"
+        else:
+            targets[1] = 1e200
+            what = b"squared error"
+        ps = PredictionSet(ps.ids, means, ps.variances.reshape(4, 4),
+                           targets.tolist(), list(ps.group_labels))
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        proc = _run_cli([command, "--input", str(inp), "--rules", "crps",
+                         "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: " + what + b" is not finite at point 'p1'\n"
 
 
 class TestFailureExitCodes:
@@ -711,9 +759,8 @@ class TestDownstreamCommands:
                            ps.target_values.tolist(), list(ps.group_labels))
         inp = tmp_path / "preds.json"
         save_prediction_set(ps, str(inp))
-        with np.errstate(all="ignore"):
-            code = main([command, "--input", str(inp), "--rules", "se",
-                         "--output-dir", str(tmp_path / "x")])
+        code = main([command, "--input", str(inp), "--rules", "se",
+                     "--output-dir", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err
         assert "se_tot_1_1" in err and "'p3'" in err
@@ -726,9 +773,8 @@ class TestDownstreamCommands:
                            targets.tolist())
         inp = tmp_path / "preds.json"
         save_prediction_set(ps, str(inp))
-        with np.errstate(over="ignore"):
-            assert main(["selective", "--input", str(inp),
-                         "--output-dir", str(tmp_path / "x")]) == 1
+        assert main(["selective", "--input", str(inp),
+                     "--output-dir", str(tmp_path / "x")]) == 1
         assert "squared error is not finite at point 'p4'" in capsys.readouterr().err
 
     def test_correlate_skips_constant_columns(self, tmp_path):

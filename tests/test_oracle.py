@@ -356,11 +356,11 @@ class TestOracleCheckAccounting:
         rng = np.random.default_rng(12)
         ensembles = [GaussianEnsemble.from_arrays(rng.uniform(-5, 5, m), rng.uniform(0.05, 9, m))
                      for m in (3, 1, 5, 3, 2, 5, 3)]
-        converged = [{rule: {} for rule in ScoringRule} for _ in ensembles]
-        converged[3][ScoringRule.LOG] = None
         columns = tuple(MeasureColumn(rule, est)
                         for rule in ScoringRule for est in default_estimators())
-        got = oracle._closed_cells(ensembles, converged, columns, QuadratureConfig())
+        quads = np.zeros((len(ensembles), len(columns)))
+        quads[3, [col.rule is ScoringRule.LOG for col in columns]] = np.nan
+        got = oracle._closed_cells(ensembles, quads, columns, QuadratureConfig())
         for i, ens in enumerate(ensembles):
             batch = EnsembleBatch(ens.means[None, :], ens.variances[None, :])
             fallback = log_quadrature_cells(ens)
@@ -372,6 +372,30 @@ class TestOracleCheckAccounting:
                 else:
                     want = fallback[col.estimator.key]
                 assert float(got[i, k]).hex() == want.hex(), (i, col.name)
+
+    def test_failed_member_pair_divergence_charges_its_trial_and_rule(self, monkeypatch):
+        real = oracle._oracle_tables
+        failed = []
+
+        def one_failed_divergence(rules, dists, pairs, cfg):
+            tables = real(rules, dists, pairs, cfg)
+            if not failed:
+                # the first pair is the first two members of the first
+                # trial with more than one member
+                p, q = pairs[0]
+                assert len(dists[p][0]) == len(dists[q][0]) == 1
+                crps = tables[ScoringRule.CRPS]
+                k = crps.divergence.parts[0]  # its one integral, used by CRPS alone
+                crps.raw.error[k] = 2.0 * crps.raw.tol[k]
+                failed.append(k)
+            return tables
+
+        monkeypatch.setattr(oracle, "_oracle_tables", one_failed_divergence)
+        rows, passed, _ = oracle.run_oracle_check(6, 11)
+        assert failed and not passed
+        assert len(rows) == 64
+        for c in rows:
+            assert c.convergence_failures == (1 if c.rule is ScoringRule.CRPS else 0), c
 
     def test_failure_is_charged_to_its_rule_only(self):
         cfg = QuadratureConfig(max_subdivisions=3, rel_tol=1e-12)
