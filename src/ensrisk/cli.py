@@ -113,9 +113,10 @@ def cmd_oracle_check(args):
     rows, passed, worst = run_oracle_check(args.trials, args.seed)
     dataio.write_csv(
         os.path.join(args.output_dir, "oracle_check.csv"),
-        ["rule", "estimator", "max_abs_dev", "max_rel_dev", "convergence_failures"],
+        ["rule", "estimator", "max_abs_dev", "max_rel_dev", "convergence_failures",
+         "nonfinite_closed"],
         [[c.rule.value, c.estimator.key, c.max_abs_dev, c.max_rel_dev,
-          c.convergence_failures] for c in rows],
+          c.convergence_failures, c.nonfinite_closed] for c in rows],
     )
     _write_manifest(args)
     print(f"oracle-check: {args.trials} trials, worst relative deviation {worst:.3e}")

@@ -13,11 +13,12 @@ This is the composition under which the SE-score coincidences hold:
 Tot(3b,2) collapses onto Bayes(3b), Tot(3b,1) onto Bayes(3a), and Tot(1,1),
 Tot(2,1), Tot(3a,1) agree exactly (see the identity tests).
 
-Cells with no closed form (anything that needs the Shannon entropy of a
-mixture under the LOG rule) are flagged QuadratureRequired by
-``availability`` and can be filled from the oracle module; the SE cells
-Exc(3a,2) and Exc(3b,2) are identically zero because both surrogates share
-the mixture mean.
+Every cell composes this way, the LOG ones too: the one term without a
+closed form is the mixture's Shannon entropy H(P_ens), which is LOG
+Bayes(2).  The seven LOG cells built on it are flagged QuadratureRequired by
+``availability``; given H (from the oracle module), ``EnsembleBatch``
+evaluates them like any other cell.  The SE cells Exc(3a,2) and Exc(3b,2)
+are identically zero because both surrogates share the mixture mean.
 
 ``EnsembleBatch`` is the closed-form layer: it is the only place a risk,
 entropy or divergence formula is written.  The scalar functions below it
@@ -185,16 +186,23 @@ class EnsembleBatch:
     - the mean cross kernel between each surrogate and the members (CRPS
       E|S - X_j|, QUADRATIC overlap), shared by the (s,1) and (s,2) cells.
 
+    ``h_ens``, the (n,) LOG mixture entropies H(P_ens) of the rows, is LOG
+    Bayes(2); the seven LOG cells built on it raise NotClosedForm without it.
+
     Cached arrays come back read-only, so a caller cannot change a later
     cell through them.  A batch is bounded by the caller (``CHUNK_ROWS``),
     and so is its cache.
     """
 
-    def __init__(self, means, variances):
+    def __init__(self, means, variances, h_ens=None):
         means = np.asarray(means, dtype=float)
         variances = np.asarray(variances, dtype=float)
         if means.ndim != 2 or means.shape != variances.shape:
             raise ValueError("means and variances must be (n, M) arrays of equal shape")
+        if h_ens is not None:
+            h_ens = np.asarray(h_ens, dtype=float)
+            if h_ens.shape != means.shape[:1]:
+                raise ValueError("h_ens must hold one mixture entropy per row")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
             raise ValueError("ensemble parameters must be finite")
         if np.any(variances <= 0.0):
@@ -206,6 +214,7 @@ class EnsembleBatch:
         self.pop_var = ((means - self.mu_star[:, None]) ** 2).mean(axis=1)
         self.var_av = variances.mean(axis=1)
         self.var_mm = self.var_av + self.pop_var
+        self.h_ens = h_ens
         self._memo: dict[tuple, np.ndarray] = {}
 
     @property
@@ -256,7 +265,9 @@ class EnsembleBatch:
             if approx is ApproximationId.BA:
                 return 0.5 * (_LOG_2PI + 1.0 + np.log(self.variances)).mean(axis=1)
             if approx is ApproximationId.ENS:
-                raise NotClosedForm("LOG Bayes(2) has no closed form")
+                if self.h_ens is None:
+                    raise NotClosedForm("LOG Bayes(2) has no closed form")
+                return self.h_ens.copy()
             return 0.5 * (_LOG_2PI + 1.0 + np.log(self._surrogate(approx)[1]))
         if rule is ScoringRule.QUADRATIC:
             if approx is ApproximationId.BA:
@@ -327,8 +338,11 @@ class EnsembleBatch:
             return (0.5 / (_SQRT_PI * np.sqrt(var))
                     + self.quad_pair_mean() - 2.0 * self._cross_mean(rule, mu, var))
         if rule is ScoringRule.LOG:
-            raise NotClosedForm(
-                "LOG d(Gaussian, mixture) needs the mixture Shannon entropy")
+            # mean_j LS(N(mu, var), P_j) - H(P_ens)
+            cross = 0.5 * (_LOG_2PI + np.log(var)[:, None]
+                           + (self.variances + (mu[:, None] - self.means) ** 2)
+                           / var[:, None]).mean(axis=1)
+            return cross - self.bayes(rule, ApproximationId.ENS)
         raise ValueError(f"unknown rule {rule!r}")
 
     def excess(self, rule: ScoringRule,
@@ -365,12 +379,13 @@ class EnsembleBatch:
                 return 2.0 * self.pop_var
             raise ValueError(f"unknown rule {rule!r}")
 
+        if pair == (ba, ens) and rule is ScoringRule.LOG:
+            # mean_j KL(P_ens || P_j) = Tot(1,1) - H(P_ens): LOG's two
+            # orientations differ, so it has no Bregman shortcut
+            return self.total(rule, (ba, ba)) - self.bayes(rule, ens)
         if pair in ((ens, ba), (ba, ens)):
             # Bregman information: equals Bayes(2) - Bayes(1) for every rule,
             # and the two orientations coincide for symmetric divergences.
-            if rule is ScoringRule.LOG:
-                raise NotClosedForm(
-                    "LOG Bregman information needs the mixture Shannon entropy")
             return self.bayes(rule, ens) - self.bayes(rule, ba)
 
         if second is ba:
@@ -390,42 +405,23 @@ class EnsembleBatch:
             return self.excess(rule, (est.first, est.second))
         return self.total(rule, (est.first, est.second))
 
-    def log_cells(self, h_ens: np.ndarray) -> dict[str, np.ndarray]:
-        """The seven LOG cells that need quadrature, keyed by estimator key,
-        given each row's mixture Shannon entropy H(P_ens) (everything else
-        about them is closed-form)."""
-        b1 = self.bayes(ScoringRule.LOG, ApproximationId.BA)
-        cells = {"bayes_2": h_ens, "exc_2_1": h_ens - b1, "tot_2_1": 2.0 * h_ens - b1}
-        for approx in (ApproximationId.MM, ApproximationId.AV):
-            mu_s, var_s = self._surrogate(approx)
-            # mean_j LS(P_surrogate, P_j) is closed; only H(P_ens) was not.
-            cross = 0.5 * (_LOG_2PI + np.log(var_s)[:, None]
-                           + (self.variances + (mu_s[:, None] - self.means) ** 2)
-                           / var_s[:, None]).mean(axis=1)
-            exc = cross - h_ens
-            cells[f"exc_{approx.value}_2"] = exc
-            cells[f"tot_{approx.value}_2"] = self.bayes(ScoringRule.LOG, approx) + exc
-        return cells
-
-    def columns(self, columns, h_ens=None) -> np.ndarray:
+    def columns(self, columns) -> np.ndarray:
         """Fortran-ordered (n, len(columns)) values of ``MeasureColumn``s;
-        QuadratureRequired ones are NaN unless the rows' mixture entropies
-        ``h_ens`` are given, from which ``log_cells`` fills them."""
+        QuadratureRequired ones are NaN unless the batch holds ``h_ens``."""
         out = np.full((len(self.means), len(columns)), np.nan, order="F")
-        log_cells = None if h_ens is None else self.log_cells(h_ens)
         for k, col in enumerate(columns):
-            if col.availability is not Availability.QUADRATURE_REQUIRED:
+            if (self.h_ens is not None
+                    or col.availability is not Availability.QUADRATURE_REQUIRED):
                 out[:, k] = self.evaluate(col.rule, col.estimator)
-            elif log_cells is not None:
-                out[:, k] = log_cells[col.estimator.key]
         return out
 
 
 # -- scalar wrappers -----------------------------------------------------------
 
-def _as_batch(dist: Distribution) -> EnsembleBatch:
+def _as_batch(dist: Distribution, h_ens=None) -> EnsembleBatch:
     means, variances = mixture_parameters(dist)
-    return EnsembleBatch(means[None, :], variances[None, :])
+    return EnsembleBatch(means[None, :], variances[None, :],
+                         None if h_ens is None else [h_ens])
 
 
 def bayes_risk(rule: ScoringRule, ens: GaussianEnsemble, approx: ApproximationId):
@@ -515,18 +511,17 @@ def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, floa
     integral per ensemble (everything else about them is closed-form)."""
     from .oracle import oracle_entropy
 
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg)
-    cells = _as_batch(ens).log_cells(np.array([h_ens]))
-    return {key: float(v[0]) for key, v in cells.items()}
+    batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens, quad_cfg))
+    return {est.key: float(batch.evaluate(ScoringRule.LOG, est)[0])
+            for est in default_estimators() if est.key in _LOG_QUAD_KEYS}
 
 
 def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:
     """LOG Exc(1,2) = Tot(1,1) - H(P_ens); oracle-assisted."""
     from .oracle import oracle_entropy
 
-    h_ens = oracle_entropy(ScoringRule.LOG, ens, quad_cfg)
-    ba = ApproximationId.BA
-    return total_risk(ScoringRule.LOG, ens, (ba, ba)) - h_ens
+    batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens, quad_cfg))
+    return float(batch.excess(ScoringRule.LOG, (ApproximationId.BA, ApproximationId.ENS))[0])
 
 
 # -- prediction sets and the measure matrix ----------------------------------
@@ -688,7 +683,7 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
         # a cell that overflows is reported below, once, by column and point
         with np.errstate(over="ignore", invalid="ignore"):
             h_ens = _fallback_entropies(points.ids, rows, means, variances) if fill else None
-            values[rows] = EnsembleBatch(means, variances).columns(columns, h_ens)
+            values[rows] = EnsembleBatch(means, variances, h_ens).columns(columns)
     available = np.array([fill or col.availability is not Availability.QUADRATURE_REQUIRED
                           for col in columns], dtype=bool)
     bad = ~np.isfinite(values)

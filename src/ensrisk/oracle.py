@@ -382,12 +382,14 @@ def _pdf(t, mu, var):
     inv_sig = (1.0 / np.sqrt(var))[:, None, :]
     z = t - mu[:, None, :]
     z *= inv_sig
-    dens = -0.5 * z
-    dens *= z
+    # in place, so one slab per block: glibc hands a second temporary slab
+    # back to the OS and faults it in again on every block
+    np.square(z, out=z)
+    z *= -0.5
     with np.errstate(under="ignore"):
-        np.exp(dens, out=dens)
-    dens *= _INV_SQRT_2PI * inv_sig
-    return dens.mean(axis=0)
+        np.exp(z, out=z)
+    z *= _INV_SQRT_2PI * inv_sig
+    return z.mean(axis=0)
 
 
 def _cdf(t, mu, var):
@@ -700,6 +702,7 @@ class _CellCheck(NamedTuple):
     max_abs_dev: float
     max_rel_dev: float
     convergence_failures: int
+    nonfinite_closed: int
 
 
 def _cells(h, div, comps, ens, mm, av) -> np.ndarray:
@@ -769,8 +772,8 @@ def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarra
                           else oracle_entropy(ScoringRule.LOG, ensembles[r], cfg)
                           for r in rows])
         batch = EnsembleBatch(np.array([ensembles[r].means for r in rows]),
-                              np.array([ensembles[r].variances for r in rows]))
-        out[rows] = batch.columns(columns, h_ens)
+                              np.array([ensembles[r].variances for r in rows]), h_ens)
+        out[rows] = batch.columns(columns)
     return out
 
 
@@ -782,44 +785,61 @@ _CHECK_TRIALS = 40
 def run_oracle_check(trials: int, seed: int,
                      cfg: QuadratureConfig | None = None,
                      rel_tol: float = 1e-6, abs_floor: float = 1e-9):
-    """Compare every estimator cell to quadrature.
+    """Compare every estimator cell to quadrature: ``_verdict`` on the cells
+    of ``_check_cells``.  Returns (rows, passed, worst_rel)."""
+    return _verdict(*_check_cells(trials, seed, cfg or QuadratureConfig()),
+                    rel_tol, abs_floor)
+
+
+def _check_cells(trials: int, seed: int, cfg: QuadratureConfig):
+    """(columns, closed, quad): the 64 ``MeasureColumn``s and the (trials,
+    64) closed and quadrature cells of ``trials`` random ensembles.
 
     ClosedForm and IdenticallyZero cells come from ``EnsembleBatch``; the
     seven LOG cells that need quadrature from one mixture-entropy integral
-    plus closed forms, as ``--oracle-fallback`` fills them.  Returns (rows,
-    passed, worst_rel): one row per (rule, estimator) with the worst
-    deviation over all trials.  A cell passes when |closed - quad| <=
-    max(rel_tol * |closed|, abs_floor); a trial whose integrals for a rule
-    did not converge counts as a convergence failure of every cell of that
-    rule.  Trials are drawn, integrated and evaluated ``_CHECK_TRIALS`` at a
-    time, with one ``EnsembleBatch`` per ensemble size, and each block's
-    (trials, 64) closed and quadrature cells are compared as whole arrays.
+    plus closed forms, as ``--oracle-fallback`` fills them.  Trials are
+    drawn and integrated ``_CHECK_TRIALS`` at a time, with one
+    ``EnsembleBatch`` per ensemble size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg = cfg or QuadratureConfig()
     rng = np.random.default_rng(seed)
     columns = tuple(MeasureColumn(rule, est)
                     for rule in ScoringRule for est in default_estimators())
-    max_abs, max_rel = np.zeros(len(columns)), np.zeros(len(columns))
-    failures = np.zeros(len(columns), dtype=np.int64)
-    passed = True
+    closed, quad = [], []
     for start in range(0, trials, _CHECK_TRIALS):
         ensembles = []
         for _ in range(min(_CHECK_TRIALS, trials - start)):
             m = int(rng.integers(1, 6))
             ensembles.append(GaussianEnsemble.from_arrays(rng.uniform(-5.0, 5.0, size=m),
                                                           rng.uniform(0.05, 9.0, size=m)))
-        quad = _quadrature_cells(ensembles, cfg)
-        closed = _closed_cells(ensembles, quad, columns, cfg)
-        failed = np.isnan(quad)
-        dev = np.where(failed, 0.0, np.abs(closed - quad))
-        rel = np.where(failed, 0.0, dev / np.maximum(np.abs(closed), abs_floor / rel_tol))
-        max_abs = np.maximum(max_abs, dev.max(axis=0))
-        max_rel = np.maximum(max_rel, rel.max(axis=0))
-        failures += failed.sum(axis=0)
-        passed = passed and not failed.any() and not np.any(
-            dev > np.maximum(rel_tol * np.abs(closed), abs_floor))
-    checks = [_CellCheck(col.rule, col.estimator, *cell) for col, *cell
-              in zip(columns, max_abs.tolist(), max_rel.tolist(), failures.tolist())]
-    return checks, passed, float(max_rel.max())
+        quad.append(_quadrature_cells(ensembles, cfg))
+        closed.append(_closed_cells(ensembles, quad[-1], columns, cfg))
+    return columns, np.concatenate(closed), np.concatenate(quad)
+
+
+def _verdict(columns, closed, quad, rel_tol: float, abs_floor: float):
+    """(rows, passed, worst_rel) of the (trials, columns) ``closed`` cells
+    against ``quad``: one ``_CellCheck`` per column with its worst deviation
+    over the trials.
+
+    A cell passes when |closed - quad| <= max(rel_tol * |closed|,
+    abs_floor).  A NaN quadrature cell (its rule's integrals did not
+    converge for that trial) is a convergence failure; a closed cell that is
+    not finite where the quadrature converged fails and is counted in
+    ``nonfinite_closed``.  The maxima skip both, and ``worst_rel`` is inf
+    when any closed cell is not finite.
+    """
+    failed = np.isnan(quad)
+    nonfinite = ~(failed | np.isfinite(closed))
+    compared = ~(failed | nonfinite)
+    dev = np.abs(np.subtract(closed, quad, out=np.zeros_like(quad), where=compared))
+    rel = np.divide(dev, np.maximum(np.abs(closed), abs_floor / rel_tol),
+                    out=np.zeros_like(dev), where=compared)
+    tol = np.maximum(rel_tol * np.abs(closed), abs_floor)
+    passed = bool(compared.all() and np.all(dev <= tol))
+    max_rel = rel.max(axis=0)
+    checks = [_CellCheck(col.rule, col.estimator, *cell) for col, *cell in zip(
+        columns, dev.max(axis=0).tolist(), max_rel.tolist(),
+        failed.sum(axis=0).tolist(), nonfinite.sum(axis=0).tolist())]
+    return checks, passed, math.inf if nonfinite.any() else float(max_rel.max())

@@ -148,7 +148,7 @@ def _column_means(name: str, spec: UniformPosteriorSpec, columns, fill: bool) ->
             raise ConvergenceError(
                 exc.best, exc.error,
                 f"{name} replicate {start + exc.row}: LOG mixture entropy: {exc}") from exc
-        sums += EnsembleBatch(m, v).columns(columns, h_ens).sum(axis=0)
+        sums += EnsembleBatch(m, v, h_ens).columns(columns).sum(axis=0)
     return sums / spec.replicates
 
 

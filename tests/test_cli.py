@@ -633,6 +633,8 @@ class TestOracleCheckCommand:
         rows = read_csv(out / "oracle_check.csv")
         assert len(rows) == 64
         assert all(float(r["max_rel_dev"]) < 1e-6 for r in rows)
+        assert list(rows[0])[-1] == "nonfinite_closed"
+        assert all(r["nonfinite_closed"] == "0" for r in rows)
 
     def test_zero_trials_is_usage_error(self, tmp_path):
         assert main(["oracle-check", "--trials", "0",

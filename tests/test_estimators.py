@@ -35,6 +35,7 @@ from ensrisk.gaussians import (
 from ensrisk.oracle import (
     McConfig,
     QuadratureConfig,
+    _batch_log_mixture_entropy,
     mc_expected_score,
     oracle_divergence,
     oracle_entropy,
@@ -329,6 +330,57 @@ class TestIdentities:
                         assert val >= -1e-10
 
 
+class TestMixtureEntropyIsBayes2:
+    """Given the rows' LOG mixture entropies H, every LOG cell composes as
+    Tot = Bayes + Exc with H as Bayes(2)."""
+
+    @staticmethod
+    def _rows(rng, n, m, var_range):
+        means, variances = rng.uniform(-1, 1, (n, m)), rng.uniform(*var_range, (n, m))
+        return means, variances, _batch_log_mixture_entropy(means, variances)
+
+    def test_tot_2_1_is_bayes_2_plus_exc_2_1_on_narrow_members(self):
+        means, variances, h = self._rows(np.random.default_rng(0), 2000, 5, (1e-3, 1e-2))
+        batch = EnsembleBatch(means, variances, h)
+        tot = batch.total(ScoringRule.LOG, (ENS, BA))
+        b1 = batch.bayes(ScoringRule.LOG, BA)
+        assert batch.bayes(ScoringRule.LOG, ENS).tobytes() == h.tobytes()
+        assert batch.excess(ScoringRule.LOG, (ENS, BA)).tobytes() == (h - b1).tobytes()
+        assert tot.tobytes() == (h + (h - b1)).tobytes()
+        # rows where H - B1 rounds, so that 2H - B1 would break the composition
+        assert np.any(tot != 2.0 * h - b1)
+
+    def test_exc_1_2_is_tot_1_1_minus_h(self):
+        means, variances, h = self._rows(np.random.default_rng(1), 500, 4, (0.05, 4.0))
+        batch = EnsembleBatch(means, variances, h)
+        tot11 = batch.total(ScoringRule.LOG, (BA, BA))
+        e12 = batch.excess(ScoringRule.LOG, (BA, ENS))
+        assert e12.tobytes() == (tot11 - h).tobytes()
+        e11 = batch.excess(ScoringRule.LOG, (BA, BA))
+        e21 = batch.excess(ScoringRule.LOG, (ENS, BA))
+        b1 = batch.bayes(ScoringRule.LOG, BA)
+        ulp = np.finfo(float).eps * (np.abs(h) + np.abs(b1) + np.abs(tot11))
+        assert np.all(np.abs(e11 - (e21 + e12)) <= 4.0 * ulp)
+
+    def test_quadrature_required_cells_are_those_that_need_h(self):
+        means, variances, h = self._rows(np.random.default_rng(2), 50, 3, (0.2, 2.0))
+        without, with_h = EnsembleBatch(means, variances), EnsembleBatch(means, variances, h)
+        for rule in ScoringRule:
+            for est in default_estimators():
+                try:
+                    without.evaluate(rule, est)
+                    raised = False
+                except NotClosedForm:
+                    raised = True
+                needs_h = availability(rule, est) is Availability.QUADRATURE_REQUIRED
+                assert raised == needs_h, (rule, est.key)
+                assert np.all(np.isfinite(with_h.evaluate(rule, est))), (rule, est.key)
+
+    def test_h_must_have_one_value_per_row(self):
+        with pytest.raises(ValueError, match="one mixture entropy per row"):
+            EnsembleBatch(np.zeros((3, 2)), np.ones((3, 2)), np.ones(2))
+
+
 class TestAvailability:
     def test_log_quadrature_cells(self):
         for key in ("bayes_2", "exc_2_1", "exc_3a_2", "exc_3b_2",
@@ -492,13 +544,9 @@ class TestBatchMemo:
         columns = self._columns()
         assert len(columns) == 64
         h_ens = np.linspace(1.0, 2.0, len(means))
-        got = EnsembleBatch(means, variances).columns(columns, h_ens)
+        got = EnsembleBatch(means, variances, h_ens).columns(columns)
         for k, col in enumerate(columns):
-            fresh = EnsembleBatch(means, variances)
-            if col.availability is Availability.QUADRATURE_REQUIRED:
-                want = fresh.log_cells(h_ens)[col.estimator.key]
-            else:
-                want = fresh.evaluate(col.rule, col.estimator)
+            want = EnsembleBatch(means, variances, h_ens).evaluate(col.rule, col.estimator)
             assert got[:, k].tobytes() == np.asarray(want, dtype=float).tobytes(), col.name
 
     def test_each_kernel_runs_once_per_batch(self, monkeypatch):
@@ -530,8 +578,8 @@ class TestBatchMemo:
 
         monkeypatch.setattr(estimators, "MemberPairs", Counted)
         monkeypatch.setattr(scores, "MemberPairs", Counted)
-        batch = EnsembleBatch(*self._batch(m=5))
-        batch.columns(self._columns(), np.linspace(1.0, 2.0, 6))
+        batch = EnsembleBatch(*self._batch(m=5), np.linspace(1.0, 2.0, 6))
+        batch.columns(self._columns())
         assert len(built) == 1
         pairs = batch.member_pairs()
         assert pairs is batch.member_pairs() and pairs.dm.shape == (10, 6)

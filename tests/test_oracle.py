@@ -1,6 +1,7 @@
 """The quadrature/Monte-Carlo oracle itself."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,47 @@ class TestOracleCheckAccounting:
         failures = {(c.rule, c.estimator.key): c.convergence_failures for c in rows}
         for (rule, _), n in failures.items():
             assert n == (1 if rule is ScoringRule.SE else 0)
+
+
+class TestOracleCheckFailsClosed:
+    @pytest.mark.parametrize("column, value", [(0, math.nan), (5, math.inf), (5, -math.inf)])
+    def test_nonfinite_closed_cell_fails_and_is_named(self, monkeypatch, column, value):
+        columns = EnsembleBatch.columns
+
+        def broken(self, cols):
+            out = columns(self, cols)
+            out[:, column] = value
+            return out
+
+        monkeypatch.setattr(EnsembleBatch, "columns", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, passed, worst = oracle.run_oracle_check(3, 0)
+        assert not passed and worst == math.inf
+        assert [k for k, c in enumerate(rows) if c.nonfinite_closed] == [column]
+        assert rows[column].nonfinite_closed == 3
+        assert all(math.isfinite(c.max_abs_dev) and math.isfinite(c.max_rel_dev)
+                   for c in rows)
+
+    def test_each_column_perturbed_alone_fails_alone(self):
+        """Mutation test of the verdict: every one of the 64 columns, moved
+        by 3e-6 relative (+1e-8 for the identically-zero SE columns), fails
+        the check, and no other row changes.  At seed 0 the first trial
+        alone already catches every column; 20 trials are checked."""
+        rel_tol, abs_floor = 1e-6, 1e-9
+        columns, closed, quad = oracle._check_cells(20, 0, QuadratureConfig())
+        base, passed, _ = oracle._verdict(columns, closed, quad, rel_tol, abs_floor)
+        assert passed
+        for k, col in enumerate(columns):
+            mutant = closed.copy()
+            if col.availability is Availability.IDENTICALLY_ZERO:
+                mutant[:, k] += 1e-8
+            else:
+                mutant[:, k] *= 1.0 + 3e-6
+            rows, passed, _ = oracle._verdict(columns, mutant, quad, rel_tol, abs_floor)
+            assert not passed, col.name
+            assert [j for j, row in enumerate(rows) if row != base[j]] == [k], col.name
+            assert rows[k].max_rel_dev > rel_tol, col.name
 
 
 class TestAgainstMpmath:
