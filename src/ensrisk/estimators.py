@@ -149,18 +149,13 @@ class Availability(Enum):
     IDENTICALLY_ZERO = "zero"
 
 
-_LOG_QUAD_KEYS = frozenset({
-    "bayes_2", "exc_2_1", "exc_3a_2", "exc_3b_2",
-    "tot_2_1", "tot_3a_2", "tot_3b_2",
-})
-
-
 def availability(rule: ScoringRule, est: EstimatorId) -> Availability:
-    """Deterministic closed-form/quadrature/zero flag for one cell."""
+    """Deterministic closed-form/quadrature/zero flag for one cell.  A LOG
+    cell that uses P_ens on either side needs H(P_ens), which has none."""
     if rule is ScoringRule.SE and est.kind is RiskKind.EXCESS \
             and est.second is ApproximationId.ENS:
         return Availability.IDENTICALLY_ZERO
-    if rule is ScoringRule.LOG and est.key in _LOG_QUAD_KEYS:
+    if rule is ScoringRule.LOG and ApproximationId.ENS in (est.first, est.second):
         return Availability.QUADRATURE_REQUIRED
     return Availability.CLOSED_FORM
 
@@ -513,7 +508,8 @@ def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, floa
 
     batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens, quad_cfg))
     return {est.key: float(batch.evaluate(ScoringRule.LOG, est)[0])
-            for est in default_estimators() if est.key in _LOG_QUAD_KEYS}
+            for est in default_estimators()
+            if availability(ScoringRule.LOG, est) is Availability.QUADRATURE_REQUIRED}
 
 
 def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:

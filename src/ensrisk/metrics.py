@@ -15,7 +15,7 @@ one-pair call).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -23,13 +23,13 @@ class DegenerateMetricError(ValueError):
     """The metric is undefined on this input (e.g. all values tied)."""
 
 
-def _paired_arrays(a, b, n_min=2):
+def _paired_arrays(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-d arrays of equal length")
-    if len(a) < n_min:
-        raise ValueError(f"need at least {n_min} entries")
+    if len(a) < 2:
+        raise ValueError("need at least 2 entries")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs must be finite")
     return a, b
@@ -38,39 +38,6 @@ def _paired_arrays(a, b, n_min=2):
 def _kept_counts(grid: np.ndarray, n: int) -> np.ndarray:
     # ceil(r * n) with a guard against float crumbs at exact integers
     return np.clip(np.ceil(grid * n - 1e-9).astype(int), 1, n)
-
-
-@dataclass(frozen=True)
-class RetentionCurve:
-    """MSE over the lowest-uncertainty fraction r of the data, r on a grid."""
-
-    retentions: tuple[float, ...]
-    mse: tuple[float, ...]
-
-
-def _validated_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("retention grid needs at least two points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("retention grid must be strictly ascending")
-    if grid[0] < 0.5 - 1e-12 or grid[-1] > 1.0 + 1e-12:
-        raise ValueError("retention grid must lie within [0.5, 1]")
-    return grid
-
-
-def retention_curve(squared_errors, uncertainty, grid) -> RetentionCurve:
-    """MSE over the ceil(r n) lowest-uncertainty points at each retention r.
-
-    Ties in the uncertainty are broken by stable original order.
-    """
-    errors, unc = _paired_arrays(squared_errors, uncertainty)
-    grid = _validated_grid(grid)
-    order = np.argsort(unc, kind="stable")
-    prefix = np.concatenate([[0.0], np.cumsum(errors[order])])
-    ks = _kept_counts(grid, len(errors))
-    return RetentionCurve(tuple(float(r) for r in grid),
-                          tuple(float(prefix[k] / k) for k in ks))
 
 
 DEFAULT_RETENTION_GRID = tuple(np.linspace(0.5, 1.0, 51))
@@ -99,8 +66,10 @@ def _expected_curve(errors: np.ndarray, uncertainty: np.ndarray,
     return prefix[s] / ks + ((ks - s) / ks) * mean_g
 
 
-def prr(squared_errors, uncertainty, grid=None):
-    """Prediction-reject ratio over retentions in [0.5, 1].
+def prr(squared_errors, uncertainty):
+    """Prediction-reject ratio over the retentions ``DEFAULT_RETENTION_GRID``,
+    51 evenly spaced in [0.5, 1], on the tie-averaged retention curve
+    (``_expected_curve``).
 
     PRR = (AUC_unc - AUC_oracle) / (AUC_random - AUC_oracle), where the
     oracle ranks by the true squared error and the random baseline is the
@@ -118,7 +87,7 @@ def prr(squared_errors, uncertainty, grid=None):
     if not columns:
         return np.empty(0)
     errors = columns[0][0]
-    grid = _validated_grid(DEFAULT_RETENTION_GRID if grid is None else grid)
+    grid = np.asarray(DEFAULT_RETENTION_GRID)
     ks = _kept_counts(grid, len(errors))
     auc_oracle = np.trapezoid(_expected_curve(errors, errors, ks), grid)
     overall = float(np.cumsum(errors)[-1] / len(errors))

@@ -780,15 +780,15 @@ def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarra
 # Trials drawn and integrated together by ``run_oracle_check``: bounds its
 # memory, which would otherwise grow with the trial count.
 _CHECK_TRIALS = 40
+_CHECK_REL_TOL, _CHECK_ABS_FLOOR = 1e-6, 1e-9
 
 
-def run_oracle_check(trials: int, seed: int,
-                     cfg: QuadratureConfig | None = None,
-                     rel_tol: float = 1e-6, abs_floor: float = 1e-9):
+def run_oracle_check(trials: int, seed: int, cfg: QuadratureConfig | None = None):
     """Compare every estimator cell to quadrature: ``_verdict`` on the cells
-    of ``_check_cells``.  Returns (rows, passed, worst_rel)."""
+    of ``_check_cells``, at relative tolerance 1e-6 with an absolute floor
+    of 1e-9.  Returns (rows, passed, worst_rel)."""
     return _verdict(*_check_cells(trials, seed, cfg or QuadratureConfig()),
-                    rel_tol, abs_floor)
+                    _CHECK_REL_TOL, _CHECK_ABS_FLOOR)
 
 
 def _check_cells(trials: int, seed: int, cfg: QuadratureConfig):

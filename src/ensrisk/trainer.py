@@ -1,6 +1,6 @@
 """Desk-scale heteroscedastic MLP deep ensembles, trained by hand.
 
-Each member is a small fully connected network with two output heads that
+Each member is a small fully connected SiLU network whose two output heads
 parameterize a Gaussian through its natural parameters eta1 = mu / sigma^2
 and eta2 = -1 / (2 sigma^2).  Negativity of eta2 is enforced smoothly via
 eta2 = -softplus(raw) - 1e-6, which also bounds the recovered variance.
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -56,22 +55,19 @@ from .scores import log_mean_exp
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ETA2_MARGIN = 1e-6
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
 
 
 class TrainingError(RuntimeError):
     """Training diverged (non-finite loss)."""
 
 
-class Activation(Enum):
-    RELU = "relu"
-    SILU = "silu"
-
-
 @dataclass(frozen=True)
 class MlpSpec:
+    """Input width and hidden layer widths of a SiLU network."""
+
     input_dim: int = 1
     hidden_widths: tuple[int, ...] = (8, 8)
-    activation: Activation = Activation.SILU
 
     def __post_init__(self):
         if self.input_dim < 1 or any(w < 1 for w in self.hidden_widths):
@@ -81,21 +77,17 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam's learning rate, the epochs and minibatch size, and the seed;
+    Adam's other constants are fixed (``_adam_step``)."""
+
     learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate, epochs, batch_size must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError("Adam eps must be positive")
 
 
 # -- losses --------------------------------------------------------------------
@@ -196,11 +188,8 @@ class Mlp:
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = np.matmul(a, w)
             z += b[:, None, :]
-            if self.spec.activation is Activation.RELU:
-                s, a = None, np.maximum(z, 0.0)
-            else:
-                s = _sigmoid(z)
-                a = z * s
+            s = _sigmoid(z)
+            a = z * s
             pre.append(z)
             sig.append(s)
             post.append(a)
@@ -259,14 +248,11 @@ class Mlp:
             if layer > 0:
                 delta = np.matmul(delta, self.weights[layer].swapaxes(-1, -2))
                 z, s = pre[layer - 1], sig[layer - 1]
-                if s is None:
-                    delta *= z > 0.0
-                else:  # SiLU': s (1 + z (1 - s))
-                    g = np.subtract(1.0, s)
-                    g *= z
-                    g += 1.0
-                    g *= s
-                    delta *= g
+                g = np.subtract(1.0, s)  # SiLU': s (1 + z (1 - s))
+                g *= z
+                g += 1.0
+                g *= s
+                delta *= g
         return float(member_loss.sum()), self._grad.copy(), member_loss
 
     # flat views used by the finite-difference audit
@@ -303,23 +289,24 @@ class _AdamState:
 
 
 def _adam_step(params: np.ndarray, grad: np.ndarray, state: _AdamState, cfg: TrainConfig):
-    """One Adam update of the flat ``params``, in place.  Each line is one
-    ufunc of the textbook expression p -= lr (m / bc1) / (sqrt(v / bc2) +
-    eps), evaluated in that order."""
+    """One Adam update of the flat ``params``, in place, at the learning
+    rate of ``cfg`` and the fixed beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+    Each line is one ufunc of the textbook expression p -= lr (m / bc1) /
+    (sqrt(v / bc2) + eps), evaluated in that order."""
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - _ADAM_BETA1 ** state.t
+    bc2 = 1.0 - _ADAM_BETA2 ** state.t
     m, v, step, denom = state.m, state.v, state.step, state.denom
-    m *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=step)
+    m *= _ADAM_BETA1
+    np.multiply(grad, 1.0 - _ADAM_BETA1, out=step)
     m += step
-    v *= cfg.beta2
-    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    v *= _ADAM_BETA2
+    np.multiply(grad, 1.0 - _ADAM_BETA2, out=step)
     step *= grad
     v += step
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += cfg.eps
+    denom += _ADAM_EPS
     np.divide(m, bc1, out=step)
     step *= cfg.learning_rate
     step /= denom
@@ -453,7 +440,7 @@ def save_checkpoint(pred: EnsemblePredictor, path: str) -> None:
         "spec": {
             "input_dim": pred.spec.input_dim,
             "hidden_widths": list(pred.spec.hidden_widths),
-            "activation": pred.spec.activation.value,
+            "activation": "silu",
         },
         "normalization": {
             "x_mean": pred.x_mean.tolist(),
@@ -479,8 +466,9 @@ def load_checkpoint(path: str) -> EnsemblePredictor:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    spec = MlpSpec(doc["spec"]["input_dim"], tuple(doc["spec"]["hidden_widths"]),
-                   Activation(doc["spec"]["activation"]))
+    if doc["spec"]["activation"] != "silu":
+        raise ValueError(f"unsupported checkpoint activation {doc['spec']['activation']!r}")
+    spec = MlpSpec(doc["spec"]["input_dim"], tuple(doc["spec"]["hidden_widths"]))
     entries = doc["members"]
     net = Mlp(spec, len(entries))
     stored = (*zip(*(e["weights"] for e in entries)), *zip(*(e["biases"] for e in entries)))

@@ -1,4 +1,4 @@
-"""Retention curves, PRR, AUROC, and Kendall's tau_b."""
+"""PRR, AUROC, and Kendall's tau_b."""
 
 import itertools
 import math
@@ -16,45 +16,7 @@ from ensrisk.metrics import (
     kendall_tau_b,
     kendall_tau_b_pairs,
     prr,
-    retention_curve,
 )
-
-
-class TestRetentionCurve:
-    def test_full_retention_is_overall_mse(self):
-        errors = np.array([1.0, 4.0, 9.0, 16.0])
-        curve = retention_curve(errors, np.array([4.0, 3.0, 2.0, 1.0]),
-                                [0.5, 1.0])
-        assert curve.mse[-1] == pytest.approx(errors.mean(), rel=1e-15)
-
-    def test_keep_two_smallest(self):
-        errors = [1.0, 4.0, 9.0, 16.0]
-        unc = [1.0, 2.0, 3.0, 4.0]
-        curve = retention_curve(errors, unc, [0.5, 0.75, 1.0])
-        assert curve.mse[0] == pytest.approx(2.5, rel=1e-15)
-        assert curve.mse[1] == pytest.approx(14.0 / 3.0, rel=1e-15)
-
-    def test_oracle_ordering_is_monotone(self):
-        rng = np.random.default_rng(0)
-        errors = rng.uniform(0, 10, 200)
-        curve = retention_curve(errors, errors, np.linspace(0.5, 1, 51))
-        assert np.all(np.diff(curve.mse) >= -1e-12)
-
-    def test_stable_tie_breaking(self):
-        errors = [5.0, 1.0, 3.0]
-        curve = retention_curve(errors, [0.0, 0.0, 0.0], [0.5, 1.0])
-        # ceil(0.5 * 3) = 2 kept, in original order
-        assert curve.mse[0] == pytest.approx(3.0, rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            retention_curve([1.0], [1.0], [0.5, 1.0])
-        with pytest.raises(ValueError):
-            retention_curve([1.0, 2.0], [1.0], [0.5, 1.0])
-        with pytest.raises(ValueError):
-            retention_curve([1.0, 2.0], [1.0, 2.0], [1.0, 0.5])
-        with pytest.raises(ValueError):
-            retention_curve([1.0, 2.0], [1.0, 2.0], [0.1, 1.0])
 
 
 class TestPrr:

@@ -432,7 +432,7 @@ class TestOracleCheckFailsClosed:
         by 3e-6 relative (+1e-8 for the identically-zero SE columns), fails
         the check, and no other row changes.  At seed 0 the first trial
         alone already catches every column; 20 trials are checked."""
-        rel_tol, abs_floor = 1e-6, 1e-9
+        rel_tol, abs_floor = oracle._CHECK_REL_TOL, oracle._CHECK_ABS_FLOOR
         columns, closed, quad = oracle._check_cells(20, 0, QuadratureConfig())
         base, passed, _ = oracle._verdict(columns, closed, quad, rel_tol, abs_floor)
         assert passed
