@@ -1,4 +1,4 @@
-"""PRR, AUROC, and Kendall's tau_b."""
+"""The tie-averaged retention curve, PRR, AUROC, and Kendall's tau_b."""
 
 import itertools
 import math
@@ -17,6 +17,54 @@ from ensrisk.metrics import (
     kendall_tau_b_pairs,
     prr,
 )
+
+
+class TestExpectedCurve:
+    """The tie-averaged retention curve that PRR integrates."""
+
+    def test_full_retention_is_overall_mse(self):
+        errors = np.array([1.0, 4.0, 9.0, 16.0])
+        for unc in ([4.0, 3.0, 2.0, 1.0], [0.0, 1.0, 1.0, 0.0]):
+            curve = metrics._expected_curve(errors, np.array(unc), np.array([2, 4]))
+            assert curve[-1] == pytest.approx(errors.mean(), rel=1e-15)
+
+    def test_keep_two_smallest(self):
+        errors = np.array([1.0, 4.0, 9.0, 16.0])
+        unc = np.array([1.0, 2.0, 3.0, 4.0])
+        curve = metrics._expected_curve(errors, unc, np.array([2, 3]))
+        assert curve[0] == pytest.approx(2.5, rel=1e-15)
+        assert curve[1] == pytest.approx(14.0 / 3.0, rel=1e-15)
+
+    def test_oracle_ordering_is_monotone(self):
+        rng = np.random.default_rng(0)
+        errors = rng.uniform(0, 10, 200)
+        ks = metrics._kept_counts(np.asarray(DEFAULT_RETENTION_GRID), 200)
+        curve = metrics._expected_curve(errors, errors, ks)
+        assert np.all(np.diff(curve) >= -1e-12)
+
+    def test_ties_average_over_orderings(self):
+        """Each kept count gives the mean, over every ordering of the tied
+        uncertainties, of the kept errors' MSE; input order plays no part."""
+        errors = np.array([5.0, 1.0, 3.0, 7.0, 2.0])
+        unc = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        ks = np.arange(1, 6)
+        orders = [p for p in itertools.permutations(range(5))
+                  if all(unc[p[i]] <= unc[p[i + 1]] for i in range(4))]
+        want = [np.mean([errors[list(p[:k])].mean() for p in orders]) for k in ks]
+        got = metrics._expected_curve(errors, unc, ks)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        flipped = metrics._expected_curve(errors[::-1], unc[::-1], ks)
+        np.testing.assert_allclose(flipped, want, rtol=1e-14)
+
+    def test_prr_input_validation(self):
+        with pytest.raises(ValueError):
+            prr([1.0], [1.0])
+        with pytest.raises(ValueError):
+            prr([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            prr([1.0, 2.0], [1.0, np.nan])
+        with pytest.raises(ValueError):
+            prr([1.0, np.inf], [1.0, 2.0])
 
 
 class TestPrr:

@@ -83,10 +83,13 @@ class TestLosses:
 
 
 class TestBackpropagation:
-    def test_network_gradients_match_finite_differences(self):
-        spec = MlpSpec(input_dim=2, hidden_widths=(6, 5))
+    @pytest.mark.parametrize("spec", [
+        MlpSpec(),
+        MlpSpec(input_dim=2, hidden_widths=(6, 5)),
+    ], ids=["default", "two_inputs"])
+    def test_network_gradients_match_finite_differences(self, spec):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(24, 2))
+        x = rng.normal(size=(24, spec.input_dim))
         y = rng.normal(size=24)
         for point in range(10):
             net = Mlp.from_generators(spec, np.random.default_rng(100 + point))
@@ -271,6 +274,22 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match="member 2 diverged at epoch 2 "):
             train_ensemble(x, y, 3, MlpSpec(), TrainConfig(epochs=5, seed=9, batch_size=32))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("bad", [dict(learning_rate=0.0),
+                                     dict(learning_rate=-1e-3),
+                                     dict(epochs=0), dict(epochs=-1),
+                                     dict(batch_size=0), dict(batch_size=-64)])
+    def test_non_positive_train_config_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [dict(input_dim=0), dict(hidden_widths=(8, 0)),
+                                     dict(hidden_widths=(-1,))])
+    def test_non_positive_widths_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be positive"):
+            MlpSpec(**bad)
 
 
 def _masked_sigmoid(x):
