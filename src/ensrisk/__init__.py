@@ -43,9 +43,8 @@ del _layer
 
 # The public names, each with the layer that defines it.
 _EXPORTS = {
-    **dict.fromkeys(("GaussianComponent", "GaussianEnsemble", "abs_moment",
-                     "averaged_surrogate", "moment_surrogate", "std_normal_cdf",
-                     "std_normal_pdf"), "gaussians"),
+    **dict.fromkeys(("GaussianEnsemble", "abs_moment", "averaged_surrogate",
+                     "moment_surrogate", "std_normal_cdf", "std_normal_pdf"), "gaussians"),
     **dict.fromkeys(("ScoringRule", "point_score"), "scores"),
     **dict.fromkeys(("NotClosedForm", "divergence", "entropy",
                      "expected_score", "Availability", "ApproximationId",

@@ -46,12 +46,10 @@ import numpy as np
 
 from .gaussians import GaussianEnsemble
 from .scores import (
-    Distribution,
     MemberPairs,
     ScoringRule,
     abs_moment,
     gaussian_overlap,
-    mixture_parameters,
     pairwise_abs_moment,
     pairwise_overlap,
 )
@@ -413,9 +411,8 @@ class EnsembleBatch:
 
 # -- scalar wrappers -----------------------------------------------------------
 
-def _as_batch(dist: Distribution, h_ens=None) -> EnsembleBatch:
-    means, variances = mixture_parameters(dist)
-    return EnsembleBatch(means[None, :], variances[None, :],
+def _as_batch(dist: GaussianEnsemble, h_ens=None) -> EnsembleBatch:
+    return EnsembleBatch(dist.means[None, :], dist.variances[None, :],
                          None if h_ens is None else [h_ens])
 
 
@@ -445,7 +442,7 @@ def total_risk(rule: ScoringRule, ens: GaussianEnsemble,
     return float(_as_batch(ens).total(rule, tuple(pair))[0])
 
 
-def entropy(rule: ScoringRule, p: Distribution):
+def entropy(rule: ScoringRule, p: GaussianEnsemble):
     """H(P) = S(P, P), the minimum attainable expected score.
 
     Gaussian inputs are always closed-form.  For M >= 2 mixtures: CRPS and
@@ -457,10 +454,10 @@ def entropy(rule: ScoringRule, p: Distribution):
     return float(batch.bayes(rule, approx)[0])
 
 
-def _divergences_to(rule: ScoringRule, pred: Distribution,
+def _divergences_to(rule: ScoringRule, pred: GaussianEnsemble,
                     mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """d(pred, N(mu_k, var_k)) for every k."""
-    p_means, p_vars = mixture_parameters(pred)
+    p_means, p_vars = pred.means, pred.variances
     k = len(mu)
     if len(p_means) == 1:
         labels = EnsembleBatch(mu[:, None], var[:, None])
@@ -471,7 +468,7 @@ def _divergences_to(rule: ScoringRule, pred: Distribution,
     return preds.gaussian_vs_mixture(rule, mu, var)
 
 
-def expected_score(rule: ScoringRule, pred: Distribution, label: Distribution):
+def expected_score(rule: ScoringRule, pred: GaussianEnsemble, label: GaussianEnsemble):
     """S(pred, label) = E_{Y ~ label} S(pred, Y).
 
     Mixture labels expand by linearity of the expectation:
@@ -479,12 +476,12 @@ def expected_score(rule: ScoringRule, pred: Distribution, label: Distribution):
     prediction slot is closed-form for CRPS, QUADRATIC and SE, but not for
     LOG (log of a sum): that combination raises NotClosedForm.
     """
-    mu, var = mixture_parameters(label)
+    mu, var = label.means, label.variances
     h = EnsembleBatch(mu[:, None], var[:, None]).bayes(rule, ApproximationId.BA)
     return float(np.mean(h + _divergences_to(rule, pred, mu, var)))
 
 
-def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
+def divergence(rule: ScoringRule, pred: GaussianEnsemble, label: GaussianEnsemble):
     """d(pred, label) = S(pred, label) - H(label), the excess of predicting
     ``pred`` when ``label`` is true.  Nonnegative for proper rules.
 
@@ -493,11 +490,10 @@ def divergence(rule: ScoringRule, pred: Distribution, label: Distribution):
     closed only when both sides are single Gaussians, and raises
     NotClosedForm otherwise.
     """
-    p_means, p_vars = mixture_parameters(pred)
-    if len(p_means) == 1:
+    if pred.size == 1:
         batch = _as_batch(label)
         vs = batch.gaussian_vs_members if batch.size == 1 else batch.gaussian_vs_mixture
-        return float(vs(rule, p_means, p_vars)[0])
+        return float(vs(rule, pred.means, pred.variances)[0])
     return expected_score(rule, pred, label) - entropy(rule, label)
 
 

@@ -1,11 +1,14 @@
 """Gaussian building blocks shared by every scoring rule.
 
 An ensemble member is a single Gaussian N(mu_i, sigma_i^2); an ensemble is
-the uniform mixture of its M members.  Two single-Gaussian stand-ins for the
-mixture are provided, both returned as plain components: the moment-matched
-surrogate (exact mixture mean and variance) and the averaged-variance
-surrogate (mixture mean, mean member variance).  All closed forms downstream
-are assembled from the scalar special functions defined here, in particular
+the uniform mixture of its M members, held by ``GaussianEnsemble`` as two
+read-only arrays of means and variances.  That is the one distribution
+type: a single Gaussian is a one-member ensemble.  Two single-Gaussian
+stand-ins for the mixture are provided, both returned as one-member
+ensembles: the moment-matched surrogate (exact mixture mean and variance)
+and the averaged-variance surrogate (mixture mean, mean member variance).
+All closed forms downstream are assembled from the scalar special functions
+defined here, in particular
 
     A(mu, sigma) = 2 sigma phi(mu/sigma) + mu (2 Phi(mu/sigma) - 1),
 
@@ -268,81 +271,49 @@ def _abs_moment_block(scratch, mu, sigma, out):
         np.copyto(out, w, where=degenerate)
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One ensemble member N(mean, variance), variance strictly positive."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("mean and variance must be finite")
-        if self.variance <= 0.0:
-            raise ValueError(f"variance must be > 0, got {self.variance}")
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.variance)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianEnsemble:
-    """Uniform mixture of M Gaussian members (the posterior predictive).
+    """Uniform mixture of M Gaussian members N(means[i], variances[i]), the
+    posterior predictive; M = 1 is a single Gaussian.
 
-    Weights are fixed at 1/M; there is deliberately no weight field.
+    ``means`` and ``variances`` are read-only 1-d float copies of the
+    inputs, checked once here.  Weights are fixed at 1/M; there is
+    deliberately no weight field.
     """
 
-    components: tuple[GaussianComponent, ...]
+    means: np.ndarray
+    variances: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) < 1:
-            raise ValueError("ensemble needs at least one component")
-        if not all(isinstance(c, GaussianComponent) for c in comps):
-            raise TypeError("components must be GaussianComponent instances")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_arrays(cls, means, variances) -> "GaussianEnsemble":
-        means = np.atleast_1d(np.asarray(means, dtype=float))
-        variances = np.atleast_1d(np.asarray(variances, dtype=float))
-        if means.shape != variances.shape or means.ndim != 1:
-            raise ValueError("means and variances must be 1-d arrays of equal length")
-        return cls(tuple(GaussianComponent(float(m), float(v))
-                         for m, v in zip(means, variances)))
+        means = np.array(self.means, dtype=float)
+        variances = np.array(self.variances, dtype=float)
+        if means.ndim != 1 or means.shape != variances.shape or not means.size:
+            raise ValueError("means and variances must be non-empty 1-d arrays of equal length")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
+            raise ValueError("means and variances must be finite")
+        if np.any(variances <= 0.0):
+            raise ValueError("variances must be > 0")
+        for name, arr in (("means", means), ("variances", variances)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
-        return len(self.components)
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
-
-    @property
-    def variances(self) -> np.ndarray:
-        return np.array([c.variance for c in self.components])
+        return len(self.means)
 
 
-def mixture_mean_variance(means: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of the uniform mixture, via the shifted form.
+def moment_surrogate(ens: GaussianEnsemble) -> GaussianEnsemble:
+    """Moment-matched single-Gaussian stand-in for the ensemble mixture.
 
     The variance is accumulated as mean(variances) + mean((mu - mu*)^2),
     which is algebraically the law-of-total-variance expression but never
     cancels catastrophically for large shared means.
     """
-    mu_star = float(np.mean(means))
-    var_star = float(np.mean(variances) + np.mean((means - mu_star) ** 2))
-    return mu_star, var_star
+    mu_star = np.mean(ens.means)
+    var_star = np.mean(ens.variances) + np.mean((ens.means - mu_star) ** 2)
+    return GaussianEnsemble([mu_star], [var_star])
 
 
-def moment_surrogate(ens: GaussianEnsemble) -> GaussianComponent:
-    """Moment-matched single-Gaussian stand-in for the ensemble mixture."""
-    mu_star, var_star = mixture_mean_variance(ens.means, ens.variances)
-    return GaussianComponent(mu_star, var_star)
-
-
-def averaged_surrogate(ens: GaussianEnsemble) -> GaussianComponent:
+def averaged_surrogate(ens: GaussianEnsemble) -> GaussianEnsemble:
     """Averaged-variance single-Gaussian stand-in for the ensemble mixture."""
-    return GaussianComponent(float(np.mean(ens.means)), float(np.mean(ens.variances)))
+    return GaussianEnsemble([np.mean(ens.means)], [np.mean(ens.variances)])

@@ -61,13 +61,7 @@ from .estimators import (
     distinct_sizes,
 )
 from .gaussians import GaussianEnsemble, _ndtr, averaged_surrogate, moment_surrogate
-from .scores import (
-    Distribution,
-    ScoringRule,
-    log_mean_exp,
-    mixture_parameters,
-    point_scores,
-)
+from .scores import ScoringRule, log_mean_exp, point_scores
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -612,7 +606,7 @@ def _oracle_tables(rules, dists, pairs, cfg: QuadratureConfig) -> dict:
     return tables
 
 
-def oracle_entropy(rule: ScoringRule, p: Distribution,
+def oracle_entropy(rule: ScoringRule, p: GaussianEnsemble,
                    cfg: QuadratureConfig | None = None) -> float:
     """H(P) recomputed from the defining integral.
 
@@ -621,7 +615,7 @@ def oracle_entropy(rule: ScoringRule, p: Distribution,
     estimator registry requests for its quadrature-required cells); QUAD is
     -integral p^2; SE integrates the centered second moment.
     """
-    table = _oracle_tables([rule], [mixture_parameters(p)], [], cfg or QuadratureConfig())[rule]
+    table = _oracle_tables([rule], [(p.means, p.variances)], [], cfg or QuadratureConfig())[rule]
     return table.result(table.entropy, 0).value
 
 
@@ -636,35 +630,35 @@ def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray) -> np.n
     return res.value
 
 
-def oracle_expected_score(rule: ScoringRule, pred: Distribution,
-                          label: Distribution,
+def oracle_expected_score(rule: ScoringRule, pred: GaussianEnsemble,
+                          label: GaussianEnsemble,
                           cfg: QuadratureConfig | None = None) -> QuadResult:
     """S(pred, label) by numerical integration of the defining expectation.
 
     The CRPS route goes through d(P, Q) = integral (F_P - F_Q)^2 dt plus the
     label entropy, avoiding the kinked pointwise integrand entirely.
     """
-    table = _oracle_tables([rule], [mixture_parameters(pred), mixture_parameters(label)],
+    table = _oracle_tables([rule], [(pred.means, pred.variances), (label.means, label.variances)],
                            [(0, 1)], cfg or QuadratureConfig())[rule]
     return table.result(table.score, 0)
 
 
-def oracle_divergence(rule: ScoringRule, pred: Distribution,
-                      label: Distribution,
+def oracle_divergence(rule: ScoringRule, pred: GaussianEnsemble,
+                      label: GaussianEnsemble,
                       cfg: QuadratureConfig | None = None) -> float:
     """d(pred, label) = S(pred, label) - H(label), both sides by quadrature."""
-    table = _oracle_tables([rule], [mixture_parameters(pred), mixture_parameters(label)],
+    table = _oracle_tables([rule], [(pred.means, pred.variances), (label.means, label.variances)],
                            [(0, 1)], cfg or QuadratureConfig())[rule]
     return table.result(table.divergence, 0).value
 
 
-def _sample_mixture(dist: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    means, variances = mixture_parameters(dist)
+def _sample_mixture(dist: GaussianEnsemble, n: int, rng: np.random.Generator) -> np.ndarray:
+    means, variances = dist.means, dist.variances
     idx = rng.integers(0, len(means), size=n)
     return means[idx] + np.sqrt(variances[idx]) * rng.standard_normal(n)
 
 
-def mc_expected_score(rule: ScoringRule, pred: Distribution, label: Distribution,
+def mc_expected_score(rule: ScoringRule, pred: GaussianEnsemble, label: GaussianEnsemble,
                       cfg: McConfig | None = None) -> McResult:
     """Monte-Carlo estimate of S(pred, label), deterministic given the seed.
 
@@ -681,11 +675,11 @@ def mc_expected_score(rule: ScoringRule, pred: Distribution, label: Distribution
     return McResult(value, stderr)
 
 
-def crps_point_quadrature(pred: Distribution, y: float,
+def crps_point_quadrature(pred: GaussianEnsemble, y: float,
                           cfg: QuadratureConfig | None = None) -> float:
     """CRPS(pred, y) from the raw integral, with a knot at the kink."""
     cfg = cfg or QuadratureConfig()
-    mu, var = mixture_parameters(pred)
+    mu, var = pred.means, pred.variances
     lo, hi = _window(cfg.tail_width, (mu, var), (np.array([y]), np.ones(1)))
 
     def integrand(t):
@@ -730,9 +724,11 @@ def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> np.ndarray:
     dists = []         # id -> (means, variances)
     trials = []        # per ensemble: (member ids, mixture id, mm id, av id)
     for ens in ensembles:
+        parts = [(ens.means[i:i + 1], ens.variances[i:i + 1]) for i in range(ens.size)]
+        parts += [(d.means, d.variances)
+                  for d in (ens, moment_surrogate(ens), averaged_surrogate(ens))]
         ids = []
-        for d in (*ens.components, ens, moment_surrogate(ens), averaged_surrogate(ens)):
-            mu, var = mixture_parameters(d)
+        for mu, var in parts:
             ids.append(index.setdefault((mu.tobytes(), var.tobytes()), len(index)))
             if len(dists) < len(index):
                 dists.append((mu, var))
@@ -811,8 +807,8 @@ def _check_cells(trials: int, seed: int, cfg: QuadratureConfig):
         ensembles = []
         for _ in range(min(_CHECK_TRIALS, trials - start)):
             m = int(rng.integers(1, 6))
-            ensembles.append(GaussianEnsemble.from_arrays(rng.uniform(-5.0, 5.0, size=m),
-                                                          rng.uniform(0.05, 9.0, size=m)))
+            ensembles.append(GaussianEnsemble(rng.uniform(-5.0, 5.0, size=m),
+                                              rng.uniform(0.05, 9.0, size=m)))
         quad.append(_quadrature_cells(ensembles, cfg))
         closed.append(_closed_cells(ensembles, quad[-1], columns, cfg))
     return columns, np.concatenate(closed), np.concatenate(quad)

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
-from .gaussians import GaussianComponent, GaussianEnsemble, abs_moment
+from .gaussians import GaussianEnsemble, abs_moment
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -41,18 +40,6 @@ class ScoringRule(Enum):
     LOG = "log"
     QUADRATIC = "quadratic"
     SE = "se"
-
-
-Distribution = Union[GaussianComponent, GaussianEnsemble]
-
-
-def mixture_parameters(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    """Means and variances of ``dist`` as arrays (length 1 for non-mixtures)."""
-    if isinstance(dist, GaussianEnsemble):
-        return dist.means, dist.variances
-    if isinstance(dist, GaussianComponent):
-        return np.array([dist.mean]), np.array([dist.variance])
-    raise TypeError(f"not a distribution: {dist!r}")
 
 
 # -- shared pairwise kernels -------------------------------------------------
@@ -166,7 +153,7 @@ def log_mean_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 # -- point scores ------------------------------------------------------------
 
-def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
+def point_scores(rule: ScoringRule, pred: GaussianEnsemble, ys) -> np.ndarray:
     """Vectorized S(pred, y) over an array of outcomes.
 
     Mixture predictions are fully supported: all four rules have closed
@@ -175,7 +162,7 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcomes must be finite")
-    means, variances = mixture_parameters(pred)
+    means, variances = pred.means, pred.variances
 
     if rule is ScoringRule.CRPS:
         if len(means) == 1:
@@ -211,6 +198,6 @@ def point_scores(rule: ScoringRule, pred: Distribution, ys) -> np.ndarray:
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def point_score(rule: ScoringRule, pred: Distribution, y: float) -> float:
+def point_score(rule: ScoringRule, pred: GaussianEnsemble, y: float) -> float:
     """S(pred, y) for one outcome."""
     return float(np.atleast_1d(point_scores(rule, pred, np.array([float(y)])))[0])

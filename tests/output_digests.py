@@ -23,6 +23,7 @@ and names each changed file, with its largest change, in CHANGES.md.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -218,7 +219,12 @@ def record() -> dict:
                      for name, files in outputs.items()}}
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    """Record the digests; any argument is a usage error, and ``--help``
+    prints the usage.  Neither writes anything."""
+    argparse.ArgumentParser(
+        description="Rewrite tests/output_digests.json from the current outputs.",
+    ).parse_args(argv)
     doc = record()
     with open(DIGEST_PATH, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -53,7 +53,7 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
 
 def random_ensemble(rng, m_lo=2, m_hi=8):
     m = int(rng.integers(m_lo, m_hi + 1))
-    return GaussianEnsemble.from_arrays(
+    return GaussianEnsemble(
         rng.uniform(-5, 5, m), rng.uniform(0.05, 9, m))
 
 
@@ -77,7 +77,7 @@ def test_criterion_02_identity_suite():
         # (e) law of total variance
         mm, av = moment_surrogate(ens), averaged_surrogate(ens)
         pop_var = float(np.mean((means - means.mean()) ** 2))
-        if not math.isclose(mm.variance, av.variance + pop_var, rel_tol=1e-12):
+        if not math.isclose(mm.variances[0], av.variances[0] + pop_var, rel_tol=1e-12):
             ok, detail = False, f"(e) trial {trial}"
             break
         # (d) SE zero cells, exact

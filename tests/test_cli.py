@@ -3,6 +3,7 @@
 import ast
 import csv
 import functools
+import importlib
 import json
 import os
 import random
@@ -35,6 +36,14 @@ from ensrisk.estimators import (
     measure_matrix,
 )
 from ensrisk.scores import ScoringRule
+
+
+def _tracing_tree() -> ast.Module:
+    """The syntax tree of ``perfbench/tracing.py``, read without importing it."""
+    tracing = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "tracing.py")
+    with open(tracing, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
 
 
 def make_prediction_set(n=10, members=4, seed=0, targets=True, groups=None):
@@ -1052,10 +1061,7 @@ class TestImport:
         """Each (layer, attribute) that ``perfbench/tracing.py`` wraps by name
         exists once ``ensrisk.cli`` is imported: a renamed function would
         otherwise break ``--trace 1``.  The file is only read, not imported."""
-        tracing = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                               "perfbench", "tracing.py")
-        with open(tracing) as fh:
-            tree = ast.parse(fh.read())
+        tree = _tracing_tree()
         shims = next(ast.literal_eval(node.value) for node in tree.body
                      if isinstance(node, ast.Assign)
                      and any(getattr(t, "id", None) == "SHIMS" for t in node.targets))
@@ -1079,6 +1085,41 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == []
+
+    def test_every_name_trace_install_reads_resolves(self, monkeypatch):
+        """``install`` in ``perfbench/tracing.py`` also imports names from the
+        layers and patches an attribute of one: the class whose
+        ``__post_init__`` counts ``gaussians.ensembles_built``, and the
+        oracle's exception.  Each must exist, and the patched ``__post_init__``
+        must run on construction, or ``--trace 1`` breaks.  The file is only
+        read, not imported."""
+        install = next(node for node in _tracing_tree().body
+                       if isinstance(node, ast.FunctionDef) and node.name == "install")
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in ast.walk(install)
+                    if isinstance(node, ast.ImportFrom) and node.module.startswith("ensrisk.")
+                    for alias in node.names}
+        attrs = {(node.value.id, node.attr) for node in ast.walk(install)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in imported}
+        assert {"GaussianEnsemble", "ConvergenceError"} <= set(imported)
+        assert ("GaussianEnsemble", "__post_init__") in attrs
+        objs = {name: getattr(importlib.import_module(module), attr)
+                for name, (module, attr) in imported.items()}
+        for name, attr in attrs:
+            assert callable(getattr(objs[name], attr)), f"{name}.{attr}"
+        assert issubclass(objs["ConvergenceError"], Exception)
+        cls = objs["GaussianEnsemble"]
+        calls = []
+        original = cls.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        ens = cls([0.0, 1.0], [1.0, 2.0])
+        assert calls == [ens]
 
     def test_each_command_runs_only_its_layers(self, tmp_path):
         """Importing the package registers every layer without running it

@@ -27,7 +27,6 @@ from ensrisk.estimators import (
     total_risk,
 )
 from ensrisk.gaussians import (
-    GaussianComponent,
     GaussianEnsemble,
     averaged_surrogate,
     moment_surrogate,
@@ -54,8 +53,13 @@ def oracle_tol(value):
 
 def random_ensemble(rng, m_range=(2, 8)):
     m = int(rng.integers(m_range[0], m_range[1] + 1))
-    return GaussianEnsemble.from_arrays(
+    return GaussianEnsemble(
         rng.uniform(-5, 5, m), rng.uniform(0.05, 9, m))
+
+
+def members(ens):
+    """The members of ``ens``, each a one-member ensemble."""
+    return [GaussianEnsemble([m], [v]) for m, v in zip(ens.means, ens.variances)]
 
 
 class TestEstimatorId:
@@ -82,26 +86,26 @@ class TestEstimatorId:
 
 class TestBayesRisk:
     def test_se_table_row(self):
-        ens = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 3.0])
+        ens = GaussianEnsemble([0.0, 1.0], [1.0, 3.0])
         assert bayes_risk(ScoringRule.SE, ens, BA) == 2.0
-        mm_var = moment_surrogate(ens).variance
+        mm_var = moment_surrogate(ens).variances[0]
         assert bayes_risk(ScoringRule.SE, ens, ENS) == pytest.approx(mm_var, rel=1e-15)
         assert bayes_risk(ScoringRule.SE, ens, MM) == pytest.approx(mm_var, rel=1e-15)
         assert bayes_risk(ScoringRule.SE, ens, AV) == 2.0
 
     def test_crps_moment_matched(self):
         # any ensemble with mixture variance 4 has Bayes(3a) = 2 / sqrt(pi)
-        ens = GaussianEnsemble.from_arrays([0.0, 0.0], [4.0, 4.0])
+        ens = GaussianEnsemble([0.0, 0.0], [4.0, 4.0])
         assert bayes_risk(ScoringRule.CRPS, ens, MM) == pytest.approx(
             2.0 / SQRT_PI, rel=1e-14)
 
     def test_quadratic_bayesian_averaging(self):
-        ens = GaussianEnsemble.from_arrays([5.0, -5.0], [1.0, 1.0])
+        ens = GaussianEnsemble([5.0, -5.0], [1.0, 1.0])
         assert bayes_risk(ScoringRule.QUADRATIC, ens, BA) == pytest.approx(
             -1.0 / (2.0 * SQRT_PI), rel=1e-14)
 
     def test_log_mixture_not_closed(self):
-        ens = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 2.0])
+        ens = GaussianEnsemble([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(NotClosedForm):
             bayes_risk(ScoringRule.LOG, ens, ENS)
 
@@ -114,8 +118,7 @@ class TestBayesRisk:
                                      (MM, moment_surrogate(ens)),
                                      (AV, averaged_surrogate(ens))):
                     if approx is BA:
-                        parts = [entropy(rule, GaussianComponent(m, v))
-                                 for m, v in zip(ens.means, ens.variances)]
+                        parts = [entropy(rule, c) for c in members(ens)]
                         want = float(np.mean(parts))
                     else:
                         try:
@@ -128,7 +131,7 @@ class TestBayesRisk:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
                     if approx is BA:
                         quad = float(np.mean([oracle_entropy(rule, c)
-                                              for c in ens.components]))
+                                              for c in members(ens)]))
                     else:
                         quad = oracle_entropy(rule, dist)
                     assert got == pytest.approx(quad, abs=oracle_tol(quad))
@@ -136,7 +139,7 @@ class TestBayesRisk:
 
 class TestExcessRisk:
     def test_identical_components_give_zero(self):
-        ens = GaussianEnsemble.from_arrays([1.3] * 3, [0.8] * 3)
+        ens = GaussianEnsemble([1.3] * 3, [0.8] * 3)
         pairs = [(BA, BA), (ENS, BA), (MM, BA), (AV, BA), (MM, ENS), (AV, ENS)]
         for rule in ScoringRule:
             for pair in pairs:
@@ -149,7 +152,7 @@ class TestExcessRisk:
                 assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_se_hand_sum(self):
-        ens = GaussianEnsemble.from_arrays([0.0, 2.0], [0.6, 2.2])
+        ens = GaussianEnsemble([0.0, 2.0], [0.6, 2.2])
         assert excess_risk(ScoringRule.SE, ens, (BA, BA)) == pytest.approx(2.0, rel=1e-14)
 
     def test_se_identically_zero_cells(self):
@@ -173,8 +176,7 @@ class TestExcessRisk:
         rng = np.random.default_rng(10)
         for _ in range(20):
             ens = random_ensemble(rng, (2, 5))
-            comps = [GaussianComponent(m, v)
-                     for m, v in zip(ens.means, ens.variances)]
+            comps = members(ens)
             for rule in ScoringRule:
                 want = float(np.mean([[divergence(rule, a, b) for b in comps]
                                       for a in comps]))
@@ -185,8 +187,7 @@ class TestExcessRisk:
         rng = np.random.default_rng(12)
         for _ in range(20):
             ens = random_ensemble(rng, (2, 5))
-            comps = [GaussianComponent(m, v)
-                     for m, v in zip(ens.means, ens.variances)]
+            comps = members(ens)
             for approx, s in ((MM, moment_surrogate(ens)),
                               (AV, averaged_surrogate(ens))):
                 for rule in ScoringRule:
@@ -218,9 +219,9 @@ class TestExcessRisk:
             else:
                 vs_mixture = batch.gaussian_vs_mixture(rule, mu, var)
             for i, ens in enumerate(ensembles):
-                g = GaussianComponent(float(mu[i]), float(var[i]))
+                g = GaussianEnsemble([float(mu[i])], [float(var[i])])
                 quad = float(np.mean([oracle_divergence(rule, g, c)
-                                      for c in ens.components]))
+                                      for c in members(ens)]))
                 assert vs_members[i] == pytest.approx(quad, abs=oracle_tol(quad))
                 if rule is not ScoringRule.LOG:
                     quad = oracle_divergence(rule, g, ens)
@@ -232,8 +233,8 @@ class TestExcessRisk:
         for _ in range(50):
             ens = random_ensemble(rng)
             mu, var = ens.means, ens.variances
-            v_mm = moment_surrogate(ens).variance
-            v_av = averaged_surrogate(ens).variance
+            v_mm = moment_surrogate(ens).variances[0]
+            v_av = averaged_surrogate(ens).variances[0]
             want_mm = 0.5 * (math.log(v_mm) - float(np.mean(np.log(var))))
             got_mm = excess_risk(ScoringRule.LOG, ens, (MM, BA))
             assert got_mm == pytest.approx(want_mm, rel=1e-10, abs=1e-12)
@@ -243,13 +244,13 @@ class TestExcessRisk:
             assert got_av == pytest.approx(want_av, rel=1e-10, abs=1e-12)
 
     def test_log_quadrature_pairs_marked(self):
-        ens = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 2.0])
+        ens = GaussianEnsemble([0.0, 1.0], [1.0, 2.0])
         for pair in ((ENS, BA), (BA, ENS), (MM, ENS), (AV, ENS)):
             with pytest.raises(NotClosedForm):
                 excess_risk(ScoringRule.LOG, ens, pair)
 
     def test_unsupported_pair_rejected(self):
-        ens = GaussianEnsemble.from_arrays([0.0], [1.0])
+        ens = GaussianEnsemble([0.0], [1.0])
         with pytest.raises(ValueError):
             excess_risk(ScoringRule.SE, ens, (ENS, ENS))
 
@@ -281,8 +282,7 @@ class TestIdentities:
         rng = np.random.default_rng(15)
         for _ in range(20):
             ens = random_ensemble(rng, (2, 5))
-            comps = [GaussianComponent(m, v)
-                     for m, v in zip(ens.means, ens.variances)]
+            comps = members(ens)
             for rule in ScoringRule:
                 want = float(np.mean([[expected_score(rule, a, b) for b in comps]
                                       for a in comps]))
@@ -290,7 +290,7 @@ class TestIdentities:
                     want, rel=1e-11, abs=1e-12)
 
     def test_se_total_coincidences(self):
-        ens = GaussianEnsemble.from_arrays([0.0, 2.0], [1.0, 1.0])
+        ens = GaussianEnsemble([0.0, 2.0], [1.0, 1.0])
         # Tot(3b,2) = sigma_bar^2 + 0
         assert total_risk(ScoringRule.SE, ens, (AV, ENS)) == 1.0
         # Tot(2,1) = Tot(1,1) = 2 Var(mu) + sigma_bar^2
@@ -479,7 +479,7 @@ class TestMeasureMatrix:
         ps = _prediction_set(rng, 1)
         matrix = measure_matrix([ScoringRule.LOG], ps, use_oracle_fallback=True)
         cell = matrix.column(ScoringRule.LOG, EstimatorId.parse("bayes_2"))[0]
-        ens = GaussianEnsemble.from_arrays(ps.means, ps.variances)
+        ens = GaussianEnsemble(ps.means, ps.variances)
         mc = mc_expected_score(ScoringRule.LOG, ens, ens, McConfig(samples=400_000, seed=5))
         assert cell == pytest.approx(mc.value, abs=4 * mc.standard_error)
 

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from ensrisk import gaussians
 from ensrisk.gaussians import (
     DEGENERATE_SIGMA,
-    GaussianComponent,
     GaussianEnsemble,
     abs_moment,
     averaged_surrogate,
@@ -18,6 +17,7 @@ from ensrisk.gaussians import (
     std_normal_cdf,
     std_normal_pdf,
 )
+from ensrisk.estimators import ApproximationId, EnsembleBatch
 from ensrisk.oracle import QuadratureConfig, adaptive_quadrature
 
 
@@ -219,57 +219,85 @@ class TestCephesCore:
 class TestTypes:
     def test_component_validation(self):
         with pytest.raises(ValueError):
-            GaussianComponent(0.0, 0.0)
+            GaussianEnsemble([0.0], [0.0])
         with pytest.raises(ValueError):
-            GaussianComponent(0.0, -1.0)
+            GaussianEnsemble([0.0], [-1.0])
         with pytest.raises(ValueError):
-            GaussianComponent(float("nan"), 1.0)
-        c = GaussianComponent(2.0, 4.0)
-        assert c.sigma == 2.0
+            GaussianEnsemble([float("nan")], [1.0])
+        c = GaussianEnsemble([2.0], [4.0])
+        assert c.size == 1
+        assert (c.means[0], c.variances[0]) == (2.0, 4.0)
 
     def test_ensemble_needs_members(self):
         with pytest.raises(ValueError):
-            GaussianEnsemble(())
-        ens = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 2.0])
+            GaussianEnsemble([], [])
+        ens = GaussianEnsemble([0.0, 1.0], [1.0, 2.0])
         assert ens.size == 2
         np.testing.assert_array_equal(ens.means, [0.0, 1.0])
         np.testing.assert_array_equal(ens.variances, [1.0, 2.0])
 
-    def test_surrogates_require_positive_variance(self):
+    @pytest.mark.parametrize("means, variances", [
+        ([], []),
+        ([0.0, 1.0], [1.0]),
+        ([[0.0, 1.0]], [[1.0, 2.0]]),
+        (0.0, 1.0),
+        ([0.0, float("nan")], [1.0, 1.0]),
+        ([float("inf"), 0.0], [1.0, 1.0]),
+        ([0.0, -float("inf")], [1.0, 1.0]),
+        ([0.0], [float("inf")]),
+        ([0.0, 1.0], [1.0, 0.0]),
+        ([0.0, 1.0], [-2.0, 1.0]),
+    ])
+    def test_rejects_bad_input(self, means, variances):
         with pytest.raises(ValueError):
-            GaussianComponent(0.0, 0.0)
+            GaussianEnsemble(means, variances)
+
+    def test_fields_are_read_only(self):
+        ens = GaussianEnsemble([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            GaussianComponent(0.0, -2.0)
+            ens.means[0] = 5.0
+        with pytest.raises(ValueError):
+            ens.variances[1] = -1.0
+        np.testing.assert_array_equal(ens.means, [0.0, 1.0])
+        np.testing.assert_array_equal(ens.variances, [1.0, 2.0])
+
+    def test_inputs_are_copied(self):
+        means, variances = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        ens = GaussianEnsemble(means, variances)
+        means[0], variances[0] = 7.0, 9.0
+        np.testing.assert_array_equal(ens.means, [0.0, 1.0])
+        np.testing.assert_array_equal(ens.variances, [1.0, 2.0])
+        assert means.flags.writeable and variances.flags.writeable
 
 
 class TestSurrogates:
     def test_singleton_identity(self):
-        ens = GaussianEnsemble.from_arrays([2.0], [3.0])
+        ens = GaussianEnsemble([2.0], [3.0])
         mm = moment_surrogate(ens)
         av = averaged_surrogate(ens)
-        assert (mm.mean, mm.variance) == (2.0, 3.0)
-        assert (av.mean, av.variance) == (2.0, 3.0)
+        assert (mm.means[0], mm.variances[0]) == (2.0, 3.0)
+        assert (av.means[0], av.variances[0]) == (2.0, 3.0)
 
     def test_hand_evaluated_two_member(self):
         # mu = {0, 2}, var = {1, 1}: (1 + 0 + 1 + 4)/2 - 1 = 2
-        ens = GaussianEnsemble.from_arrays([0.0, 2.0], [1.0, 1.0])
+        ens = GaussianEnsemble([0.0, 2.0], [1.0, 1.0])
         mm = moment_surrogate(ens)
-        assert mm.mean == 1.0
-        assert mm.variance == pytest.approx(2.0, rel=1e-15)
+        assert mm.means[0] == 1.0
+        assert mm.variances[0] == pytest.approx(2.0, rel=1e-15)
         av = averaged_surrogate(ens)
-        assert av.mean == 1.0
-        assert av.variance == 1.0
+        assert av.means[0] == 1.0
+        assert av.variances[0] == 1.0
 
     def test_difference_is_population_variance(self):
-        ens = GaussianEnsemble.from_arrays([0.0, 2.0], [0.3, 0.9])
-        gap = moment_surrogate(ens).variance - averaged_surrogate(ens).variance
+        ens = GaussianEnsemble([0.0, 2.0], [0.3, 0.9])
+        gap = moment_surrogate(ens).variances[0] - averaged_surrogate(ens).variances[0]
         assert gap == pytest.approx(1.0, rel=1e-14)  # Var({0, 2}) = 1
 
     def test_identical_components_collapse(self):
-        ens = GaussianEnsemble.from_arrays([1.5] * 4, [0.7] * 4)
+        ens = GaussianEnsemble([1.5] * 4, [0.7] * 4)
         mm = moment_surrogate(ens)
-        assert mm.mean == 1.5
-        assert mm.variance == pytest.approx(0.7, rel=1e-15)
+        assert mm.means[0] == 1.5
+        assert mm.variances[0] == pytest.approx(0.7, rel=1e-15)
 
     def test_law_of_total_variance_sweep(self):
         rng = np.random.default_rng(42)
@@ -277,10 +305,22 @@ class TestSurrogates:
             m = int(rng.integers(1, 9))
             means = rng.uniform(-5, 5, m)
             variances = rng.uniform(0.01, 9, m)
-            ens = GaussianEnsemble.from_arrays(means, variances)
+            ens = GaussianEnsemble(means, variances)
             # raw law-of-total-variance form, computed independently
             raw = float(np.mean(variances + means**2) - np.mean(means) ** 2)
-            assert moment_surrogate(ens).variance == pytest.approx(raw, rel=1e-12)
+            assert moment_surrogate(ens).variances[0] == pytest.approx(raw, rel=1e-12)
             pop_var = float(np.mean((means - means.mean()) ** 2))
-            assert moment_surrogate(ens).variance == pytest.approx(
-                averaged_surrogate(ens).variance + pop_var, rel=1e-12)
+            assert moment_surrogate(ens).variances[0] == pytest.approx(
+                averaged_surrogate(ens).variances[0] + pop_var, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_bitwise_equal_to_the_batch_surrogates(self, m):
+        rng = np.random.default_rng(m)
+        means, variances = rng.uniform(-5, 5, (200, m)), rng.uniform(0.05, 9, (200, m))
+        batch = EnsembleBatch(means, variances)
+        for approx, surrogate in ((ApproximationId.MM, moment_surrogate),
+                                  (ApproximationId.AV, averaged_surrogate)):
+            mu, var = batch._surrogate(approx)
+            got = [surrogate(GaussianEnsemble(mr, vr)) for mr, vr in zip(means, variances)]
+            assert np.array([g.means[0] for g in got]).tobytes() == mu.tobytes()
+            assert np.array([g.variances[0] for g in got]).tobytes() == var.tobytes()

@@ -57,3 +57,15 @@ def test_summary_check_catches_a_moved_number():
     assert od.summary_errors(od.summary("d.json", doc), od.summary("d.json", doc), 0.0) == []
     assert od.summary_errors(od.summary("d.json", doc.replace(b"x", b"y")),
                              od.summary("d.json", doc), 1.0)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)])
+def test_arguments_write_nothing(monkeypatch, tmp_path, argv, code):
+    """Only a bare run records: --help prints the usage, any other argument
+    is a usage error, and neither writes the digest file."""
+    path = tmp_path / "digests.json"
+    monkeypatch.setattr(od, "DIGEST_PATH", str(path))
+    with pytest.raises(SystemExit) as exit_info:
+        od.main(argv)
+    assert exit_info.value.code == code
+    assert not path.exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ensrisk.gaussians import GaussianComponent, GaussianEnsemble, abs_moment
+from ensrisk.gaussians import GaussianEnsemble, abs_moment
 from ensrisk.oracle import (
     McConfig,
     crps_point_quadrature,
@@ -30,8 +30,8 @@ from ensrisk.scores import (
     point_scores,
 )
 
-G01 = GaussianComponent(0.0, 1.0)
-G11 = GaussianComponent(1.0, 1.0)
+G01 = GaussianEnsemble([0.0], [1.0])
+G11 = GaussianEnsemble([1.0], [1.0])
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -48,7 +48,7 @@ class TestPointScores:
             0.5 * math.log(2 * math.pi) + 0.5, rel=1e-15)
 
     def test_se_ignores_variance(self):
-        assert point_score(ScoringRule.SE, GaussianComponent(3.0, 7.0), 5.0) == 4.0
+        assert point_score(ScoringRule.SE, GaussianEnsemble([3.0], [7.0]), 5.0) == 4.0
 
     def test_quadratic_frozen(self):
         # -2 phi(0) plus quadrature of int p^2: -0.5157897690289881
@@ -58,11 +58,11 @@ class TestPointScores:
     def test_crps_scale_linearity(self):
         base = point_score(ScoringRule.CRPS, G01, 0.0)
         for sigma in (0.2, 2.0, 17.0):
-            scaled = point_score(ScoringRule.CRPS, GaussianComponent(0.0, sigma**2), 0.0)
+            scaled = point_score(ScoringRule.CRPS, GaussianEnsemble([0.0], [sigma**2]), 0.0)
             assert scaled == pytest.approx(sigma * base, rel=1e-12)
 
     def test_mixture_point_score_matches_raw_integral(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 2.0], [1.0, 0.5])
+        mix = GaussianEnsemble([0.0, 2.0], [1.0, 0.5])
         closed = point_score(ScoringRule.CRPS, mix, 0.7)
         assert closed == pytest.approx(crps_point_quadrature(mix, 0.7), abs=1e-10)
 
@@ -86,7 +86,7 @@ def _log_single(mu, var, ys):
 class TestLogPointScoresMaxShift:
     def test_finite_forty_sigma_away(self):
         # every member density underflows to 0 out here; the shift keeps it exact
-        mix = GaussianEnsemble.from_arrays([0.0, 0.5], [1.0, 1.0])
+        mix = GaussianEnsemble([0.0, 0.5], [1.0, 1.0])
         ys = np.array([-40.0, 40.5, 41.0])
         got = point_scores(ScoringRule.LOG, mix, ys)
         expected = -(np.logaddexp(-_log_single(0.0, 1.0, ys), -_log_single(0.5, 1.0, ys))
@@ -96,11 +96,12 @@ class TestLogPointScoresMaxShift:
 
     def test_identical_members_equal_single_gaussian(self):
         ys = np.array([-45.0, -3.0, 0.1, 2.0, 60.0])
+        single = GaussianEnsemble([0.3], [0.8])
         for m in (1, 2, 7, 10):
-            mix = GaussianEnsemble.from_arrays([0.3] * m, [0.8] * m)
+            mix = GaussianEnsemble([0.3] * m, [0.8] * m)
             assert np.array_equal(point_scores(ScoringRule.LOG, mix, ys),
-                                  point_scores(ScoringRule.LOG, GaussianComponent(0.3, 0.8), ys))
-        np.testing.assert_allclose(point_scores(ScoringRule.LOG, GaussianComponent(0.3, 0.8), ys),
+                                  point_scores(ScoringRule.LOG, single, ys))
+        np.testing.assert_allclose(point_scores(ScoringRule.LOG, single, ys),
                                    _log_single(0.3, 0.8, ys), rtol=1e-15)
 
     def test_agrees_with_scipy_logsumexp(self):
@@ -111,7 +112,7 @@ class TestLogPointScoresMaxShift:
             m = int(rng.integers(1, 11))
             means, variances = rng.uniform(-3, 3, m), rng.uniform(0.5, 4, m)
             ys = rng.normal(0.0, 4.0, 200)
-            got = point_scores(ScoringRule.LOG, GaussianEnsemble.from_arrays(means, variances), ys)
+            got = point_scores(ScoringRule.LOG, GaussianEnsemble(means, variances), ys)
             logcomp = -0.5 * (math.log(2 * math.pi) + np.log(variances)
                               + (ys[:, None] - means) ** 2 / variances)
             ref = -(logsumexp(logcomp, axis=-1) - math.log(m))
@@ -121,7 +122,7 @@ class TestLogPointScoresMaxShift:
 class TestEntropy:
     def test_gaussian_closed_forms(self):
         for mu in (-3.0, 0.0, 4.5):
-            g = GaussianComponent(mu, 1.0)
+            g = GaussianEnsemble([mu], [1.0])
             assert entropy(ScoringRule.CRPS, g) == pytest.approx(1 / SQRT_PI, rel=1e-14)
             assert entropy(ScoringRule.LOG, g) == pytest.approx(
                 0.5 * math.log(2 * math.pi * math.e), rel=1e-14)
@@ -130,31 +131,31 @@ class TestEntropy:
             assert entropy(ScoringRule.SE, g) == 1.0
 
     def test_crps_mixture_of_identical_parts(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 0.0], [1.0, 1.0])
+        mix = GaussianEnsemble([0.0, 0.0], [1.0, 1.0])
         assert entropy(ScoringRule.CRPS, mix) == pytest.approx(1 / SQRT_PI, rel=1e-14)
 
     def test_crps_mixture_frozen(self):
         # (1/8) sum_ij A(mu_ij, sigma_ij) for {N(0,1), N(3,1)}
-        mix = GaussianEnsemble.from_arrays([0.0, 3.0], [1.0, 1.0])
+        mix = GaussianEnsemble([0.0, 3.0], [1.0, 1.0])
         assert entropy(ScoringRule.CRPS, mix) == pytest.approx(
             1.0364062239362686, rel=1e-12)
 
     def test_quadratic_mixture_frozen(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 3.0], [1.0, 1.0])
+        mix = GaussianEnsemble([0.0, 3.0], [1.0, 1.0])
         assert entropy(ScoringRule.QUADRATIC, mix) == pytest.approx(
             -0.15591368203989275, rel=1e-12)
 
     def test_log_mixture_has_no_closed_form(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 3.0], [1.0, 2.0])
+        mix = GaussianEnsemble([0.0, 3.0], [1.0, 2.0])
         with pytest.raises(NotClosedForm):
             entropy(ScoringRule.LOG, mix)
 
     def test_se_mixture_is_total_variance(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 2.0], [1.0, 1.0])
+        mix = GaussianEnsemble([0.0, 2.0], [1.0, 1.0])
         assert entropy(ScoringRule.SE, mix) == pytest.approx(2.0, rel=1e-14)
 
     def test_crps_entropy_is_half_mean_gap_monte_carlo(self):
-        mix = GaussianEnsemble.from_arrays([-1.0, 0.5, 3.0], [0.4, 1.5, 0.9])
+        mix = GaussianEnsemble([-1.0, 0.5, 3.0], [0.4, 1.5, 0.9])
         rng = np.random.default_rng(7)
         n = 400_000
         idx = rng.integers(0, 3, size=(2, n))
@@ -184,25 +185,25 @@ class TestExpectedScore:
         assert closed == pytest.approx(0.5 * (math.log(2 * math.pi) + 2.0), rel=1e-14)
 
     def test_se_pair(self):
-        assert expected_score(ScoringRule.SE, G01, GaussianComponent(2.0, 5.0)) == 9.0
+        assert expected_score(ScoringRule.SE, G01, GaussianEnsemble([2.0], [5.0])) == 9.0
 
     def test_label_mixture_linearity(self):
-        mix = GaussianEnsemble.from_arrays([-1.0, 2.0, 0.3], [0.5, 1.5, 2.5])
+        mix = GaussianEnsemble([-1.0, 2.0, 0.3], [0.5, 1.5, 2.5])
         for rule in ScoringRule:
             whole = expected_score(rule, G01, mix)
-            parts = [expected_score(rule, G01, GaussianComponent(m, v))
+            parts = [expected_score(rule, G01, GaussianEnsemble([m], [v]))
                      for m, v in zip(mix.means, mix.variances)]
             assert whole == pytest.approx(float(np.mean(parts)), rel=1e-14)
 
     def test_log_mixture_prediction_not_closed(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 1.0])
+        mix = GaussianEnsemble([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(NotClosedForm):
             expected_score(ScoringRule.LOG, mix, G01)
 
 
 class TestDivergence:
     def test_self_divergence_zero(self):
-        g = GaussianComponent(3.0, 2.0)
+        g = GaussianEnsemble([3.0], [2.0])
         for rule in ScoringRule:
             assert divergence(rule, g, g) == pytest.approx(0.0, abs=1e-14)
 
@@ -211,10 +212,10 @@ class TestDivergence:
         assert divergence(ScoringRule.LOG, G01, G11) == pytest.approx(0.5, rel=1e-14)
 
     def test_se_mean_gap(self):
-        assert divergence(ScoringRule.SE, G01, GaussianComponent(2.0, 5.0)) == 4.0
+        assert divergence(ScoringRule.SE, G01, GaussianEnsemble([2.0], [5.0])) == 4.0
 
     def test_quadratic_frozen_against_quadrature(self):
-        g04 = GaussianComponent(0.0, 4.0)
+        g04 = GaussianEnsemble([0.0], [4.0])
         closed = divergence(ScoringRule.QUADRATIC, G01, g04)
         assert closed == pytest.approx(0.06631736443026287, abs=1e-8)
 
@@ -222,8 +223,8 @@ class TestDivergence:
         # d(P, Q) = int (F_P - F_Q)^2 dt, checked through the oracle
         rng = np.random.default_rng(3)
         for _ in range(10):
-            p = GaussianComponent(rng.uniform(-3, 3), rng.uniform(0.2, 4))
-            q = GaussianComponent(rng.uniform(-3, 3), rng.uniform(0.2, 4))
+            p = GaussianEnsemble([rng.uniform(-3, 3)], [rng.uniform(0.2, 4)])
+            q = GaussianEnsemble([rng.uniform(-3, 3)], [rng.uniform(0.2, 4)])
             assert divergence(ScoringRule.CRPS, p, q) == pytest.approx(
                 oracle_divergence(ScoringRule.CRPS, p, q), abs=1e-8)
 
@@ -231,20 +232,20 @@ class TestDivergence:
         rng = np.random.default_rng(11)
         sym_rules = (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE)
         for _ in range(200):
-            p = GaussianComponent(rng.uniform(-4, 4), rng.uniform(0.1, 5))
-            q = GaussianComponent(rng.uniform(-4, 4), rng.uniform(0.1, 5))
+            p = GaussianEnsemble([rng.uniform(-4, 4)], [rng.uniform(0.1, 5)])
+            q = GaussianEnsemble([rng.uniform(-4, 4)], [rng.uniform(0.1, 5)])
             for rule in sym_rules:
                 assert divergence(rule, p, q) == pytest.approx(
                     divergence(rule, q, p), abs=1e-12 * max(1, abs(divergence(rule, p, q))))
 
     def test_log_asymmetry(self):
-        p = GaussianComponent(0.0, 1.0)
-        q = GaussianComponent(1.5, 3.0)
+        p = GaussianEnsemble([0.0], [1.0])
+        q = GaussianEnsemble([1.5], [3.0])
         assert abs(divergence(ScoringRule.LOG, p, q)
                    - divergence(ScoringRule.LOG, q, p)) > 1e-3
 
     def test_log_mixture_not_closed(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 1.0], [1.0, 2.0])
+        mix = GaussianEnsemble([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(NotClosedForm):
             divergence(ScoringRule.LOG, G01, mix)
         with pytest.raises(NotClosedForm):
@@ -253,8 +254,8 @@ class TestDivergence:
     def test_properness_sweep(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
-            p = GaussianComponent(rng.uniform(-5, 5), rng.uniform(0.05, 9))
-            q = GaussianComponent(rng.uniform(-5, 5), rng.uniform(0.05, 9))
+            p = GaussianEnsemble([rng.uniform(-5, 5)], [rng.uniform(0.05, 9)])
+            q = GaussianEnsemble([rng.uniform(-5, 5)], [rng.uniform(0.05, 9)])
             for rule in ScoringRule:
                 assert expected_score(rule, p, q) >= entropy(rule, q) - 1e-10
 
@@ -266,7 +267,7 @@ class TestMonteCarloCrossChecks:
             mc.value, abs=4 * mc.standard_error)
 
     def test_mc_mixture_prediction(self):
-        mix = GaussianEnsemble.from_arrays([0.0, 2.0], [1.0, 0.5])
+        mix = GaussianEnsemble([0.0, 2.0], [1.0, 0.5])
         for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
             mc = mc_expected_score(rule, mix, G11, McConfig(samples=200_000, seed=9))
             assert expected_score(rule, mix, G11) == pytest.approx(
