@@ -51,7 +51,7 @@ _EXPORTS = {
                      "EstimatorId", "RiskKind", "PredictionSet", "availability",
                      "bayes_risk", "excess_risk", "measure_matrix", "total_risk"),
                     "estimators"),
-    **dict.fromkeys(("McConfig", "QuadratureConfig", "mc_expected_score",
+    **dict.fromkeys(("McConfig", "mc_expected_score",
                      "oracle_entropy", "oracle_expected_score"), "oracle"),
 }
 

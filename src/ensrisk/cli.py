@@ -102,9 +102,9 @@ def cmd_measures(args):
 # -- oracle-check ----------------------------------------------------------------
 
 def run_oracle_check(trials: int, seed: int):
-    """``oracle.run_oracle_check`` at its default quadrature, under the name
-    ``cmd_oracle_check`` calls, so that it can be imported from and replaced
-    in this module without loading the oracle."""
+    """``oracle.run_oracle_check`` under the name ``cmd_oracle_check``
+    calls, so that it can be imported from and replaced in this module
+    without loading the oracle."""
     return oracle.run_oracle_check(trials, seed)
 
 

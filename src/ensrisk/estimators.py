@@ -497,22 +497,22 @@ def divergence(rule: ScoringRule, pred: GaussianEnsemble, label: GaussianEnsembl
     return expected_score(rule, pred, label) - entropy(rule, label)
 
 
-def log_quadrature_cells(ens: GaussianEnsemble, quad_cfg=None) -> dict[str, float]:
+def log_quadrature_cells(ens: GaussianEnsemble) -> dict[str, float]:
     """The seven LOG cells that need quadrature, from one mixture-entropy
     integral per ensemble (everything else about them is closed-form)."""
     from .oracle import oracle_entropy
 
-    batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens, quad_cfg))
+    batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens))
     return {est.key: float(batch.evaluate(ScoringRule.LOG, est)[0])
             for est in default_estimators()
             if availability(ScoringRule.LOG, est) is Availability.QUADRATURE_REQUIRED}
 
 
-def log_excess_ba_ens(ens: GaussianEnsemble, quad_cfg=None) -> float:
+def log_excess_ba_ens(ens: GaussianEnsemble) -> float:
     """LOG Exc(1,2) = Tot(1,1) - H(P_ens); oracle-assisted."""
     from .oracle import oracle_entropy
 
-    batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens, quad_cfg))
+    batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens))
     return float(batch.excess(ScoringRule.LOG, (ApproximationId.BA, ApproximationId.ENS))[0])
 
 

@@ -14,8 +14,8 @@ integrals at once while each keeps its own state and rules: its own window
 and knots, seeded with ``_INITIAL_PANELS`` panels; the local error estimated
 from the difference between the embedded 7-point Gauss and 15-point Kronrod
 rules; every panel whose error exceeds its fair share of the tolerance
-max(abs_tol, rel_tol |total|) bisected, until that tolerance is met or
-``max_subdivisions`` is reached.  That limit is checked before each round of
+max(_ABS_TOL, _REL_TOL |total|) bisected, until that tolerance is met or
+``_MAX_SUBDIVISIONS`` is reached.  That limit is checked before each round of
 bisection and a round may bisect many panels, so an integral that fails can
 report up to one round's bisections more than the limit.  Integrals run in
 consecutive groups of ``_BLOCK_ELEMS // _INITIAL_PANELS``, which bounds the
@@ -41,7 +41,7 @@ pairs of them: ``oracle_entropy`` is its one-distribution call,
 
 Each integrand is written once, over stacked mixture parameters of one
 size.  The integration window is [min_i(mu_i - w sigma_i),
-max_i(mu_i + w sigma_i)] with w = tail_width; Gaussian tails beyond 8 sigma
+max_i(mu_i + w sigma_i)] with w = _TAIL_WIDTH; Gaussian tails beyond 8 sigma
 contribute less than 1e-15 to every integrand used here.
 """
 
@@ -93,33 +93,12 @@ _G7_WEIGHTS = np.array([
 _INITIAL_PANELS = 24
 # (member, node, panel) integrand elements per block: bounds the engine's memory.
 _BLOCK_ELEMS = 2**15
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits of every oracle integral.
-
-    An integral converges when its error estimate is at most
-    max(abs_tol, rel_tol |value|).  ``max_subdivisions`` is checked before
-    each round of bisection: no new round starts once an integral has made
-    that many bisections, but the round that crosses the limit bisects every
-    panel above its share of the tolerance, so the final count can exceed
-    it by up to one round.  ``tail_width`` is the window half-width in
-    member standard deviations.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-    tail_width: float = 10.0
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.tail_width < 8.0:
-            raise ValueError("tail_width must be >= 8")
+# Every oracle integral converges when its error estimate is at most
+# max(_ABS_TOL, _REL_TOL |value|); no round of bisection starts once it has
+# made _MAX_SUBDIVISIONS bisections, though the round that crosses the limit
+# can exceed it by up to one round; its window reaches _TAIL_WIDTH member
+# standard deviations past the outermost members.  Read at call time.
+_ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS, _TAIL_WIDTH = 1e-10, 1e-9, 2000, 10.0
 
 
 @dataclass(frozen=True)
@@ -176,14 +155,13 @@ class _Family(NamedTuple):
 
 
 class _Integrals(NamedTuple):
-    """Per-integral results of one engine call; ``limit`` is the
-    ``max_subdivisions`` each integral ran under."""
+    """Per-integral results of one engine call, all run under
+    ``_MAX_SUBDIVISIONS``."""
 
     value: np.ndarray
     error: np.ndarray
     tol: np.ndarray
     splits: np.ndarray
-    limit: np.ndarray
 
     def failed(self) -> np.ndarray:
         return ~(self.error <= self.tol)
@@ -198,7 +176,7 @@ class _Integrals(NamedTuple):
             raise ConvergenceError(
                 float(self.value[k]), float(self.error[k]),
                 f"quadrature error {self.error[k]:.3e} above tolerance {self.tol[k]:.3e} "
-                f"after {self.splits[k]} subdivisions (limit {self.limit[k]}, "
+                f"after {self.splits[k]} subdivisions (limit {_MAX_SUBDIVISIONS}, "
                 f"checked before each round of bisection)", row=k)
 
 
@@ -266,9 +244,9 @@ def _evaluate(families, first, owner, lo, hi):
     return value, error
 
 
-def _integrate(families: list[_Family], cfg: QuadratureConfig) -> _Integrals:
+def _integrate(families: list[_Family]) -> _Integrals:
     """Integrate every integral of ``families`` (ids in family order) to the
-    configured tolerance, bisecting each one's worst panels until it
+    module tolerance, bisecting each one's worst panels until it
     converges or runs out of subdivisions.
 
     Integrals run in consecutive groups of ``_BLOCK_ELEMS // _INITIAL_PANELS``,
@@ -281,16 +259,15 @@ def _integrate(families: list[_Family], cfg: QuadratureConfig) -> _Integrals:
     first = np.cumsum([0] + [len(f.lo) for f in families])
     n = int(first[-1])
     out = _Integrals(np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan),
-                     np.zeros(n, dtype=np.int64), np.full(n, cfg.max_subdivisions))
+                     np.zeros(n, dtype=np.int64))
     layout = _member_major(families)
     group = max(1, _BLOCK_ELEMS // _INITIAL_PANELS)
     for start in range(0, n, group):
-        _refine(families, layout, first, start, min(start + group, n), cfg, out)
+        _refine(families, layout, first, start, min(start + group, n), out)
     return out
 
 
-def _refine(families, layout, first, start: int, stop: int, cfg: QuadratureConfig,
-            out: _Integrals) -> None:
+def _refine(families, layout, first, start: int, stop: int, out: _Integrals) -> None:
     """Run integrals ``start`` to ``stop - 1`` to the end, into ``out``."""
     seeds = []
     for fam, base in zip(families, first):
@@ -306,9 +283,9 @@ def _refine(families, layout, first, start: int, stop: int, cfg: QuadratureConfi
     while True:
         total = np.add.reduceat(val, starts)
         total_err = np.add.reduceat(err, starts)
-        need = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        need = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         # A NaN error is not above tolerance: it stops here, and fails.
-        stop_now = ~(total_err > need) | (out.splits[ids] >= cfg.max_subdivisions)
+        stop_now = ~(total_err > need) | (out.splits[ids] >= _MAX_SUBDIVISIONS)
         if stop_now.any():
             done = ids[stop_now]
             out.value[done], out.error[done] = total[stop_now], total_err[stop_now]
@@ -347,19 +324,17 @@ def _refine(families, layout, first, start: int, stop: int, cfg: QuadratureConfi
 
 
 def adaptive_quadrature(f: Callable, lo: float, hi: float,
-                        cfg: QuadratureConfig | None = None,
                         knots: tuple[float, ...] = ()) -> QuadResult:
-    """Integrate a vectorized integrand over [lo, hi] to the configured
+    """Integrate a vectorized integrand over [lo, hi] to the module
     tolerance, bisecting the worst panels until convergence.
 
     ``knots`` forces initial panel boundaries (use it for kinked
     integrands such as the raw CRPS pointwise form).
     """
-    cfg = cfg or QuadratureConfig()
     family = _Family(lambda t: f(t.ravel()).reshape(t.shape), (),
                      np.array([lo], dtype=float), np.array([hi], dtype=float),
                      knots=np.array(knots, dtype=float).reshape(1, -1))
-    res = _integrate([family], cfg)
+    res = _integrate([family])
     res.raise_failure()
     return QuadResult(float(res.value[0]), float(res.error[0]))
 
@@ -443,11 +418,11 @@ _SCORE_INTEGRAND = {
 }
 
 
-def _window(width: float, *members) -> tuple:
+def _window(*members) -> tuple:
     """Integration window over the (means, variances) of one or more
     mixtures, along the last axis."""
-    lo = np.min([np.min(mu - width * np.sqrt(var), axis=-1) for mu, var in members], axis=0)
-    hi = np.max([np.max(mu + width * np.sqrt(var), axis=-1) for mu, var in members], axis=0)
+    lo = np.min([np.min(mu - _TAIL_WIDTH * np.sqrt(var), axis=-1) for mu, var in members], axis=0)
+    hi = np.max([np.max(mu + _TAIL_WIDTH * np.sqrt(var), axis=-1) for mu, var in members], axis=0)
     return lo, hi
 
 
@@ -463,9 +438,9 @@ class _Stacked(NamedTuple):
     hi: np.ndarray
 
 
-def _stack(dists, width: float) -> _Stacked:
-    """Stack ``dists`` ((means, variances) each) by member count, with the
-    windows of tail width ``width``."""
+def _stack(dists) -> _Stacked:
+    """Stack ``dists`` ((means, variances) each) by member count, with
+    their windows."""
     size = np.array([len(mu) for mu, _ in dists], dtype=np.int64)
     pos = np.empty(len(dists), dtype=np.int64)
     lo, hi = np.empty(len(dists)), np.empty(len(dists))
@@ -474,11 +449,11 @@ def _stack(dists, width: float) -> _Stacked:
         ids = np.flatnonzero(size == m)
         pos[ids] = np.arange(len(ids))
         members[m] = tuple(np.array([dists[d][i] for d in ids]) for i in (0, 1))
-        lo[ids], hi[ids] = _window(width, members[m])
+        lo[ids], hi[ids] = _window(members[m])
     return _Stacked(size, pos, members, lo, hi)
 
 
-def _integrate_jobs(jobs, dists: _Stacked, cfg: QuadratureConfig) -> _Integrals:
+def _integrate_jobs(jobs, dists: _Stacked) -> _Integrals:
     """Integrate jobs (integrand, refs, extra, lo, hi) in one engine call.
 
     A job is K integrals whose parameters are the members of the
@@ -502,7 +477,7 @@ def _integrate_jobs(jobs, dists: _Stacked, cfg: QuadratureConfig) -> _Integrals:
                 families.append(_Family(f, tuple(params), lo[rows], hi[rows]))
                 where.append(start + rows)
         start += len(refs)
-    res = _integrate(families, cfg)
+    res = _integrate(families)
     where = np.concatenate(where)
     out = _Integrals(*(np.empty_like(x) for x in res))
     for dst, src in zip(out, res):
@@ -539,7 +514,7 @@ class _Table(NamedTuple):
         return QuadResult(float(q.value[k]), float(q.error[k]))
 
 
-def _oracle_tables(rules, dists, pairs, cfg: QuadratureConfig) -> dict:
+def _oracle_tables(rules, dists, pairs) -> dict:
     """{rule: _Table} for the distributions ``dists`` ((means, variances)
     each) and the ordered ``pairs`` (p, q) of ids into them.
 
@@ -557,7 +532,7 @@ def _oracle_tables(rules, dists, pairs, cfg: QuadratureConfig) -> dict:
             raise ValueError(f"unknown rule {rule!r}")
     pair = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     p_of, q_of = pair.T
-    stacked = _stack(dists, cfg.tail_width)
+    stacked = _stack(dists)
     lo, hi = stacked.lo, stacked.hi
     pair_lo, pair_hi = np.minimum(lo[p_of], lo[q_of]), np.maximum(hi[p_of], hi[q_of])
     own = np.arange(len(dists))[:, None]
@@ -566,13 +541,13 @@ def _oracle_tables(rules, dists, pairs, cfg: QuadratureConfig) -> dict:
             + [(_SCORE_INTEGRAND[r], pair, None, pair_lo, pair_hi) for r in scored])
     if ScoringRule.SE in rules:
         jobs.append((_mean_integrand, own, None, lo, hi))
-    flat = _integrate_jobs(jobs, stacked, cfg)
+    flat = _integrate_jobs(jobs, stacked)
     if ScoringRule.SE in rules:
         means = flat.value[-len(dists):]
         centred = [(_centred_integrand, own, means, lo, hi),
                    (_centred_integrand, q_of[:, None], means[p_of], pair_lo, pair_hi)]
         flat = _Integrals(*(np.concatenate(x) for x in
-                            zip(flat, _integrate_jobs(centred, stacked, cfg))))
+                            zip(flat, _integrate_jobs(centred, stacked))))
         jobs += centred
     first = np.cumsum([0] + [len(job[1]) for job in jobs])
     ids = [np.arange(a, b) for a, b in zip(first[:-1], first[1:])]
@@ -606,8 +581,7 @@ def _oracle_tables(rules, dists, pairs, cfg: QuadratureConfig) -> dict:
     return tables
 
 
-def oracle_entropy(rule: ScoringRule, p: GaussianEnsemble,
-                   cfg: QuadratureConfig | None = None) -> float:
+def oracle_entropy(rule: ScoringRule, p: GaussianEnsemble) -> float:
     """H(P) recomputed from the defining integral.
 
     CRPS uses H(P) = integral F (1 - F) dt, which equals (1/2) E|X - X'|;
@@ -615,7 +589,7 @@ def oracle_entropy(rule: ScoringRule, p: GaussianEnsemble,
     estimator registry requests for its quadrature-required cells); QUAD is
     -integral p^2; SE integrates the centered second moment.
     """
-    table = _oracle_tables([rule], [(p.means, p.variances)], [], cfg or QuadratureConfig())[rule]
+    table = _oracle_tables([rule], [(p.means, p.variances)], [])[rule]
     return table.result(table.entropy, 0).value
 
 
@@ -623,32 +597,29 @@ def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray) -> np.n
     """LOG H(P) of each row's mixture of (n, M) members: ``oracle_entropy``
     run on all rows in one engine call.  Raises ConvergenceError whose
     ``row`` is the first row that misses the tolerance."""
-    cfg = QuadratureConfig()
-    lo, hi = _window(cfg.tail_width, (means, variances))
-    res = _integrate([_Family(_log_integrand, (means, variances), lo, hi)], cfg)
+    lo, hi = _window((means, variances))
+    res = _integrate([_Family(_log_integrand, (means, variances), lo, hi)])
     res.raise_failure()
     return res.value
 
 
 def oracle_expected_score(rule: ScoringRule, pred: GaussianEnsemble,
-                          label: GaussianEnsemble,
-                          cfg: QuadratureConfig | None = None) -> QuadResult:
+                          label: GaussianEnsemble) -> QuadResult:
     """S(pred, label) by numerical integration of the defining expectation.
 
     The CRPS route goes through d(P, Q) = integral (F_P - F_Q)^2 dt plus the
     label entropy, avoiding the kinked pointwise integrand entirely.
     """
     table = _oracle_tables([rule], [(pred.means, pred.variances), (label.means, label.variances)],
-                           [(0, 1)], cfg or QuadratureConfig())[rule]
+                           [(0, 1)])[rule]
     return table.result(table.score, 0)
 
 
 def oracle_divergence(rule: ScoringRule, pred: GaussianEnsemble,
-                      label: GaussianEnsemble,
-                      cfg: QuadratureConfig | None = None) -> float:
+                      label: GaussianEnsemble) -> float:
     """d(pred, label) = S(pred, label) - H(label), both sides by quadrature."""
     table = _oracle_tables([rule], [(pred.means, pred.variances), (label.means, label.variances)],
-                           [(0, 1)], cfg or QuadratureConfig())[rule]
+                           [(0, 1)])[rule]
     return table.result(table.divergence, 0).value
 
 
@@ -675,17 +646,15 @@ def mc_expected_score(rule: ScoringRule, pred: GaussianEnsemble, label: Gaussian
     return McResult(value, stderr)
 
 
-def crps_point_quadrature(pred: GaussianEnsemble, y: float,
-                          cfg: QuadratureConfig | None = None) -> float:
+def crps_point_quadrature(pred: GaussianEnsemble, y: float) -> float:
     """CRPS(pred, y) from the raw integral, with a knot at the kink."""
-    cfg = cfg or QuadratureConfig()
     mu, var = pred.means, pred.variances
-    lo, hi = _window(cfg.tail_width, (mu, var), (np.array([y]), np.ones(1)))
+    lo, hi = _window((mu, var), (np.array([y]), np.ones(1)))
 
     def integrand(t):
         return (_cdf(t[None, :], mu[:, None], var[:, None])[0] - (y <= t)) ** 2
 
-    return adaptive_quadrature(integrand, lo, hi, cfg, knots=(y,)).value
+    return adaptive_quadrature(integrand, lo, hi, knots=(y,)).value
 
 
 # -- oracle-check: closed forms against quadrature ------------------------------
@@ -710,7 +679,7 @@ def _cells(h, div, comps, ens, mm, av) -> np.ndarray:
     return np.concatenate([bayes[[0, 1, 2, 3, 2, 3]] + exc, bayes, exc])
 
 
-def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> np.ndarray:
+def _quadrature_cells(ensembles) -> np.ndarray:
     """(trials, 64) cells assembled from quadrature, in ``MeasureColumn``
     order: the rules in ``ScoringRule`` order, each with its estimators in
     ``default_estimators()`` order.  A rule whose integrals for a trial did
@@ -743,7 +712,7 @@ def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> np.ndarray:
     # per rule: each entropy and divergence, NaN where its integrals failed
     tables = [(np.where(t.failed(t.entropy), np.nan, t.entropy.value),
                np.where(t.failed(t.divergence), np.nan, t.divergence.value))
-              for t in _oracle_tables(ScoringRule, dists, pairs, cfg).values()]
+              for t in _oracle_tables(ScoringRule, dists, pairs).values()]
     out = np.array([np.concatenate([
         _cells(h, lambda p, q, div=div: 0.0 if p == q else div[pair_id[p, q]], *trial)
         for h, div in tables]) for trial in trials])
@@ -753,7 +722,7 @@ def _quadrature_cells(ensembles, cfg: QuadratureConfig) -> np.ndarray:
     return out
 
 
-def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarray:
+def _closed_cells(ensembles, quads, columns) -> np.ndarray:
     """(trials, columns) values of the ``MeasureColumn``s from one
     ``EnsembleBatch`` per ensemble size.  The LOG cells that need quadrature
     come from each mixture's ``oracle_entropy`` plus closed forms, as
@@ -765,7 +734,7 @@ def _closed_cells(ensembles, quads, columns, cfg: QuadratureConfig) -> np.ndarra
     for size in distinct_sizes(sizes):
         rows = np.flatnonzero(sizes == size)
         h_ens = np.array([np.nan if log_failed[r]
-                          else oracle_entropy(ScoringRule.LOG, ensembles[r], cfg)
+                          else oracle_entropy(ScoringRule.LOG, ensembles[r])
                           for r in rows])
         batch = EnsembleBatch(np.array([ensembles[r].means for r in rows]),
                               np.array([ensembles[r].variances for r in rows]), h_ens)
@@ -779,15 +748,14 @@ _CHECK_TRIALS = 40
 _CHECK_REL_TOL, _CHECK_ABS_FLOOR = 1e-6, 1e-9
 
 
-def run_oracle_check(trials: int, seed: int, cfg: QuadratureConfig | None = None):
+def run_oracle_check(trials: int, seed: int):
     """Compare every estimator cell to quadrature: ``_verdict`` on the cells
     of ``_check_cells``, at relative tolerance 1e-6 with an absolute floor
     of 1e-9.  Returns (rows, passed, worst_rel)."""
-    return _verdict(*_check_cells(trials, seed, cfg or QuadratureConfig()),
-                    _CHECK_REL_TOL, _CHECK_ABS_FLOOR)
+    return _verdict(*_check_cells(trials, seed), _CHECK_REL_TOL, _CHECK_ABS_FLOOR)
 
 
-def _check_cells(trials: int, seed: int, cfg: QuadratureConfig):
+def _check_cells(trials: int, seed: int):
     """(columns, closed, quad): the 64 ``MeasureColumn``s and the (trials,
     64) closed and quadrature cells of ``trials`` random ensembles.
 
@@ -809,8 +777,8 @@ def _check_cells(trials: int, seed: int, cfg: QuadratureConfig):
             m = int(rng.integers(1, 6))
             ensembles.append(GaussianEnsemble(rng.uniform(-5.0, 5.0, size=m),
                                               rng.uniform(0.05, 9.0, size=m)))
-        quad.append(_quadrature_cells(ensembles, cfg))
-        closed.append(_closed_cells(ensembles, quad[-1], columns, cfg))
+        quad.append(_quadrature_cells(ensembles))
+        closed.append(_closed_cells(ensembles, quad[-1], columns))
     return columns, np.concatenate(closed), np.concatenate(quad)
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .gaussians import GaussianEnsemble, abs_moment
 
-_SQRT_PI = math.sqrt(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -165,10 +164,6 @@ def point_scores(rule: ScoringRule, pred: GaussianEnsemble, ys) -> np.ndarray:
     means, variances = pred.means, pred.variances
 
     if rule is ScoringRule.CRPS:
-        if len(means) == 1:
-            # CRPS(N(mu, sigma^2), y) = E|X - y| - (1/2) E|X - X'|
-            sigma = math.sqrt(float(variances[0]))
-            return abs_moment(ys - means[0], sigma, check=False) - sigma / _SQRT_PI
         # CRPS(P_ens, y) = mean_i E|X_i - y| - (1/2) mean_ij E|X_i - X_j'|
         spread = 0.5 * float(pairwise_abs_moment(means, variances))
         sigmas = np.sqrt(variances)

@@ -24,7 +24,7 @@ from ensrisk.estimators import (
 )
 from ensrisk.gaussians import GaussianEnsemble, averaged_surrogate, moment_surrogate
 from ensrisk.metrics import auroc, kendall_tau_b, prr
-from ensrisk.oracle import QuadratureConfig, oracle_entropy
+from ensrisk.oracle import oracle_entropy
 from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import ShiftKind, UniformPosteriorSpec, shift_report, two_curve_arrays
 from ensrisk.trainer import (
@@ -68,7 +68,6 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_identity_suite():
     rng = np.random.default_rng(2024)
-    cfg = QuadratureConfig()
     ok = True
     detail = ""
     for trial in range(500):
@@ -85,13 +84,13 @@ def test_criterion_02_identity_suite():
                 or excess_risk(ScoringRule.SE, ens, (AV, ENS)) != 0.0:
             ok, detail = False, f"(d) trial {trial}"
             break
-        h_log_ens = oracle_entropy(ScoringRule.LOG, ens, cfg)
+        h_log_ens = oracle_entropy(ScoringRule.LOG, ens)
         for rule in ScoringRule:
             e11 = excess_risk(rule, ens, (BA, BA))
             if rule is ScoringRule.LOG:
                 b1 = bayes_risk(rule, ens, BA)
                 e21 = h_log_ens - b1
-                e12 = log_excess_ba_ens(ens, cfg)
+                e12 = log_excess_ba_ens(ens)
                 b_ens = h_log_ens
             else:
                 e21 = excess_risk(rule, ens, (ENS, BA))
@@ -118,12 +117,11 @@ def test_criterion_02_identity_suite():
 
 def test_criterion_03_entropy_orderings():
     rng = np.random.default_rng(3033)
-    cfg = QuadratureConfig()
     violations = 0
     for _ in range(1000):
         ens = random_ensemble(rng)
         b1 = bayes_risk(ScoringRule.LOG, ens, BA)
-        b2 = oracle_entropy(ScoringRule.LOG, ens, cfg)
+        b2 = oracle_entropy(ScoringRule.LOG, ens)
         b3 = bayes_risk(ScoringRule.LOG, ens, MM)
         if not (b1 <= b2 + 1e-8 and b2 <= b3 + 1e-8):
             violations += 1

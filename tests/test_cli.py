@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import functools
 import importlib
 import json
 import os
@@ -612,8 +611,9 @@ class TestFailureExitCodes:
 
     def test_unconverged_fallback_exits_three_naming_the_point(self, tmp_path, monkeypatch,
                                                                capsys):
-        monkeypatch.setattr(oracle, "QuadratureConfig", functools.partial(
-            oracle.QuadratureConfig, abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1))
+        monkeypatch.setattr(oracle, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-300)
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 1)
         rng = np.random.default_rng(5)
         sizes = [4, 4, 2, 4]  # the size-2 block runs first: its row 0 is point p2
         ps = PredictionSet([f"p{i}" for i in range(4)],
@@ -627,8 +627,9 @@ class TestFailureExitCodes:
 
     def test_unconverged_shift_fallback_exits_three_naming_the_replicate(
             self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(oracle, "QuadratureConfig", functools.partial(
-            oracle.QuadratureConfig, abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1))
+        monkeypatch.setattr(oracle, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-300)
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 1)
         assert main(["shift", "--kind", "mean-location", "--rules", "log", "--replicates", "50",
                      "--oracle-fallback", "--output-dir", str(tmp_path / "out")]) == 3
         assert "base replicate 0: LOG mixture entropy: " in capsys.readouterr().err

@@ -33,7 +33,6 @@ from ensrisk.gaussians import (
 )
 from ensrisk.oracle import (
     McConfig,
-    QuadratureConfig,
     _batch_log_mixture_entropy,
     mc_expected_score,
     oracle_divergence,
@@ -259,15 +258,14 @@ class TestIdentities:
     def test_bregman_information_identity(self):
         """Exc(2,1) = Bayes(2) - Bayes(1) and Exc(1,1) = Exc(2,1) + Exc(1,2)."""
         rng = np.random.default_rng(14)
-        cfg = QuadratureConfig()
         for _ in range(40):
             ens = random_ensemble(rng)
             for rule in ScoringRule:
                 if rule is ScoringRule.LOG:
-                    h_ens = oracle_entropy(rule, ens, cfg)
+                    h_ens = oracle_entropy(rule, ens)
                     b1 = bayes_risk(rule, ens, BA)
                     e21 = h_ens - b1
-                    e12 = log_excess_ba_ens(ens, cfg)
+                    e12 = log_excess_ba_ens(ens)
                 else:
                     e21 = excess_risk(rule, ens, (ENS, BA))
                     e12 = excess_risk(rule, ens, (BA, ENS))
@@ -303,11 +301,10 @@ class TestIdentities:
 
     def test_entropy_orderings(self):
         rng = np.random.default_rng(16)
-        cfg = QuadratureConfig()
         for _ in range(60):
             ens = random_ensemble(rng)
             b1 = bayes_risk(ScoringRule.LOG, ens, BA)
-            b2 = oracle_entropy(ScoringRule.LOG, ens, cfg)
+            b2 = oracle_entropy(ScoringRule.LOG, ens)
             b3 = bayes_risk(ScoringRule.LOG, ens, MM)
             assert b1 <= b2 + 1e-8 and b2 <= b3 + 1e-8
             for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):

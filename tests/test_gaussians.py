@@ -18,7 +18,7 @@ from ensrisk.gaussians import (
     std_normal_pdf,
 )
 from ensrisk.estimators import ApproximationId, EnsembleBatch
-from ensrisk.oracle import QuadratureConfig, adaptive_quadrature
+from ensrisk.oracle import adaptive_quadrature
 
 
 class TestStdNormalPdf:
@@ -60,9 +60,8 @@ class TestStdNormalCdf:
         assert np.all((vals > 0.0) & (vals < 1.0))
 
     def test_matches_quadrature_on_grid(self):
-        cfg = QuadratureConfig()
         for z in np.arange(-6.0, 6.25, 0.25):
-            ref = adaptive_quadrature(std_normal_pdf, -40.0, float(z), cfg).value
+            ref = adaptive_quadrature(std_normal_pdf, -40.0, float(z)).value
             assert std_normal_cdf(float(z)) == pytest.approx(ref, abs=1e-12)
 
     def test_rejects_non_finite(self):

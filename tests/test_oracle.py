@@ -11,7 +11,6 @@ from ensrisk.gaussians import GaussianEnsemble
 from ensrisk.oracle import (
     ConvergenceError,
     McConfig,
-    QuadratureConfig,
     _batch_log_mixture_entropy,
     adaptive_quadrature,
     mc_expected_score,
@@ -19,13 +18,16 @@ from ensrisk.oracle import (
     oracle_expected_score,
 )
 from ensrisk.estimators import (
+    ApproximationId,
     Availability,
     EnsembleBatch,
     MeasureColumn,
     NotClosedForm,
+    bayes_risk,
     default_estimators,
     entropy,
     expected_score,
+    log_excess_ba_ens,
     log_quadrature_cells,
 )
 from ensrisk.scores import ScoringRule
@@ -40,15 +42,15 @@ def _random_distribution(rng, max_members=3):
         rng.uniform(-4, 4, m), rng.uniform(0.05, 6, m))
 
 
-class TestConfigs:
-    def test_quadrature_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(tail_width=5.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+def _unreachable_tolerance(monkeypatch):
+    """Make every integral fail: a tolerance below any error estimate, and
+    no second round of bisection."""
+    monkeypatch.setattr(oracle, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(oracle, "_REL_TOL", 1e-300)
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 1)
 
+
+class TestConfigs:
     def test_mc_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=10)
@@ -70,10 +72,11 @@ class TestAdaptiveQuadrature:
         exact = 0.5 * (1.3**2 + 0.7**2)
         assert res.value == pytest.approx(exact, abs=1e-10)
 
-    def test_convergence_error_carries_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-14, max_subdivisions=1)
+    def test_convergence_error_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            adaptive_quadrature(lambda t: np.abs(np.sin(40 * t)) ** 0.3, 0.0, 10.0, cfg)
+            adaptive_quadrature(lambda t: np.abs(np.sin(40 * t)) ** 0.3, 0.0, 10.0)
         assert math.isfinite(info.value.best)
         assert info.value.error > 0
 
@@ -86,7 +89,6 @@ class TestOracleAgainstClosedForms:
     def test_equivalence_sweep(self):
         """Quadrature vs closed forms on random (rule, pred, label) configs."""
         rng = np.random.default_rng(21)
-        cfg = QuadratureConfig()
         checked = 0
         while checked < 200:
             rule = list(ScoringRule)[int(rng.integers(0, 4))]
@@ -96,13 +98,12 @@ class TestOracleAgainstClosedForms:
                 closed = expected_score(rule, pred, label)
             except NotClosedForm:
                 continue
-            quad = oracle_expected_score(rule, pred, label, cfg).value
+            quad = oracle_expected_score(rule, pred, label).value
             assert quad == pytest.approx(closed, abs=max(1e-8, 1e-8 * abs(closed)))
             checked += 1
 
     def test_entropy_sweep(self):
         rng = np.random.default_rng(22)
-        cfg = QuadratureConfig()
         for _ in range(60):
             dist = _random_distribution(rng)
             for rule in ScoringRule:
@@ -110,7 +111,7 @@ class TestOracleAgainstClosedForms:
                     closed = entropy(rule, dist)
                 except NotClosedForm:
                     continue
-                quad = oracle_entropy(rule, dist, cfg)
+                quad = oracle_entropy(rule, dist)
                 assert quad == pytest.approx(closed, abs=max(1e-8, 1e-8 * abs(closed)))
 
     def test_log_mixture_entropy_between_bounds(self):
@@ -124,16 +125,16 @@ class TestOracleAgainstClosedForms:
         hi = entropy(ScoringRule.LOG, moment_surrogate(mix))
         assert lo - 1e-10 <= h <= hi + 1e-10
 
-    def test_window_invariance(self):
+    def test_window_invariance(self, monkeypatch):
         rng = np.random.default_rng(23)
         for _ in range(20):
             pred = _random_distribution(rng)
             label = _random_distribution(rng)
             rule = list(ScoringRule)[int(rng.integers(0, 4))]
-            narrow = oracle_expected_score(rule, pred, label,
-                                           QuadratureConfig(tail_width=10.0)).value
-            wide = oracle_expected_score(rule, pred, label,
-                                         QuadratureConfig(tail_width=20.0)).value
+            narrow = oracle_expected_score(rule, pred, label).value
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_TAIL_WIDTH", 20.0)
+                wide = oracle_expected_score(rule, pred, label).value
             assert abs(narrow - wide) < 1e-10 * max(1.0, abs(narrow))
 
 
@@ -215,6 +216,23 @@ class TestSeparatedMixtureEntropy:
         assert abs(got - exact) <= 1e-8
 
 
+class TestSeparatedMixtureClosedEntropy:
+    """The other rules' ``oracle_entropy`` against their closed Bayes(2) on
+    the same separated mixtures.  CRPS agrees; QUAD and SE fail today
+    without a ConvergenceError."""
+
+    @pytest.mark.parametrize("rule", [
+        ScoringRule.CRPS,
+        pytest.param(ScoringRule.QUADRATIC, marks=_MISSES_A_COMPONENT),
+        pytest.param(ScoringRule.SE, marks=_MISSES_A_COMPONENT)])
+    @pytest.mark.parametrize("half, variance", _SEPARATED)
+    def test_oracle_entropy(self, rule, half, variance):
+        means, variances, _ = _separated_mixture(half, variance)
+        ens = GaussianEnsemble(means, variances)
+        closed = bayes_risk(rule, ens, ApproximationId.ENS)
+        assert abs(oracle_entropy(rule, ens) - closed) <= 1e-8 * abs(closed)
+
+
 class TestMemberSumOrder:
     def test_m10_entropies_equal_a_member_loop_bitwise(self):
         """Summed pairwise, as NumPy sums an F-ordered (M, N, P) slab over
@@ -222,10 +240,9 @@ class TestMemberSumOrder:
         their last bits, and so do some of these entropies."""
         rng = np.random.default_rng(61)
         means, variances = rng.uniform(-6, 6, (300, 10)), rng.uniform(0.05, 4, (300, 10))
-        cfg = QuadratureConfig()
-        lo, hi = oracle._window(cfg.tail_width, (means, variances))
+        lo, hi = oracle._window((means, variances))
         loop = oracle._integrate(
-            [oracle._Family(_member_loop_log_integrand, (means, variances), lo, hi)], cfg)
+            [oracle._Family(_member_loop_log_integrand, (means, variances), lo, hi)])
         got = _batch_log_mixture_entropy(means, variances)
         assert [x.hex() for x in got] == [x.hex() for x in loop.value]
 
@@ -251,7 +268,6 @@ class TestMonteCarlo:
     def test_quadrature_vs_mc_on_log_mixtures(self):
         """50 no-closed-form cases: mixture prediction under the LOG rule."""
         rng = np.random.default_rng(31)
-        cfg_q = QuadratureConfig()
         for _ in range(50):
             m = int(rng.integers(2, 5))
             pred = GaussianEnsemble(
@@ -259,7 +275,7 @@ class TestMonteCarlo:
             label = GaussianEnsemble([rng.uniform(-3, 3)], [rng.uniform(0.1, 4)])
             with pytest.raises(NotClosedForm):
                 expected_score(ScoringRule.LOG, pred, label)
-            quad = oracle_expected_score(ScoringRule.LOG, pred, label, cfg_q)
+            quad = oracle_expected_score(ScoringRule.LOG, pred, label)
             mc = mc_expected_score(ScoringRule.LOG, pred, label,
                                    McConfig(samples=100_000, seed=int(rng.integers(2**32))))
             combined = math.hypot(mc.standard_error, max(quad.error, 1e-12))
@@ -272,7 +288,6 @@ def _engine_families():
     member-order one), one with knots and one that cannot converge in a few
     dozen subdivisions."""
     rng = np.random.default_rng(43)
-    cfg = QuadratureConfig()
     mu, var = rng.uniform(-4, 4, (5, 3)), rng.uniform(0.05, 6, (5, 3))
     mp, vp = rng.uniform(-4, 4, (4, 2)), rng.uniform(0.05, 6, (4, 2))
     mq, vq = rng.uniform(-4, 4, (4, 1)), rng.uniform(0.05, 6, (4, 1))
@@ -280,13 +295,13 @@ def _engine_families():
     mt, vt = rng.uniform(-4, 4, (4, 10)), rng.uniform(0.05, 6, (4, 10))
     return [
         oracle._Family(oracle._log_integrand, (mu, var),
-                       *oracle._window(cfg.tail_width, (mu, var))),
+                       *oracle._window((mu, var))),
         oracle._Family(oracle._log_integrand, (mt, vt),
-                       *oracle._window(cfg.tail_width, (mt, vt))),
+                       *oracle._window((mt, vt))),
         oracle._Family(oracle._crps_integrand, (mp, vp, mq, vq),
-                       *oracle._window(cfg.tail_width, (mp, vp), (mq, vq))),
+                       *oracle._window((mp, vp), (mq, vq))),
         oracle._Family(oracle._centred_integrand, (ms, vs, rng.uniform(-1, 1, 3)),
-                       *oracle._window(cfg.tail_width, (ms, vs))),
+                       *oracle._window((ms, vs))),
         oracle._Family(lambda t: np.abs(t - 0.3), (), np.array([-1.0, -2.0]),
                        np.array([1.0, 2.0]), knots=np.array([[0.3, 0.3], [np.nan, 5.0]])),
         oracle._Family(lambda t: np.abs(np.sin(40 * t)) ** 0.3, (),
@@ -295,10 +310,10 @@ def _engine_families():
 
 
 class TestEngine:
-    def test_batch_equals_each_integral_alone(self):
-        cfg = QuadratureConfig(max_subdivisions=40)
+    def test_batch_equals_each_integral_alone(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 40)
         families = _engine_families()
-        batch = oracle._integrate(families, cfg)
+        batch = oracle._integrate(families)
         failed = batch.failed()
         assert failed.any() and not failed.all()
         alone = []
@@ -308,16 +323,16 @@ class TestEngine:
                     params=tuple(p[k:k + 1] for p in fam.params),
                     lo=fam.lo[k:k + 1], hi=fam.hi[k:k + 1],
                     knots=None if fam.knots is None else fam.knots[k:k + 1])
-                alone.append(oracle._integrate([one], cfg))
+                alone.append(oracle._integrate([one]))
         for field in ("value", "error", "tol", "splits"):
             assert np.array_equal(getattr(batch, field),
                                   np.concatenate([getattr(r, field) for r in alone]))
 
-    def test_failed_integral_leaves_the_others_intact(self):
-        cfg = QuadratureConfig(max_subdivisions=40)
+    def test_failed_integral_leaves_the_others_intact(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 40)
         families = _engine_families()
-        with_failure = oracle._integrate(families, cfg)
-        without = oracle._integrate(families[:-1], cfg)
+        with_failure = oracle._integrate(families)
+        without = oracle._integrate(families[:-1])
         assert with_failure.failed()[-1] and not without.failed().any()
         assert np.array_equal(with_failure.value[:-1], without.value)
         assert np.array_equal(with_failure.error[:-1], without.error)
@@ -357,12 +372,11 @@ class TestBatchEntropyConvergence:
     def test_failure_names_the_row(self, monkeypatch):
         means = np.array([[0.0, 1.0], [-200.0, 200.0], [0.5, 0.0]])
         variances = np.array([[1.0, 2.0], [0.01, 0.01], [1.0, 1.0]])
-        cfg = QuadratureConfig(max_subdivisions=4)
-        lo, hi = oracle._window(cfg.tail_width, (means, variances))
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 4)
+        lo, hi = oracle._window((means, variances))
         res = oracle._integrate(
-            [oracle._Family(oracle._log_integrand, (means, variances), lo, hi)], cfg)
+            [oracle._Family(oracle._log_integrand, (means, variances), lo, hi)])
         assert list(res.failed()) == [False, True, False]
-        monkeypatch.setattr(oracle, "QuadratureConfig", lambda: cfg)
         with pytest.raises(ConvergenceError) as info:
             _batch_log_mixture_entropy(means, variances)
         assert info.value.row == 1
@@ -370,19 +384,48 @@ class TestBatchEntropyConvergence:
 
 
 class TestSubdivisionLimit:
-    def test_message_names_the_limit_next_to_the_count(self):
-        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
+    def test_message_names_the_limit_next_to_the_count(self, monkeypatch):
+        _unreachable_tolerance(monkeypatch)
         with pytest.raises(ConvergenceError) as info:
-            adaptive_quadrature(lambda t: np.exp(-t * t), -5.0, 5.0, cfg)
+            adaptive_quadrature(lambda t: np.exp(-t * t), -5.0, 5.0)
         # the limit is checked before each round; the one round run splits
         # every seed panel, so the count overshoots it
         assert "after 24 subdivisions (limit 1, checked before each round" in str(info.value)
 
 
+_MIX = GaussianEnsemble([0.0, 2.5], [0.5, 1.5])
+_ENTRY_POINTS = {
+    "adaptive_quadrature": lambda: adaptive_quadrature(lambda t: np.exp(-t * t), -5.0, 5.0),
+    "crps_point_quadrature": lambda: oracle.crps_point_quadrature(_MIX, 0.7),
+    "_batch_log_mixture_entropy": lambda: _batch_log_mixture_entropy(
+        _MIX.means[None, :], _MIX.variances[None, :]),
+    "log_quadrature_cells": lambda: log_quadrature_cells(_MIX),
+    "log_excess_ba_ens": lambda: log_excess_ba_ens(_MIX),
+    **{f"oracle_entropy_{rule.value}": lambda rule=rule: oracle_entropy(rule, _MIX)
+       for rule in ScoringRule},
+    **{f"oracle_expected_score_{rule.value}":
+       lambda rule=rule: oracle_expected_score(rule, _MIX, G01) for rule in ScoringRule},
+    **{f"oracle_divergence_{rule.value}":
+       lambda rule=rule: oracle.oracle_divergence(rule, _MIX, G01) for rule in ScoringRule},
+}
+
+
+class TestModuleTolerances:
+    """Every entry point integrates at the module constants, read when it
+    runs: made unreachable, each one fails (``run_oracle_check`` in
+    ``TestOracleCheckAccounting``)."""
+
+    @pytest.mark.parametrize("name", _ENTRY_POINTS)
+    def test_entry_point_raises(self, monkeypatch, name):
+        _unreachable_tolerance(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            _ENTRY_POINTS[name]()
+
+
 class TestOracleCheckAccounting:
-    def test_unreachable_tolerance_charges_every_cell(self):
-        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=1)
-        rows, passed, _ = oracle.run_oracle_check(6, 11, cfg)
+    def test_unreachable_tolerance_charges_every_cell(self, monkeypatch):
+        _unreachable_tolerance(monkeypatch)
+        rows, passed, _ = oracle.run_oracle_check(6, 11)
         assert not passed
         assert len(rows) == 64
         assert all(c.convergence_failures == 6 for c in rows)
@@ -395,7 +438,7 @@ class TestOracleCheckAccounting:
                         for rule in ScoringRule for est in default_estimators())
         quads = np.zeros((len(ensembles), len(columns)))
         quads[3, [col.rule is ScoringRule.LOG for col in columns]] = np.nan
-        got = oracle._closed_cells(ensembles, quads, columns, QuadratureConfig())
+        got = oracle._closed_cells(ensembles, quads, columns)
         for i, ens in enumerate(ensembles):
             batch = EnsembleBatch(ens.means[None, :], ens.variances[None, :])
             fallback = log_quadrature_cells(ens)
@@ -412,8 +455,8 @@ class TestOracleCheckAccounting:
         real = oracle._oracle_tables
         failed = []
 
-        def one_failed_divergence(rules, dists, pairs, cfg):
-            tables = real(rules, dists, pairs, cfg)
+        def one_failed_divergence(rules, dists, pairs):
+            tables = real(rules, dists, pairs)
             if not failed:
                 # the first pair is the first two members of the first
                 # trial with more than one member
@@ -432,9 +475,10 @@ class TestOracleCheckAccounting:
         for c in rows:
             assert c.convergence_failures == (1 if c.rule is ScoringRule.CRPS else 0), c
 
-    def test_failure_is_charged_to_its_rule_only(self):
-        cfg = QuadratureConfig(max_subdivisions=3, rel_tol=1e-12)
-        rows, passed, _ = oracle.run_oracle_check(6, 11, cfg)
+    def test_failure_is_charged_to_its_rule_only(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 3)
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-12)
+        rows, passed, _ = oracle.run_oracle_check(6, 11)
         assert not passed
         failures = {(c.rule, c.estimator.key): c.convergence_failures for c in rows}
         for (rule, _), n in failures.items():
@@ -467,7 +511,7 @@ class TestOracleCheckFailsClosed:
         the check, and no other row changes.  At seed 0 the first trial
         alone already catches every column; 20 trials are checked."""
         rel_tol, abs_floor = oracle._CHECK_REL_TOL, oracle._CHECK_ABS_FLOOR
-        columns, closed, quad = oracle._check_cells(20, 0, QuadratureConfig())
+        columns, closed, quad = oracle._check_cells(20, 0)
         base, passed, _ = oracle._verdict(columns, closed, quad, rel_tol, abs_floor)
         assert passed
         for k, col in enumerate(columns):
