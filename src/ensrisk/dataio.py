@@ -2,11 +2,11 @@
 
 Prediction sets travel as a single JSON document, parsed straight into the
 array-backed ``PredictionSet``: each field is checked on whole lists and
-arrays, and only the first bad point, if any, is looked at on its own, to
-word its error.  CSV is output-only (the per-point member lists do not fit a
-flat table); ``measures.csv`` is streamed in blocks of rows.  Ids and group
-labels go into CSV cells unquoted, so the loader refuses the characters that
-would need quoting.  Serialization is canonical: fixed field order, floats
+arrays, and each check words its own fault, so no point is checked twice.
+CSV is output-only (the per-point member lists do not fit a flat table);
+``measures.csv`` is streamed in blocks of rows.  Ids and group labels go
+into CSV cells unquoted, so the loader refuses the characters that would
+need quoting.  Serialization is canonical: fixed field order, floats
 in 17-significant-digit decimal, so serialize -> parse -> serialize is
 byte-identical.  All writes go through a write-temp-then-rename
 (``atomic_write``) so partial files never appear under the target name.
@@ -85,38 +85,13 @@ def _csv_unsafe(label) -> bool:
     return type(label) is str and any(c in label for c in _CSV_SPECIAL)
 
 
-def _point_error(obj, index: int) -> SchemaError:
-    """The error of a point that fails a schema check: its first fault, in
-    the order id, members (each member in turn), target, group."""
-    where = f"points[{index}]"
-    if not isinstance(obj, dict):
-        return SchemaError(f"{where}: expected an object")
-    pid = obj.get("id")
-    if not isinstance(pid, str) or not pid:
-        return SchemaError(f"{where}.id: expected a non-empty string")
-    if _csv_unsafe(pid):
-        return SchemaError(f"{where}.id: {_CSV_SPECIAL_TEXT}")
-    members = obj.get("members")
-    if not isinstance(members, list) or not members:
-        return SchemaError(f"{where}.members: expected a non-empty list")
-    for j, m in enumerate(members):
-        if not isinstance(m, dict) or "mu" not in m or "sigma2" not in m:
-            return SchemaError(f"{where}.members[{j}]: expected mu and sigma2")
-        mu, s2 = m["mu"], m["sigma2"]
-        if type(mu) not in _NUMBERS or type(s2) not in _NUMBERS:
-            return SchemaError(f"{where}.members[{j}]: mu and sigma2 must be numbers")
-        if not (math.isfinite(_to_float(mu)) and math.isfinite(_to_float(s2))) or s2 <= 0:
-            return SchemaError(f"{where}.members[{j}]: need finite mu and sigma2 > 0")
-    target = obj.get("target")
-    if target is not None and (type(target) not in _NUMBERS
-                               or not math.isfinite(_to_float(target))):
-        return SchemaError(f"{where}.target: expected a finite number")
-    group = obj.get("group")
-    if group is not None and not isinstance(group, str):
-        return SchemaError(f"{where}.group: expected a string")
-    if _csv_unsafe(group):
-        return SchemaError(f"{where}.group: {_CSV_SPECIAL_TEXT}")
-    raise AssertionError(f"{where} passes every schema check")
+def _member_fault(m) -> str:
+    """The fault of a member that fails the member checks."""
+    if type(m) is not dict or "mu" not in m or "sigma2" not in m:
+        return "expected mu and sigma2"
+    if type(m["mu"]) not in _NUMBERS or type(m["sigma2"]) not in _NUMBERS:
+        return "mu and sigma2 must be numbers"
+    return "need finite mu and sigma2 > 0"
 
 
 def _first_false(ok) -> int:
@@ -153,10 +128,11 @@ def loads_prediction_set(text: str) -> PredictionSet:
     """Parse and check a prediction_set/v1 document.
 
     Each field is pulled out of every point with one list comprehension and
-    checked as a whole list or array.  Each check yields the first point it
-    rejects, checking only points whose earlier fields let it run (objects
-    for every field, member lists for the members), so the earliest of
-    these is the first bad point, and ``_point_error`` words its fault."""
+    checked as a whole list or array.  Each check records the first point it
+    rejects with its field and fault, checking only points whose earlier
+    fields let it run (objects for every field, member lists for the
+    members).  The earliest point recorded is raised, on a tie the earlier
+    field in the order id, members, target, group."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,12 +147,15 @@ def loads_prediction_set(text: str) -> PredictionSet:
 
     end = _first_false([type(o) is dict for o in points])
     objs = points[:end]
+    faults = [(end, "", "expected an object")]
     ids = [o.get("id") for o in objs]
-    bad = [_first_false([type(i) is str and i != "" for i in ids]), _first_csv_unsafe(ids)]
+    faults.append((_first_false([type(i) is str and i != "" for i in ids]), ".id",
+                   "expected a non-empty string"))
+    faults.append((_first_csv_unsafe(ids), ".id", _CSV_SPECIAL_TEXT))
 
     members = [o.get("members") for o in objs]
     n_ok = _first_false([type(m) is list and len(m) > 0 for m in members])
-    bad.append(n_ok)
+    faults.append((n_ok, ".members", "expected a non-empty list"))
     sizes = np.fromiter(map(len, members[:n_ok]), dtype=np.int64, count=n_ok)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     flat = list(chain.from_iterable(members[:n_ok]))
@@ -186,19 +165,24 @@ def loads_prediction_set(text: str) -> PredictionSet:
     k = min(mu_ok, s2_ok)  # members before the first bad one
     k = min(k, _first_false(np.isfinite(means[:k]) & np.isfinite(variances[:k])
                             & (variances[:k] > 0.0)))
-    bad.append(int(np.searchsorted(offsets, k, side="right")) - 1)
+    if k < len(flat):
+        i = int(np.searchsorted(offsets, k, side="right")) - 1
+        faults.append((i, f".members[{k - offsets[i]}]", _member_fault(flat[k])))
 
     targets = [o.get("target") for o in objs]
     target_values, t_ok = _numbers(targets, allow_none=True)
     given = np.array([t is not None for t in targets[:t_ok]], dtype=bool)
-    bad.append(min(t_ok, _first_false(np.isfinite(target_values) | ~given)))
+    faults.append((min(t_ok, _first_false(np.isfinite(target_values) | ~given)),
+                   ".target", "expected a finite number"))
     groups = [o.get("group") for o in objs]
-    bad.append(_first_false([g is None or type(g) is str for g in groups]))
-    bad.append(_first_csv_unsafe(groups))
+    faults.append((_first_false([g is None or type(g) is str for g in groups]), ".group",
+                   "expected a string"))
+    faults.append((_first_csv_unsafe(groups), ".group", _CSV_SPECIAL_TEXT))
 
-    end = min(end, *bad)
-    if end < len(points):
-        raise _point_error(points[end], end)
+    # min keeps the first of equal points, so ties go to field order
+    i, field, message = min(faults, key=lambda f: f[0])
+    if i < len(points):
+        raise SchemaError(f"points[{i}]{field}: {message}")
     try:
         return PredictionSet.from_flat(ids, means, variances, offsets,
                                        target_values, groups)

@@ -105,13 +105,6 @@ class EstimatorId:
                 )
 
     @property
-    def label(self) -> str:
-        if self.kind is RiskKind.BAYES:
-            return f"Bayes({self.first.value})"
-        name = "Tot" if self.kind is RiskKind.TOTAL else "Exc"
-        return f"{name}({self.first.value},{self.second.value})"
-
-    @property
     def key(self) -> str:
         """Machine name, e.g. tot_3a_2 / bayes_1 / exc_1_1."""
         if self.kind is RiskKind.BAYES:

@@ -181,7 +181,7 @@ def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
         rows = tuple(
             ShiftRow(col.rule, col.estimator, b, s,
                      "unavailable" if math.isnan(b) else _classify(b, s, flat_threshold))
-            for col, b, s in zip(columns, base_means, shifted_means))
+            for col, b, s in zip(columns, base_means.tolist(), shifted_means.tolist()))
         reports.append(ShiftReport(kind, flat_threshold, rows))
     return tuple(reports)
 
@@ -197,7 +197,10 @@ def shift_report(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
 
 def two_curve_pi(x):
     """Mixing weight of curve 1."""
-    return 1.0 / (1.0 + np.exp(1.2 * np.asarray(x, dtype=float)))
+    # exp(1.2 x) overflows only for x > 591, where pi(x) rounds to its limit
+    # 0 anyway and 1 / (1 + inf) is exactly 0, so the warning is dropped.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(1.2 * np.asarray(x, dtype=float)))
 
 
 def two_curve_mu1(x):
@@ -220,8 +223,9 @@ def two_curve_arrays(n: int, x_low: float = -4.0, x_high: float = 4.0,
     """(x, y, component) arrays from the two-curve generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not x_low < x_high:
-        raise ValueError("x_low must be < x_high")
+    if not (x_low < x_high and math.isfinite(x_high - x_low)):
+        raise ValueError(f"x range must be finite with x_low < x_high, "
+                         f"got x_low={x_low}, x_high={x_high}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(x_low, x_high, size=n)
     pick_first = rng.random(n) < two_curve_pi(xs)

@@ -837,6 +837,16 @@ class TestTrainingCommands:
         assert "nll_log_exc_1_1" in rows[0] and "nll_random" in rows[0]
 
 
+def _input_of(command, tmp_path):
+    """An ``--input`` argument naming a valid prediction set, if ``command``
+    reads one."""
+    if "--input" not in ensrisk.cli.COMMANDS[command][1]:
+        return []
+    inp = tmp_path / "preds.json"
+    save_prediction_set(make_prediction_set(n=4, groups=["id", "ood"] * 2), str(inp))
+    return ["--input", str(inp)]
+
+
 class TestUsage:
     """The command-line contract: usage errors exit 1 naming the option,
     before any work is done; help and version exit 0."""
@@ -865,16 +875,26 @@ class TestUsage:
     def test_int_below_its_bound_exits_one_naming_it(self, tmp_path, capsys, command, flag):
         """--seed must be >= 0 and every other int option >= 1; a value below
         is a usage error before any work, not a message from NumPy or a layer."""
-        inp = tmp_path / "preds.json"
-        save_prediction_set(make_prediction_set(n=4, groups=["id", "ood"] * 2), str(inp))
         low = 0 if flag == "--seed" else 1
-        argv = [command, flag, str(low - 1)]
-        if "--input" in ensrisk.cli.COMMANDS[command][1]:
-            argv += ["--input", str(inp)]
         out = tmp_path / "out"
+        argv = [command, flag, str(low - 1), *_input_of(command, tmp_path)]
         assert main([*argv, "--output-dir", str(out)]) == 1
         assert f"argument {flag}: must be >= {low}, got {low - 1}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in ensrisk.cli.COMMANDS
+        for flag, default in ensrisk.cli._options(command).items() if type(default) is float])
+    def test_non_finite_float_exits_one_with_one_error_line(self, tmp_path, capsys, command,
+                                                            flag, value):
+        """A NaN or infinite float option is one error line, not a traceback
+        or a NumPy warning.  The --flag=value form keeps argparse from taking
+        -inf for an option."""
+        argv = [command, f"{flag}={value}", *_input_of(command, tmp_path)]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_no_command_exits_one(self):
         assert main([]) == 1

@@ -64,7 +64,6 @@ def members(ens):
 class TestEstimatorId:
     def test_labels_and_keys(self):
         est = EstimatorId(RiskKind.EXCESS, MM, ENS)
-        assert est.label == "Exc(3a,2)"
         assert est.key == "exc_3a_2"
         assert EstimatorId.parse("exc_3a_2") == est
         assert EstimatorId.parse("bayes_2") == EstimatorId(RiskKind.BAYES, ENS)

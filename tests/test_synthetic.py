@@ -1,6 +1,7 @@
 """Posterior samplers, shift classification, and the two-curve generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,16 @@ class TestFlatThreshold:
         assert all(r.direction != "flat" for r in report.rows
                    if r.base_mean != r.shifted_mean)
 
+    def test_huge_threshold_is_silent(self):
+        """A threshold whose product with a base mean overflows classifies as
+        a finite huge one does, with no NumPy overflow warning."""
+        base = UniformPosteriorSpec(members=3, replicates=50, seed=0)
+        kinds = list(ShiftKind)
+        huge = shift_reports(list(ScoringRule), base, kinds, flat_threshold=1e308)
+        large = shift_reports(list(ScoringRule), base, kinds, flat_threshold=1e300)
+        assert ([r.direction for rep in huge for r in rep.rows]
+                == [r.direction for rep in large for r in rep.rows])
+
     def test_classify_zero_delta(self):
         assert _classify(2.0, 2.0, 0.0) == "flat"
         assert _classify(0.0, 0.0, 0.0) == "flat"
@@ -193,8 +204,19 @@ class TestTwoCurveGenerator:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             two_curve_arrays(0, -4, 4, seed=0)
-        with pytest.raises(ValueError):
-            two_curve_arrays(10, 4, -4, seed=0)
+
+    @pytest.mark.parametrize("x_low,x_high", [
+        (4.0, -4.0), (-4.0, math.inf), (-math.inf, 4.0), (-1e308, 1e308), (math.nan, 4.0)])
+    def test_rejects_an_empty_or_infinite_range(self, x_low, x_high):
+        """Each end is named; a range whose width overflows would otherwise
+        reach NumPy's uniform sampler and raise OverflowError."""
+        with pytest.raises(ValueError, match=re.escape(f"x_low={x_low}, x_high={x_high}")):
+            two_curve_arrays(10, x_low, x_high, seed=0)
+
+    def test_pi_overflow_is_exactly_zero_and_silent(self):
+        """exp(1.2 x) overflows past x = 591; pi is then its limit 0, with no
+        RuntimeWarning (warnings are errors under this suite)."""
+        assert two_curve_pi(np.array([600.0, 1000.0])).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("x0", [-3.0, 0.0, 3.0])
     def test_component_frequency_matches_mixing_weight(self, x0):
