@@ -153,8 +153,7 @@ def cmd_shift(args):
 def _train_on_two_curve(n_train, members, epochs, seed, x_low, x_high):
     """The trained predictor and its training set (x, y, component)."""
     xs, ys, comp = synthetic.two_curve_arrays(n_train, x_low, x_high, seed)
-    cfg = trainer.TrainConfig(epochs=epochs, seed=seed)
-    predictor = trainer.train_ensemble(xs, ys, members, trainer.MlpSpec(), cfg)
+    predictor = trainer.train_ensemble(xs, ys, members, epochs, seed)
     return predictor, xs, ys, comp
 
 
@@ -196,11 +195,6 @@ def cmd_train(args):
 
 # -- downstream metrics ------------------------------------------------------------
 
-def _matrix_for(ps: estimators.PredictionSet, rules_text: str, oracle_fallback: bool):
-    rules_list = _parse_rules(rules_text)
-    return estimators.measure_matrix(rules_list, ps, use_oracle_fallback=oracle_fallback)
-
-
 def cmd_selective(args):
     """Prediction-reject ratio of every measure against squared errors."""
     import numpy as np
@@ -218,7 +212,8 @@ def cmd_selective(args):
     if not np.all(np.isfinite(errors)):
         point = ps.ids[int(np.flatnonzero(~np.isfinite(errors))[0])]
         raise ValueError(f"squared error is not finite at point {point!r}")
-    matrix = _matrix_for(ps, args.rules, args.oracle_fallback)
+    matrix = estimators.measure_matrix(_parse_rules(args.rules), ps,
+                                       use_oracle_fallback=args.oracle_fallback)
     prrs = dict(zip(np.flatnonzero(matrix.available).tolist(),
                     metrics.prr(errors, matrix.values[:, matrix.available]).tolist()))
     rows = [[col.rule.value, col.estimator.key, prrs.get(k)]
@@ -241,7 +236,8 @@ def cmd_ood(args):
     is_id, is_ood = groups == "id", groups == "ood"
     if not (np.any(is_id) and np.any(is_ood)):
         raise dataio.SchemaError("ood detection needs points in both groups 'id' and 'ood'")
-    matrix = _matrix_for(ps, args.rules, args.oracle_fallback)
+    matrix = estimators.measure_matrix(_parse_rules(args.rules), ps,
+                                       use_oracle_fallback=args.oracle_fallback)
     rows = [[col.rule.value, col.estimator.key,
              metrics.auroc(matrix.values[is_id, k], matrix.values[is_ood, k])
              if matrix.available[k] else None]
@@ -256,7 +252,8 @@ def cmd_correlate(args):
     """Kendall tau_b between estimators (per rule) and between rules (per estimator)."""
     ps = dataio.load_prediction_set(args.input)
     rules_list = _parse_rules(args.rules)
-    matrix = _matrix_for(ps, args.rules, args.oracle_fallback)
+    matrix = estimators.measure_matrix(rules_list, ps,
+                                       use_oracle_fallback=args.oracle_fallback)
     index = {(col.rule, col.estimator): k for k, col in enumerate(matrix.columns)}
 
     def pair(ca, cb):
@@ -304,12 +301,11 @@ def cmd_active(args):
                          f"({args.pool_size}), got {args.initial}")
     init_rng = np.random.default_rng([args.seed, 0x1417])
     init_idx = init_rng.choice(args.pool_size, size=args.initial, replace=False)
-    cfg = trainer.TrainConfig(epochs=args.epochs, seed=args.seed)
     runs = {}
     for name, m in (("measure", (rule, est)), ("random", None)):
         runs[name] = trainer.active_learning_loop(
             pool_x, pool_y, init_idx, m, args.iterations, args.batch, args.members,
-            held_x, held_y, trainer.MlpSpec(), cfg)
+            held_x, held_y, args.epochs, args.seed)
     rows = [[i, runs["measure"].nll_trajectory[i], runs["random"].nll_trajectory[i]]
             for i in range(len(runs["measure"].nll_trajectory))]
     dataio.write_csv(os.path.join(args.output_dir, "active.csv"),

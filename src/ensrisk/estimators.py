@@ -11,7 +11,11 @@ approx_beta) with the prediction in the first slot.
 Total risk composes as Tot(alpha, beta) = Bayes(alpha) + Exc(alpha, beta).
 This is the composition under which the SE-score coincidences hold:
 Tot(3b,2) collapses onto Bayes(3b), Tot(3b,1) onto Bayes(3a), and Tot(1,1),
-Tot(2,1), Tot(3a,1) agree exactly (see the identity tests).
+Tot(2,1), Tot(3a,1) agree in exact arithmetic (see the identity tests) but
+not bitwise: on 2000 M=10 rows (means U(-1, 1), variances U(1, 2)) SE
+Tot(1,1) differs from Tot(2,1) in the last bits on 803 rows and from
+Tot(3a,1) on 555, while CRPS and QUAD Tot(1,1) = Tot(2,1) bitwise on all
+of them.  ROADMAP item 3 would tie each such cell by construction.
 
 Every cell composes this way, the LOG ones too: the one term without a
 closed form is the mixture's Shannon entropy H(P_ens), which is LOG

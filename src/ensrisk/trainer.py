@@ -40,7 +40,7 @@ need for stable NLL training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -56,38 +56,12 @@ from .scores import log_mean_exp
 _LOG_2PI = math.log(2.0 * math.pi)
 _ETA2_MARGIN = 1e-6
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
+_LEARNING_RATE, _BATCH_SIZE = 1e-3, 64
+_HIDDEN_WIDTHS = (8, 8)
 
 
 class TrainingError(RuntimeError):
     """Training diverged (non-finite loss)."""
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Input width and hidden layer widths of a SiLU network."""
-
-    input_dim: int = 1
-    hidden_widths: tuple[int, ...] = (8, 8)
-
-    def __post_init__(self):
-        if self.input_dim < 1 or any(w < 1 for w in self.hidden_widths):
-            raise ValueError("input_dim and hidden widths must be positive")
-        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Adam's learning rate, the epochs and minibatch size, and the seed;
-    Adam's other constants are fixed (``_adam_step``)."""
-
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    batch_size: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("learning_rate, epochs, batch_size must be positive")
 
 
 # -- losses --------------------------------------------------------------------
@@ -141,15 +115,14 @@ class Mlp:
     Every parameter lives in one contiguous float64 vector ``params``, laid
     out as all weights then all biases, layer by layer; ``weights`` (M,
     fan_in, fan_out) and ``biases`` (M, fan_out) are reshaped views of it.
-    ``Mlp(spec, members)`` starts from zeros; ``Mlp.from_generators``
-    draws a random initialization.
+    ``Mlp(input_dim, members)``, with ``_HIDDEN_WIDTHS`` hidden layers, starts
+    from zeros; ``Mlp.from_generators`` draws a random initialization.
     """
 
-    def __init__(self, spec: MlpSpec, members: int = 1):
+    def __init__(self, input_dim: int, members: int = 1):
         if members < 1:
             raise ValueError("an Mlp needs at least one member")
-        self.spec = spec
-        dims = [spec.input_dim, *spec.hidden_widths, 2]
+        dims = [input_dim, *_HIDDEN_WIDTHS, 2]
         self._shapes = ([(members, i, o) for i, o in zip(dims[:-1], dims[1:])]
                         + [(members, o) for o in dims[1:]])
         self.params = np.zeros(sum(math.prod(s) for s in self._shapes))
@@ -158,11 +131,11 @@ class Mlp:
         self._grad_weights, self._grad_biases = self.layer_views(self._grad)
 
     @classmethod
-    def from_generators(cls, spec: MlpSpec, *rngs: np.random.Generator) -> "Mlp":
+    def from_generators(cls, input_dim: int, *rngs: np.random.Generator) -> "Mlp":
         """One member per generator, each drawing its weights layer by layer
-        from N(0, 1 / fan_in); biases start at zero.  ``from_generators(spec,
-        rng)`` is a one-member stack."""
-        net = cls(spec, len(rngs))
+        from N(0, 1 / fan_in); biases start at zero.
+        ``from_generators(input_dim, rng)`` is a one-member stack."""
+        net = cls(input_dim, len(rngs))
         for w in net.weights:
             fan_in, fan_out = w.shape[1:]
             scale = 1.0 / math.sqrt(fan_in)
@@ -255,19 +228,6 @@ class Mlp:
                 delta *= g
         return float(member_loss.sum()), self._grad.copy(), member_loss
 
-    # flat views used by the finite-difference audit
-    def parameter_vector(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_parameter_vector(self, theta: np.ndarray) -> None:
-        if np.shape(theta) != self.params.shape:
-            raise ValueError("parameter vector has wrong length")
-        self.params[...] = theta
-
-    def gradient_vector(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad, _ = self.loss_and_gradients(x, y)
-        return loss, grad
-
 
 def _eta2(raw):
     """eta2 = -softplus(raw) - margin, in place over softplus(raw)."""
@@ -288,9 +248,9 @@ class _AdamState:
         self.t = 0
 
 
-def _adam_step(params: np.ndarray, grad: np.ndarray, state: _AdamState, cfg: TrainConfig):
-    """One Adam update of the flat ``params``, in place, at the learning
-    rate of ``cfg`` and the fixed beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+def _adam_step(params: np.ndarray, grad: np.ndarray, state: _AdamState):
+    """One Adam update of the flat ``params``, in place, with the fixed
+    learning rate 1e-3, beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
     Each line is one ufunc of the textbook expression p -= lr (m / bc1) /
     (sqrt(v / bc2) + eps), evaluated in that order."""
     state.t += 1
@@ -308,7 +268,7 @@ def _adam_step(params: np.ndarray, grad: np.ndarray, state: _AdamState, cfg: Tra
     np.sqrt(denom, out=denom)
     denom += _ADAM_EPS
     np.divide(m, bc1, out=step)
-    step *= cfg.learning_rate
+    step *= _LEARNING_RATE
     step /= denom
     params -= step
 
@@ -318,7 +278,6 @@ class EnsemblePredictor:
     """M trained members, stacked in one network, plus the normalization
     applied around them."""
 
-    spec: MlpSpec
     net: Mlp
     x_mean: np.ndarray
     x_scale: np.ndarray
@@ -330,65 +289,64 @@ class EnsemblePredictor:
         return len(self.net.weights[0])
 
 
-def _standardize_stats(values: np.ndarray):
-    mean = values.mean(axis=0)
-    scale = values.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return mean, scale
+def _standardize_stats(values: np.ndarray, name: str):
+    """Finite mean and scale (the std, or 1 where it is 0) of ``values``."""
+    with np.errstate(over="ignore"):
+        mean = values.mean(axis=0)
+        scale = values.std(axis=0)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+        raise ValueError(f"the training {name} are too widely spread to standardize")
+    return mean, np.where(scale > 0.0, scale, 1.0)
 
 
-def _as_xy(x, y, input_dim: int):
+def _as_xy(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != input_dim or len(x) != len(y) or len(y) == 0:
-        raise ValueError("data must be non-empty (n, input_dim) inputs with n targets")
+    if x.ndim != 2 or x.size == 0 or len(x) != len(y):
+        raise ValueError("data must be non-empty (n, d) inputs with n targets")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
     return x, y
 
 
-def train_ensemble(x, y, members: int, spec: MlpSpec | None = None,
-                   cfg: TrainConfig | None = None) -> EnsemblePredictor:
+def train_ensemble(x, y, members: int, epochs: int, seed: int) -> EnsemblePredictor:
     """Train M members from independent initializations (seed + index).
 
-    Member m draws its initialization and its minibatch order from its own
-    ``default_rng([seed, m])`` stream; all members take one stacked step
-    per minibatch.  Deterministic given the config seed; raises
-    TrainingError, naming the lowest-index member, if a member's mean NLL
-    summed over an epoch's minibatches is non-finite.
+    The input width is that of ``x``'s rows.  Member m draws its
+    initialization and minibatch order from its own ``default_rng([seed,
+    m])`` stream; all members take one stacked step per minibatch.
+    Deterministic given ``seed``; raises TrainingError, naming the
+    lowest-index member, if a member's mean NLL over an epoch is non-finite.
     """
-    spec = spec or MlpSpec()
-    cfg = cfg or TrainConfig()
-    if members < 1:
-        raise ValueError("members must be >= 1")
-    x, y = _as_xy(x, y, spec.input_dim)
-    x_mean, x_scale = _standardize_stats(x)
-    y_mean, y_scale = _standardize_stats(y)
+    if members < 1 or epochs < 1:
+        raise ValueError("members and epochs must be >= 1")
+    x, y = _as_xy(x, y)
+    x_mean, x_scale = _standardize_stats(x, "inputs")
+    y_mean, y_scale = _standardize_stats(y, "targets")
     xs = (x - x_mean) / x_scale
     ys = (y - y_mean) / y_scale
 
-    rngs = [np.random.default_rng([cfg.seed, idx]) for idx in range(members)]
-    net = Mlp.from_generators(spec, *rngs)
+    rngs = [np.random.default_rng([seed, idx]) for idx in range(members)]
+    net = Mlp.from_generators(x.shape[1], *rngs)
     state = _AdamState(net.params.size)
     n = len(ys)
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         perm = np.stack([rng.permutation(n) for rng in rngs])
         x_epoch, y_epoch = xs[perm], ys[perm]
         epoch_loss = np.zeros(members)
-        for lo in range(0, n, cfg.batch_size):
-            hi = lo + cfg.batch_size
+        for lo in range(0, n, _BATCH_SIZE):
+            hi = lo + _BATCH_SIZE
             _, grad, member_loss = net.loss_and_gradients(x_epoch[:, lo:hi],
                                                           y_epoch[:, lo:hi])
             epoch_loss += member_loss
-            _adam_step(net.params, grad, state, cfg)
+            _adam_step(net.params, grad, state)
         finite = np.isfinite(epoch_loss)
         if not finite.all():
             raise TrainingError(f"member {int(np.argmin(finite))} diverged "
                                 f"at epoch {epoch} (non-finite loss)")
-    return EnsemblePredictor(spec, net, x_mean, x_scale,
-                             float(y_mean), float(y_scale))
+    return EnsemblePredictor(net, x_mean, x_scale, float(y_mean), float(y_scale))
 
 
 def predict_arrays(pred: EnsemblePredictor, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -396,8 +354,8 @@ def predict_arrays(pred: EnsemblePredictor, xs) -> tuple[np.ndarray, np.ndarray]
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
-    if xs.shape[1] != pred.spec.input_dim:
-        raise ValueError("input dimensionality does not match the model spec")
+    if xs.shape[1] != pred.net.weights[0].shape[1]:
+        raise ValueError("input width does not match the trained network's")
     xn = (xs - pred.x_mean) / pred.x_scale
     eta1, eta2 = pred.net.forward(xn)
     mu, var = moments_from_natural(eta1, eta2)
@@ -438,8 +396,8 @@ def save_checkpoint(pred: EnsemblePredictor, path: str) -> None:
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "spec": {
-            "input_dim": pred.spec.input_dim,
-            "hidden_widths": list(pred.spec.hidden_widths),
+            "input_dim": pred.net.weights[0].shape[1],
+            "hidden_widths": list(_HIDDEN_WIDTHS),
             "activation": "silu",
         },
         "normalization": {
@@ -466,11 +424,13 @@ def load_checkpoint(path: str) -> EnsemblePredictor:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    if doc["spec"]["activation"] != "silu":
-        raise ValueError(f"unsupported checkpoint activation {doc['spec']['activation']!r}")
-    spec = MlpSpec(doc["spec"]["input_dim"], tuple(doc["spec"]["hidden_widths"]))
+    spec = doc["spec"]
+    if spec["activation"] != "silu":
+        raise ValueError(f"unsupported checkpoint activation {spec['activation']!r}")
+    if tuple(spec["hidden_widths"]) != _HIDDEN_WIDTHS:
+        raise ValueError(f"unsupported checkpoint hidden widths {spec['hidden_widths']}")
     entries = doc["members"]
-    net = Mlp(spec, len(entries))
+    net = Mlp(spec["input_dim"], len(entries))
     stored = (*zip(*(e["weights"] for e in entries)), *zip(*(e["biases"] for e in entries)))
     views = (*net.weights, *net.biases)
     if len(stored) != len(views):
@@ -481,8 +441,7 @@ def load_checkpoint(path: str) -> EnsemblePredictor:
             raise ValueError("checkpoint layers do not match its spec")
         view[...] = layer
     norm = doc["normalization"]
-    return EnsemblePredictor(spec, net,
-                             np.asarray(norm["x_mean"], dtype=float),
+    return EnsemblePredictor(net, np.asarray(norm["x_mean"], dtype=float),
                              np.asarray(norm["x_scale"], dtype=float),
                              float(norm["y_mean"]), float(norm["y_scale"]))
 
@@ -505,8 +464,7 @@ def _derived_seed(seed: int, salt: int) -> int:
 def active_learning_loop(pool_x, pool_y, initial_indices, measure,
                          iterations: int, batch: int,
                          members: int, heldout_x, heldout_y,
-                         spec: MlpSpec | None = None,
-                         cfg: TrainConfig | None = None) -> ActiveLearningResult:
+                         epochs: int, seed: int) -> ActiveLearningResult:
     """Softmax acquisition over an uncertainty measure, without replacement.
 
     ``measure`` is a (rule, EstimatorId) pair evaluated in closed form on
@@ -518,9 +476,7 @@ def active_learning_loop(pool_x, pool_y, initial_indices, measure,
     held-out data; an exhausted pool stops the loop early with the
     truncation flag set.
     """
-    spec = spec or MlpSpec()
-    cfg = cfg or TrainConfig()
-    pool_x, pool_y = _as_xy(pool_x, pool_y, spec.input_dim)
+    pool_x, pool_y = _as_xy(pool_x, pool_y)
     if iterations < 1 or batch < 1:
         raise ValueError("iterations and batch must be >= 1")
     if measure is not None:
@@ -537,15 +493,14 @@ def active_learning_loop(pool_x, pool_y, initial_indices, measure,
         raise ValueError(f"initial index {outside[0]} is outside the pool "
                          f"of {len(pool_y)} points")
     remaining = sorted(set(range(len(pool_y))) - set(train_idx))
-    acq_rng = np.random.default_rng([cfg.seed, 0xACC])
+    acq_rng = np.random.default_rng([seed, 0xACC])
     trajectory = []
     acquired: list[int] = []
     truncated = False
 
     for it in range(iterations + 1):
-        run_cfg = replace(cfg, seed=_derived_seed(cfg.seed, it))
         predictor = train_ensemble(pool_x[train_idx], pool_y[train_idx],
-                                   members, spec, run_cfg)
+                                   members, epochs, _derived_seed(seed, it))
         trajectory.append(ensemble_nll(predictor, heldout_x, heldout_y))
         if it == iterations:
             break

@@ -29,8 +29,6 @@ from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import ShiftKind, UniformPosteriorSpec, shift_report, two_curve_arrays
 from ensrisk.trainer import (
     Mlp,
-    MlpSpec,
-    TrainConfig,
     active_learning_loop,
     natural_from_moments,
     nll_natural,
@@ -179,26 +177,25 @@ def test_criterion_06_gradient_correctness():
     equiv = float(np.max(np.abs(nll_natural(eta1, eta2, y)
                                 - nll_standard(mu, sigma2, y))))
 
-    spec = MlpSpec(input_dim=1, hidden_widths=(8, 8))
     x = rng.normal(size=(32, 1))
     t = rng.normal(size=32)
     worst = 0.0
     for point in range(10):
-        net = Mlp.from_generators(spec, np.random.default_rng(660 + point))
-        _, grad = net.gradient_vector(x, t)
-        theta = net.parameter_vector()
+        net = Mlp.from_generators(x.shape[1], np.random.default_rng(660 + point))
+        _, grad = net.loss_and_gradients(x, t)[:2]
+        theta = net.params.copy()
         h = 1e-5
         fd = np.empty_like(theta)
         for i in range(len(theta)):
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            net.set_parameter_vector(up)
+            net.params[...] = up
             lu = net.loss_and_gradients(x, t)[0]
-            net.set_parameter_vector(down)
+            net.params[...] = down
             ld = net.loss_and_gradients(x, t)[0]
             fd[i] = (lu - ld) / (2 * h)
-        net.set_parameter_vector(theta)
+        net.params[...] = theta
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
         worst = max(worst, float(rel.max()))
     report(6, "natural-NLL gradients vs central differences",
@@ -211,7 +208,7 @@ def test_criterion_07_extrapolation_excess():
     wins = 0
     for seed in range(5):
         xs, ys, _ = two_curve_arrays(1200, -4.0, 4.0, seed)
-        pred = train_ensemble(xs, ys, 10, MlpSpec(), TrainConfig(epochs=100, seed=seed))
+        pred = train_ensemble(xs, ys, 10, epochs=100, seed=seed)
         grid = np.linspace(-7.0, 7.0, 281)
         means, variances = predict_arrays(pred, grid)
         exc = EnsembleBatch(means, variances).excess(ScoringRule.LOG, (BA, BA))
@@ -260,7 +257,7 @@ def test_criterion_09_ood_sanity():
     wins = {rule: 0 for rule in (ScoringRule.CRPS, ScoringRule.LOG, ScoringRule.SE)}
     for seed in range(5):
         xs, ys, _ = two_curve_arrays(1200, -4.0, 4.0, seed)
-        pred = train_ensemble(xs, ys, 10, MlpSpec(), TrainConfig(epochs=100, seed=seed))
+        pred = train_ensemble(xs, ys, 10, epochs=100, seed=seed)
         id_x = two_curve_arrays(500, -4.0, 4.0, seed + 100)[0]
         ood_x = np.random.default_rng(seed + 200).uniform(8.0, 12.0, 500)
         mi, vi = predict_arrays(pred, id_x)
@@ -289,13 +286,12 @@ def test_criterion_10_active_learning_trend():
         pool_x, pool_y, _ = two_curve_arrays(1200, -4.0, 4.0, seed)
         held_x, held_y, _ = two_curve_arrays(800, -4.0, 4.0, seed + 1000)
         init = np.random.default_rng([seed, 7]).choice(1200, size=60, replace=False)
-        cfg = TrainConfig(epochs=150, seed=seed)
         for name, measure in (("measure", (ScoringRule.LOG, EXC_11)),
                               ("random", None)):
             res = active_learning_loop(pool_x, pool_y, init, measure,
                                        iterations=6, batch=30, members=10,
                                        heldout_x=held_x, heldout_y=held_y,
-                                       spec=MlpSpec(), cfg=cfg)
+                                       epochs=150, seed=seed)
             finals[name].append(res.nll_trajectory[-1])
     mean_measure = float(np.mean(finals["measure"]))
     mean_random = float(np.mean(finals["random"]))

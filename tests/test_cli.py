@@ -596,6 +596,16 @@ class TestProcessOutput:
         assert proc.returncode == 1
         assert proc.stderr == b"error: " + what + b" is not finite at point 'p1'\n"
 
+    def test_too_wide_training_range_is_one_stderr_line(self, tmp_path):
+        """Inputs on +-1e200 overflow their std; train stops with its own
+        error and no NumPy warning before it."""
+        proc = _run_cli(["train", "--x-low=-1e200", "--x-high=1e200", "--n-train", "40",
+                         "--n-test", "10", "--epochs", "1", "--members", "1",
+                         "--output-dir", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == (b"error: the training inputs are too widely spread "
+                               b"to standardize\n")
+
 
 class TestFailureExitCodes:
     def test_wrong_closed_form_exits_two_with_report(self, tmp_path, monkeypatch):

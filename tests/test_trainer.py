@@ -11,8 +11,6 @@ from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import two_curve_arrays, two_curve_sigma
 from ensrisk.trainer import (
     Mlp,
-    MlpSpec,
-    TrainConfig,
     TrainingError,
     _sigmoid,
     _standardize_stats,
@@ -82,57 +80,57 @@ class TestLosses:
                 assert abs(a - f) / max(abs(a), abs(f), 1e-3) < 1e-6
 
 
+def _central_differences(net, x, y, h=1e-5):
+    """The loss gradient by central differences over ``net.params``, which
+    are left as they were."""
+    theta = net.params.copy()
+    fd = np.empty_like(theta)
+    for i in range(len(theta)):
+        net.params[i] = theta[i] + h
+        lu = net.loss_and_gradients(x, y)[0]
+        net.params[i] = theta[i] - h
+        ld = net.loss_and_gradients(x, y)[0]
+        net.params[i] = theta[i]
+        fd[i] = (lu - ld) / (2 * h)
+    return fd
+
+
+@pytest.fixture
+def widths_5_4(monkeypatch):
+    """Hidden widths (5, 4): unequal and unlike the default (8, 8)."""
+    monkeypatch.setattr(trainer, "_HIDDEN_WIDTHS", (5, 4))
+
+
 class TestBackpropagation:
-    @pytest.mark.parametrize("spec", [
-        MlpSpec(),
-        MlpSpec(input_dim=2, hidden_widths=(6, 5)),
+    @pytest.mark.parametrize("input_dim,widths", [
+        (1, trainer._HIDDEN_WIDTHS),
+        (2, (6, 5)),
     ], ids=["default", "two_inputs"])
-    def test_network_gradients_match_finite_differences(self, spec):
+    def test_network_gradients_match_finite_differences(self, monkeypatch, input_dim,
+                                                        widths):
+        monkeypatch.setattr(trainer, "_HIDDEN_WIDTHS", widths)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(24, spec.input_dim))
+        x = rng.normal(size=(24, input_dim))
         y = rng.normal(size=24)
         for point in range(10):
-            net = Mlp.from_generators(spec, np.random.default_rng(100 + point))
-            _, grad = net.gradient_vector(x, y)
-            theta = net.parameter_vector()
-            h = 1e-5
-            fd = np.empty_like(theta)
-            for i in range(len(theta)):
-                up, down = theta.copy(), theta.copy()
-                up[i] += h
-                down[i] -= h
-                net.set_parameter_vector(up)
-                lu, _, _ = net.loss_and_gradients(x, y)
-                net.set_parameter_vector(down)
-                ld, _, _ = net.loss_and_gradients(x, y)
-                fd[i] = (lu - ld) / (2 * h)
-            net.set_parameter_vector(theta)
+            net = Mlp.from_generators(x.shape[1], np.random.default_rng(100 + point))
+            assert [w.shape[-1] for w in net.weights] == [*widths, 2]
+            grad = net.loss_and_gradients(x, y)[1]
+            fd = _central_differences(net, x, y)
             rel = np.abs(grad - fd) / np.maximum(
                 np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
             assert rel.max() < 1e-4
 
+    @pytest.mark.usefixtures("widths_5_4")
     def test_stacked_gradients_match_finite_differences(self):
         """The summed objective of a 3-member stack on per-member batches,
         and each gradient block equal to its member trained alone."""
-        spec = MlpSpec(input_dim=2, hidden_widths=(5, 4))
         rng = np.random.default_rng(20)
         x = rng.normal(size=(3, 20, 2))
         y = rng.normal(size=(3, 20))
-        net = Mlp.from_generators(spec, *(np.random.default_rng(200 + m) for m in range(3)))
-        _, grad = net.gradient_vector(x, y)
-        theta = net.parameter_vector()
-        h = 1e-5
-        fd = np.empty_like(theta)
-        for i in range(len(theta)):
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            net.set_parameter_vector(up)
-            lu, _, _ = net.loss_and_gradients(x, y)
-            net.set_parameter_vector(down)
-            ld, _, _ = net.loss_and_gradients(x, y)
-            fd[i] = (lu - ld) / (2 * h)
-        net.set_parameter_vector(theta)
+        net = Mlp.from_generators(2, *(np.random.default_rng(200 + m) for m in range(3)))
+        grad = net.loss_and_gradients(x, y)[1]
+        fd = _central_differences(net, x, y)
         rel = np.abs(grad - fd) / np.maximum(
             np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
         assert rel.max() < 1e-4
@@ -140,7 +138,7 @@ class TestBackpropagation:
         _, grad, _ = net.loss_and_gradients(x, y)
         gw, gb = net.layer_views(grad)
         for m in range(3):
-            single = Mlp.from_generators(spec, np.random.default_rng(200 + m))
+            single = Mlp.from_generators(2, np.random.default_rng(200 + m))
             sw, sb = single.layer_views(single.loss_and_gradients(x[m], y[m])[1])
             for stacked, alone in zip((*gw, *gb), (*sw, *sb)):
                 np.testing.assert_array_equal(stacked[m], alone[0])
@@ -156,8 +154,7 @@ class TestBackpropagation:
         np.testing.assert_array_equal(_sigmoid(x), masked)
 
     def test_eta2_always_negative(self):
-        spec = MlpSpec()
-        net = Mlp.from_generators(spec, np.random.default_rng(3))
+        net = Mlp.from_generators(1, np.random.default_rng(3))
         xs = np.linspace(-50, 50, 1000)[:, None]
         _, eta2 = net.forward(xs)
         assert np.all(eta2 < 0.0)
@@ -168,22 +165,21 @@ class TestTraining:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, size=(300, 1))
         y = np.full(300, 3.0)
-        pred = train_ensemble(x, y, 3, MlpSpec(), TrainConfig(epochs=150, seed=4))
+        pred = train_ensemble(x, y, 3, epochs=150, seed=4)
         means, variances = predict_arrays(pred, x)
         assert np.all(np.abs(means - 3.0) < 0.05)
         assert np.all(variances > 0)
 
     def test_single_member(self):
         x, y, _ = two_curve_arrays(200, -4, 4, seed=5)
-        pred = train_ensemble(x, y, 1, MlpSpec(), TrainConfig(epochs=5, seed=5))
+        pred = train_ensemble(x, y, 1, epochs=5, seed=5)
         ps = predict(pred, x[:4])
         assert np.all(np.diff(ps.offsets) == 1)
 
     def test_bitwise_determinism(self):
         x, y, _ = two_curve_arrays(300, -4, 4, seed=6)
-        cfg = TrainConfig(epochs=15, seed=6)
-        a = train_ensemble(x, y, 2, MlpSpec(), cfg)
-        b = train_ensemble(x, y, 2, MlpSpec(), cfg)
+        a = train_ensemble(x, y, 2, epochs=15, seed=6)
+        b = train_ensemble(x, y, 2, epochs=15, seed=6)
         grid = np.linspace(-5, 5, 50)
         ma, va = predict_arrays(a, grid)
         mb, vb = predict_arrays(b, grid)
@@ -194,7 +190,7 @@ class TestTraining:
         from ensrisk.synthetic import two_curve_mu1, two_curve_mu2, two_curve_pi
 
         x, y, _ = two_curve_arrays(1200, -4, 4, seed=7)
-        pred = train_ensemble(x, y, 10, MlpSpec(), TrainConfig(epochs=100, seed=7))
+        pred = train_ensemble(x, y, 10, epochs=100, seed=7)
         # the single-Gaussian members should reproduce the full conditional
         # spread, which adds the curve-separation term to the noise floor;
         # the narrow dip where the curves cross (x ~ -1) gets smoothed over
@@ -216,31 +212,53 @@ class TestTraining:
 
     def test_positive_variance_on_extrapolation_grid(self):
         x, y, _ = two_curve_arrays(300, -4, 4, seed=8)
-        pred = train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=10, seed=8))
+        pred = train_ensemble(x, y, 2, epochs=10, seed=8)
         grid = np.linspace(-40, 40, 1000)
         _, variances = predict_arrays(pred, grid)
         assert np.all(variances > 0.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            train_ensemble(np.empty((0, 1)), np.empty(0), 2)
+            train_ensemble(np.empty((0, 1)), np.empty(0), 2, epochs=1, seed=0)
         with pytest.raises(ValueError):
-            train_ensemble(np.zeros((5, 3)), np.zeros(5), 2, MlpSpec(input_dim=1))
+            train_ensemble(np.empty((5, 0)), np.zeros(5), 2, epochs=1, seed=0)
 
-    def test_divergence_detection(self):
+    def test_input_width_comes_from_the_data(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-1, 1, size=(40, 3))
+        pred = train_ensemble(x, x.sum(axis=1), 2, epochs=2, seed=22)
+        assert [w.shape for w in pred.net.weights] == [(2, 3, 8), (2, 8, 8), (2, 8, 2)]
+        assert predict_arrays(pred, x[:5])[0].shape == (5, 2)
+        for other in (x[:5, :2], x[:5, 0]):
+            with pytest.raises(ValueError, match="input width"):
+                predict_arrays(pred, other)
+
+    @pytest.mark.parametrize("inputs", [True, False], ids=["inputs", "targets"])
+    def test_too_widely_spread_to_standardize(self, inputs):
+        """Inputs or targets at +-1e200 overflow their std: one ValueError
+        naming which, and no NumPy warning (warnings are errors here)."""
+        wide = np.array([-1e200, 1e200] * 20)
+        narrow = np.linspace(-1.0, 1.0, 40)
+        x, y = (wide, narrow) if inputs else (narrow, wide)
+        name = "inputs" if inputs else "targets"
+        with pytest.raises(ValueError, match=f"^the training {name} are too widely "
+                                             "spread to standardize$"):
+            train_ensemble(x, y, 1, epochs=1, seed=0)
+
+    def test_divergence_detection(self, monkeypatch):
         x, y, _ = two_curve_arrays(100, -4, 4, seed=9)
         # a learning rate at float-overflow scale drives activations to inf
         # and the loss to NaN on the next batch
+        monkeypatch.setattr(trainer, "_LEARNING_RATE", 1e300)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="member 0"):
-            train_ensemble(x, y, 1, MlpSpec(),
-                           TrainConfig(epochs=3, seed=9, learning_rate=1e300))
+            train_ensemble(x, y, 1, epochs=3, seed=9)
 
 
     def test_divergence_names_the_member(self, monkeypatch):
         class SecondMemberBlowsUp(Mlp):
             @classmethod
-            def from_generators(cls, spec, *rngs):
-                net = super().from_generators(spec, *rngs)
+            def from_generators(cls, input_dim, *rngs):
+                net = super().from_generators(input_dim, *rngs)
                 net.weights[0][1] *= 1e300
                 return net
 
@@ -248,7 +266,7 @@ class TestTraining:
         x, y, _ = two_curve_arrays(100, -4, 4, seed=9)
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match="member 1 diverged at epoch 0"):
-            train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=3, seed=9))
+            train_ensemble(x, y, 2, epochs=3, seed=9)
 
     def test_divergence_names_the_member_and_a_later_epoch(self, monkeypatch):
         """A NaN written into member 2's head after the second step of epoch
@@ -257,39 +275,32 @@ class TestTraining:
         nets = []
 
         class Recorded(Mlp):
-            def __init__(self, spec, members):
-                super().__init__(spec, members)
+            def __init__(self, input_dim, members):
+                super().__init__(input_dim, members)
                 nets.append(self)
 
         adam = trainer._adam_step
 
-        def poisoned(params, grad, state, cfg):
-            adam(params, grad, state, cfg)
+        def poisoned(params, grad, state):
+            adam(params, grad, state)
             if state.t == 10:
                 nets[0].biases[-1][2, 1] = np.nan
 
         monkeypatch.setattr(trainer, "Mlp", Recorded)
         monkeypatch.setattr(trainer, "_adam_step", poisoned)
+        monkeypatch.setattr(trainer, "_BATCH_SIZE", 32)
         x, y, _ = two_curve_arrays(100, -4, 4, seed=9)
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match="member 2 diverged at epoch 2 "):
-            train_ensemble(x, y, 3, MlpSpec(), TrainConfig(epochs=5, seed=9, batch_size=32))
+            train_ensemble(x, y, 3, epochs=5, seed=9)
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("bad", [dict(learning_rate=0.0),
-                                     dict(learning_rate=-1e-3),
-                                     dict(epochs=0), dict(epochs=-1),
-                                     dict(batch_size=0), dict(batch_size=-64)])
-    def test_non_positive_train_config_rejected(self, bad):
-        with pytest.raises(ValueError, match="must be positive"):
-            TrainConfig(**bad)
-
-    @pytest.mark.parametrize("bad", [dict(input_dim=0), dict(hidden_widths=(8, 0)),
-                                     dict(hidden_widths=(-1,))])
-    def test_non_positive_widths_rejected(self, bad):
-        with pytest.raises(ValueError, match="must be positive"):
-            MlpSpec(**bad)
+    @pytest.mark.parametrize("members,epochs", [(0, 1), (-1, 1), (1, 0), (1, -1)])
+    def test_members_and_epochs_below_one_rejected(self, members, epochs):
+        x, y, _ = two_curve_arrays(20, -4, 4, seed=0)
+        with pytest.raises(ValueError, match="members and epochs must be >= 1"):
+            train_ensemble(x, y, members, epochs=epochs, seed=0)
 
 
 def _masked_sigmoid(x):
@@ -327,7 +338,7 @@ def _reference_loss_and_gradients(net, x, y):
     return loss, gw, gb
 
 
-def _reference_adam(params, grads, state, cfg):
+def _reference_adam(params, grads, state):
     """Adam on a list of arrays, one at a time; ``state`` is (m, v, [t])."""
     beta1, beta2, eps = trainer._ADAM_BETA1, trainer._ADAM_BETA2, trainer._ADAM_EPS
     m_list, v_list, t = state
@@ -339,74 +350,75 @@ def _reference_adam(params, grads, state, cfg):
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p -= trainer._LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def _per_member_reference(x, y, members, spec, cfg):
+def _per_member_reference(x, y, members, epochs, seed):
     """Training with one network and one per-array Adam state per member, in
     turn, through the reference backward pass."""
-    x_mean, x_scale = _standardize_stats(x)
-    y_mean, y_scale = _standardize_stats(y)
+    batch = trainer._BATCH_SIZE
+    x_mean, x_scale = _standardize_stats(x, "inputs")
+    y_mean, y_scale = _standardize_stats(y, "targets")
     xs = (x - x_mean) / x_scale
     ys = (y - y_mean) / y_scale
     nets = []
     for idx in range(members):
-        rng = np.random.default_rng([cfg.seed, idx])
-        net = Mlp.from_generators(spec, rng)
+        rng = np.random.default_rng([seed, idx])
+        net = Mlp.from_generators(x.shape[1], rng)
         params = [*net.weights, *net.biases]
         state = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], [0])
-        for _ in range(cfg.epochs):
+        for _ in range(epochs):
             perm = rng.permutation(len(ys))
-            for lo in range(0, len(ys), cfg.batch_size):
-                sel = perm[lo:lo + cfg.batch_size]
+            for lo in range(0, len(ys), batch):
+                sel = perm[lo:lo + batch]
                 _, gw, gb = _reference_loss_and_gradients(net, xs[sel], ys[sel])
-                _reference_adam(params, [*gw, *gb], state, cfg)
+                _reference_adam(params, [*gw, *gb], state)
         nets.append(net)
     return nets
 
 
 class TestStackedTraining:
-    @pytest.mark.parametrize("spec", [
-        MlpSpec(),
-        MlpSpec(input_dim=2, hidden_widths=(6, 5)),
+    @pytest.mark.parametrize("input_dim,widths", [
+        (1, trainer._HIDDEN_WIDTHS),
+        (2, (6, 5)),
     ], ids=["default", "two_inputs"])
-    def test_matches_per_member_loop_bitwise(self, spec):
+    def test_matches_per_member_loop_bitwise(self, monkeypatch, input_dim, widths):
+        monkeypatch.setattr(trainer, "_HIDDEN_WIDTHS", widths)
         rng = np.random.default_rng(21)
         n = 203  # not a multiple of the batch size
-        x = rng.uniform(-4, 4, size=(n, spec.input_dim))
+        assert trainer._BATCH_SIZE == 64
+        x = rng.uniform(-4, 4, size=(n, input_dim))
         y = np.sin(x.sum(axis=1)) + 0.3 * rng.normal(size=n)
-        cfg = TrainConfig(epochs=8, seed=21, batch_size=64)
-        pred = train_ensemble(x, y, 3, spec, cfg)
-        reference = _per_member_reference(x, y, 3, spec, cfg)
+        pred = train_ensemble(x, y, 3, epochs=8, seed=21)
+        reference = _per_member_reference(x, y, 3, epochs=8, seed=21)
         assert pred.size == 3
+        assert [w.shape[-1] for w in pred.net.weights] == [*widths, 2]
         for m, net in enumerate(reference):
             for stacked, alone in zip((*pred.net.weights, *pred.net.biases),
                                       (*net.weights, *net.biases)):
                 np.testing.assert_array_equal(stacked[m], alone[0])
 
 
+@pytest.mark.usefixtures("widths_5_4")
 class TestFlatParameters:
     def _net(self):
-        spec = MlpSpec(input_dim=2, hidden_widths=(5, 4))
-        return Mlp.from_generators(spec, *(np.random.default_rng(30 + m) for m in range(3)))
+        return Mlp.from_generators(2, *(np.random.default_rng(30 + m) for m in range(3)))
 
-    def test_layers_sit_in_parameter_vector_order(self):
+    def test_layers_sit_in_params_order(self):
         net = self._net()
         layers = (*net.weights, *net.biases)
         assert net.params.flags.c_contiguous
         assert all(np.shares_memory(p, net.params) for p in layers)
-        np.testing.assert_array_equal(net.parameter_vector(),
+        np.testing.assert_array_equal(net.params,
                                       np.concatenate([p.ravel() for p in layers]))
 
-    def test_set_parameter_vector_writes_through_the_views(self):
+    def test_writes_to_params_reach_the_views(self):
         net = self._net()
         layers = (*net.weights, *net.biases)
         theta = np.arange(net.params.size, dtype=float)
-        net.set_parameter_vector(theta)
+        net.params[...] = theta
         assert all(a is b for a, b in zip(layers, (*net.weights, *net.biases)))
         np.testing.assert_array_equal(np.concatenate([p.ravel() for p in layers]), theta)
-        with pytest.raises(ValueError, match="wrong length"):
-            net.set_parameter_vector(theta[:-1])
 
     def test_gradient_blocks_follow_the_parameter_layout(self):
         net = self._net()
@@ -430,25 +442,25 @@ class TestFlatParameters:
         np.testing.assert_array_equal(first, kept)
 
     def test_member_count_gives_a_zero_stack(self):
-        net = Mlp(MlpSpec(input_dim=2, hidden_widths=(5, 4)), 3)
+        net = Mlp(2, 3)
         assert [w.shape for w in net.weights] == [(3, 2, 5), (3, 5, 4), (3, 4, 2)]
         assert [b.shape for b in net.biases] == [(3, 5), (3, 4), (3, 2)]
         assert not net.params.any()
         with pytest.raises(ValueError, match="at least one member"):
-            Mlp(MlpSpec(), 0)
+            Mlp(1, 0)
 
     def test_loaded_checkpoint_is_flat(self, tmp_path):
         x, y, _ = two_curve_arrays(120, -4, 4, seed=32)
-        pred = train_ensemble(x, y, 3, MlpSpec(), TrainConfig(epochs=3, seed=32))
+        pred = train_ensemble(x, y, 3, epochs=3, seed=32)
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(pred, path)
         net = load_checkpoint(path).net
         assert all(np.shares_memory(p, net.params) for p in (*net.weights, *net.biases))
-        np.testing.assert_array_equal(net.parameter_vector(), pred.net.parameter_vector())
+        np.testing.assert_array_equal(net.params, pred.net.params)
         rng = np.random.default_rng(32)
         xb, yb = rng.normal(size=(3, 16, 1)), rng.normal(size=(3, 16))
-        want_loss, want = pred.net.gradient_vector(xb, yb)
-        got_loss, got = net.gradient_vector(xb, yb)
+        want_loss, want = pred.net.loss_and_gradients(xb, yb)[:2]
+        got_loss, got = net.loss_and_gradients(xb, yb)[:2]
         assert got_loss == want_loss
         np.testing.assert_array_equal(got, want)
 
@@ -456,7 +468,7 @@ class TestFlatParameters:
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         x, y, _ = two_curve_arrays(200, -4, 4, seed=10)
-        pred = train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=5, seed=10))
+        pred = train_ensemble(x, y, 2, epochs=5, seed=10)
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(pred, path)
         loaded = load_checkpoint(path)
@@ -466,34 +478,36 @@ class TestCheckpoints:
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(v1, v2)
 
-    def test_layers_that_do_not_match_the_spec_rejected(self, tmp_path):
+    @staticmethod
+    def _edited(tmp_path, field, value):
+        """A saved one-epoch checkpoint whose spec ``field`` is ``value``;
+        its layers are left as trained."""
         import json
 
         x, y, _ = two_curve_arrays(100, -4, 4, seed=10)
-        pred = train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=1, seed=10))
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(pred, path)
+        save_checkpoint(train_ensemble(x, y, 2, epochs=1, seed=10), path)
         with open(path) as fh:
             doc = json.load(fh)
-        doc["spec"]["hidden_widths"] = [8, 7]
+        assert doc["spec"] == {"input_dim": 1, "hidden_widths": [8, 8],
+                               "activation": "silu"}
+        doc["spec"][field] = value
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        return path
+
+    def test_layers_that_do_not_match_the_spec_rejected(self, tmp_path):
+        path = self._edited(tmp_path, "input_dim", 2)
         with pytest.raises(ValueError, match="checkpoint layers do not match its spec"):
             load_checkpoint(path)
 
-    def test_other_activation_rejected(self, tmp_path):
-        import json
+    def test_other_hidden_widths_rejected(self, tmp_path):
+        path = self._edited(tmp_path, "hidden_widths", [8, 7])
+        with pytest.raises(ValueError, match=r"hidden widths \[8, 7\]"):
+            load_checkpoint(path)
 
-        x, y, _ = two_curve_arrays(100, -4, 4, seed=10)
-        pred = train_ensemble(x, y, 2, MlpSpec(), TrainConfig(epochs=1, seed=10))
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(pred, path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["spec"]["activation"] == "silu"
-        doc["spec"]["activation"] = "relu"
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+    def test_other_activation_rejected(self, tmp_path):
+        path = self._edited(tmp_path, "activation", "relu")
         with pytest.raises(ValueError, match="activation 'relu'"):
             load_checkpoint(path)
 
@@ -506,7 +520,7 @@ class TestActiveLearning:
         x, y, _ = self._pool(11, n=60)
         hx, hy, _ = self._pool(12, n=50)
         res = active_learning_loop(x, y, range(10), None, 5, 30, 1, hx, hy,
-                                   MlpSpec(), TrainConfig(epochs=3, seed=11))
+                                   epochs=3, seed=11)
         assert res.truncated
         assert len(res.nll_trajectory) <= 6
 
@@ -514,7 +528,7 @@ class TestActiveLearning:
         x, y, _ = self._pool(13, n=80)
         hx, hy, _ = self._pool(14, n=50)
         res = active_learning_loop(x, y, range(10), None, 1, 70, 1, hx, hy,
-                                   MlpSpec(), TrainConfig(epochs=3, seed=13))
+                                   epochs=3, seed=13)
         assert not res.truncated
         assert len(res.acquired) == 70
         assert len(res.nll_trajectory) == 2
@@ -526,7 +540,7 @@ class TestActiveLearning:
         hx, hy, _ = self._pool(16, n=50)
         zero_measure = (ScoringRule.SE, EstimatorId.parse("exc_3a_2"))
         res = active_learning_loop(x, y, range(20), zero_measure, 2, 10, 1,
-                                   hx, hy, MlpSpec(), TrainConfig(epochs=3, seed=15))
+                                   hx, hy, epochs=3, seed=15)
         assert len(set(res.acquired)) == 20
 
     def test_quadrature_measure_rejected(self):
@@ -534,22 +548,20 @@ class TestActiveLearning:
         with pytest.raises(ValueError):
             active_learning_loop(x, y, range(10),
                                  (ScoringRule.LOG, EstimatorId.parse("bayes_2")),
-                                 1, 10, 1, x, y, MlpSpec(), TrainConfig(epochs=2, seed=17))
+                                 1, 10, 1, x, y, epochs=2, seed=17)
 
     @pytest.mark.parametrize("initial", [[-1, 0, 1], [0, 1, 30]], ids=["negative", "past-end"])
     def test_initial_index_outside_pool_rejected(self, initial):
         x, y, _ = self._pool(20, n=30)
         bad = min(initial) if min(initial) < 0 else max(initial)
         with pytest.raises(ValueError, match=f"initial index {bad} is outside the pool of 30"):
-            active_learning_loop(x, y, initial, None, 1, 5, 1, x, y,
-                                 MlpSpec(), TrainConfig(epochs=1, seed=20))
+            active_learning_loop(x, y, initial, None, 1, 5, 1, x, y, epochs=1, seed=20)
 
     def test_trajectory_deterministic(self):
         x, y, _ = self._pool(18, n=150)
         hx, hy, _ = self._pool(19, n=60)
-        cfg = TrainConfig(epochs=4, seed=18)
         a = active_learning_loop(x, y, range(15), (ScoringRule.LOG, EXC_11),
-                                 2, 10, 2, hx, hy, MlpSpec(), cfg)
+                                 2, 10, 2, hx, hy, epochs=4, seed=18)
         b = active_learning_loop(x, y, range(15), (ScoringRule.LOG, EXC_11),
-                                 2, 10, 2, hx, hy, MlpSpec(), cfg)
+                                 2, 10, 2, hx, hy, epochs=4, seed=18)
         assert a == b
