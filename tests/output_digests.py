@@ -5,7 +5,9 @@ ensembles where the pairwise kernels and the oracle's member-major paths
 matter, ``--oracle-fallback``, ``shift --kind all`` and ``oracle-check``
 included).  ``output_digests.json`` holds the sha256 of every CSV and JSON
 they write, with the run directory in each manifest replaced by
-``<root>``, and per-column summaries of the same files.
+``<root>``, and per-column summaries of the same files.  What a run prints
+to stdout (``train``'s held-out NLL is in no file) is pinned the same way,
+under the name ``STDOUT``, with its numbers summarized in print order.
 
 The digests are exact only for the NumPy build and CPU they were recorded
 on: SIMD ``exp``/``log`` and BLAS ``matmul`` may differ by ulps elsewhere.
@@ -24,6 +26,7 @@ and names each changed file, with its largest change, in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import tempfile
 
@@ -39,6 +43,7 @@ import numpy as np
 DIGEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "output_digests.json")
 ROOT = "<root>"
+STDOUT = "<stdout>"
 
 # Relative tolerance of the summary check, per run: closed forms move by
 # ulps across builds, trained networks amplify them through the epochs.
@@ -100,7 +105,8 @@ def environment() -> dict:
 
 def run_all(work: str) -> dict:
     """Run every command of ``RUNS`` under ``work``; {run: {file: bytes}}
-    with each manifest's run directory replaced by ``<root>``."""
+    with each manifest's run directory replaced by ``<root>``, and what
+    the run printed to stdout under ``STDOUT``."""
     from ensrisk.cli import main
 
     inp = os.path.join(work, "input.json")
@@ -109,11 +115,13 @@ def run_all(work: str) -> dict:
     for name, (argv, _) in RUNS.items():
         out = os.path.join(work, name)
         argv = [a.format(input=inp) for a in argv]
-        code = main([*argv, "--output-dir", out])
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = main([*argv, "--output-dir", out])
         if code != 0:
             raise RuntimeError(f"{name}: {' '.join(argv)} exited {code}")
         outputs[name] = {f: _normalised(os.path.join(out, f), work)
                          for f in sorted(os.listdir(out))}
+        outputs[name][STDOUT] = printed.getvalue().encode()
     return outputs
 
 
@@ -183,9 +191,26 @@ def _json_summary(data: bytes) -> dict:
             "numbers": {p: _numbers_summary(v) for p, v in sorted(floats.items())}}
 
 
+# A number standing alone: not part of a name such as ``exc_1_1``.
+_PRINTED_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _stdout_summary(data: bytes) -> dict:
+    """The sha256 of the printed text with each number as '#', and the
+    summary of its numbers in print order.  They are printed rounded, so a
+    move off the recording machine shows only where it crosses a rounding
+    step of the last printed digit."""
+    text = data.decode()
+    values = [float(m) for m in _PRINTED_NUMBER.findall(text)]
+    return {"text": sha256(_PRINTED_NUMBER.sub("#", text).encode()),
+            "numbers": {STDOUT: _numbers_summary(values)}}
+
+
 def summary(filename: str, data: bytes) -> dict:
     """{"text": sha256 of the file with its numbers masked, "numbers":
     {column or JSON path: summary}}."""
+    if filename == STDOUT:
+        return _stdout_summary(data)
     return _csv_summary(data) if filename.endswith(".csv") else _json_summary(data)
 
 

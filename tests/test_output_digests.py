@@ -1,4 +1,5 @@
-"""Every CSV and JSON the nine commands write, against the recorded digests.
+"""Every CSV and JSON the nine commands write, and what they print to
+stdout, against the recorded digests.
 
 On the NumPy build and CPU features the digests were recorded with, every
 file must be byte-identical; elsewhere each file is checked against its
@@ -57,6 +58,16 @@ def test_summary_check_catches_a_moved_number():
     assert od.summary_errors(od.summary("d.json", doc), od.summary("d.json", doc), 0.0) == []
     assert od.summary_errors(od.summary("d.json", doc.replace(b"x", b"y")),
                              od.summary("d.json", doc), 1.0)
+
+
+def test_stdout_summary_masks_numbers_not_names():
+    printed = b"final NLL log:exc_1_1 = 2.0373, random = -1.5e-03\n"
+    got = od.summary(od.STDOUT, printed)
+    assert got["numbers"] == {od.STDOUT: od._numbers_summary([2.0373, -1.5e-03])}
+    assert od.summary_errors(od.summary(od.STDOUT, printed.replace(b"2.0373", b"2.0374")),
+                             got, 1e-6)
+    assert od.summary_errors(od.summary(od.STDOUT, printed.replace(b"exc_1_1", b"exc_2_1")),
+                             got, 1.0) == ["text differs"]
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)])
