@@ -51,8 +51,8 @@ _EXPORTS = {
                      "EstimatorId", "RiskKind", "PredictionSet", "availability",
                      "bayes_risk", "excess_risk", "measure_matrix", "total_risk"),
                     "estimators"),
-    **dict.fromkeys(("McConfig", "mc_expected_score",
-                     "oracle_entropy", "oracle_expected_score"), "oracle"),
+    **dict.fromkeys(("mc_expected_score", "oracle_entropy", "oracle_expected_score"),
+                    "oracle"),
 }
 
 __all__ = ["__version__", *_EXPORTS]

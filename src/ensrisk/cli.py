@@ -204,11 +204,11 @@ def cmd_selective(args):
         targets = ps.targets()
     except ValueError as exc:
         raise dataio.SchemaError(f"selective prediction requires targets: {exc}")
-    mu_star = np.empty(len(ps))
-    for rows, means, _ in ps.blocks():
-        mu_star[rows] = means.mean(axis=1)
+    errors = np.empty(len(ps))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
-        errors = (targets - mu_star) ** 2
+        for rows, means, variances in ps.blocks():
+            errors[rows] = scores.realized_scores(scores.ScoringRule.SE, means, variances,
+                                                  targets[rows])
     if not np.all(np.isfinite(errors)):
         point = ps.ids[int(np.flatnonzero(~np.isfinite(errors))[0])]
         raise ValueError(f"squared error is not finite at point {point!r}")

@@ -6,7 +6,7 @@ arrays, and each check words its own fault, so no point is checked twice.
 CSV is output-only (the per-point member lists do not fit a flat table);
 ``measures.csv`` is streamed in blocks of rows.  Ids and group labels go
 into CSV cells unquoted, so the loader refuses the characters that would
-need quoting.  Serialization is canonical: fixed field order, floats
+need quoting, by the rule the ``PredictionSet`` constructor reads.  Serialization is canonical: fixed field order, floats
 in 17-significant-digit decimal, so serialize -> parse -> serialize is
 byte-identical.  All writes go through a write-temp-then-rename
 (``atomic_write``) so partial files never appear under the target name.
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimators import MeasureMatrix, PredictionSet
+from .estimators import MeasureMatrix, PredictionSet, _first_bad_label
 
 SCHEMA_TAG = "prediction_set/v1"
 
@@ -64,11 +64,6 @@ def dumps_prediction_set(ps: PredictionSet) -> str:
 # type(), not isinstance(): JSON true/false decode to bool, an int subclass
 _NUMBERS = frozenset({int, float})
 
-# Characters that would break an unquoted CSV cell; ids and groups are
-# written into CSVs as they are.
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-_CSV_SPECIAL_TEXT = "must not contain a comma, a double quote or a line break"
-
 
 def _to_float(value) -> float:
     """float(value), None as NaN, and a JSON integer beyond the double range
@@ -79,10 +74,6 @@ def _to_float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def _csv_unsafe(label) -> bool:
-    return type(label) is str and any(c in label for c in _CSV_SPECIAL)
 
 
 def _member_fault(m) -> str:
@@ -115,15 +106,6 @@ def _numbers(values: list, allow_none: bool = False) -> tuple[np.ndarray, int]:
         return np.array([_to_float(v) for v in values[:end]], dtype=float), end
 
 
-def _first_csv_unsafe(labels: list) -> int:
-    """Index of the first string in ``labels`` holding a character of
-    ``_CSV_SPECIAL`` (len if there is none), from one scan of their join."""
-    text = "".join([s for s in labels if type(s) is str])
-    if not any(c in text for c in _CSV_SPECIAL):
-        return len(labels)
-    return _first_false([not _csv_unsafe(s) for s in labels])
-
-
 def loads_prediction_set(text: str) -> PredictionSet:
     """Parse and check a prediction_set/v1 document.
 
@@ -149,9 +131,8 @@ def loads_prediction_set(text: str) -> PredictionSet:
     objs = points[:end]
     faults = [(end, "", "expected an object")]
     ids = [o.get("id") for o in objs]
-    faults.append((_first_false([type(i) is str and i != "" for i in ids]), ".id",
-                   "expected a non-empty string"))
-    faults.append((_first_csv_unsafe(ids), ".id", _CSV_SPECIAL_TEXT))
+    i, fault = _first_bad_label(ids, optional=False)
+    faults.append((i, ".id", fault))
 
     members = [o.get("members") for o in objs]
     n_ok = _first_false([type(m) is list and len(m) > 0 for m in members])
@@ -175,9 +156,8 @@ def loads_prediction_set(text: str) -> PredictionSet:
     faults.append((min(t_ok, _first_false(np.isfinite(target_values) | ~given)),
                    ".target", "expected a finite number"))
     groups = [o.get("group") for o in objs]
-    faults.append((_first_false([g is None or type(g) is str for g in groups]), ".group",
-                   "expected a string"))
-    faults.append((_first_csv_unsafe(groups), ".group", _CSV_SPECIAL_TEXT))
+    i, fault = _first_bad_label(groups, optional=True)
+    faults.append((i, ".group", fault))
 
     # min keeps the first of equal points, so ties go to field order
     i, field, message = min(faults, key=lambda f: f[0])

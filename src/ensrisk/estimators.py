@@ -539,6 +539,30 @@ def _unique_ids(ids) -> tuple:
     return ids
 
 
+# Characters that would break an unquoted CSV cell; ids and groups are
+# written into CSVs as they are.
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _first_bad_label(labels, optional: bool) -> tuple[int, str]:
+    """The index of the first label ``PredictionSet`` refuses, with its
+    fault (len(labels) if there is none): an id must be a non-empty string,
+    a group (``optional``) a string or None, and neither may hold a
+    character of ``_CSV_SPECIAL``.  The constructor and the loader both read
+    this rule."""
+    if optional:
+        ok, fault = [g is None or isinstance(g, str) for g in labels], "expected a string"
+    else:
+        ok = [isinstance(i, str) and i != "" for i in labels]
+        fault = "expected a non-empty string"
+    bad = ok.index(False) if not all(ok) else len(ok)
+    strings = [s or "" for s in labels[:bad]]
+    if any(c in "".join(strings) for c in _CSV_SPECIAL):  # one scan of their join
+        return (next(i for i, s in enumerate(strings) if any(c in s for c in _CSV_SPECIAL)),
+                "must not contain a comma, a double quote or a line break")
+    return bad, fault
+
+
 def distinct_sizes(sizes) -> np.ndarray:
     """The distinct values of the non-negative ints ``sizes``, ascending, as
     ``np.unique`` gives them but without its masked-array check, which
@@ -553,7 +577,9 @@ class PredictionSet:
     Point i is ``ids[i]`` with members ``means[offsets[i]:offsets[i+1]]``
     (likewise ``variances``); ``target_values[i]`` is NaN and
     ``group_labels[i]`` None where it has none.  Built from (n, M) member
-    arrays or n ragged rows, with None for a missing target or group.
+    arrays or n ragged rows, with None for a missing target or group; ids
+    and groups obey the loader's rule (``_first_bad_label``), so every set
+    built here saves, loads and writes CSV rows intact.
     """
 
     def __init__(self, ids, means, variances, targets=None, groups=None):
@@ -576,6 +602,11 @@ class PredictionSet:
         self.group_labels = (None,) * n if groups is None else tuple(groups)
         if len(self.group_labels) != n:
             raise ValueError("need one group (or None) per point")
+        for name, labels, optional in (("ids", self.ids, False),
+                                       ("groups", self.group_labels, True)):
+            i, fault = _first_bad_label(labels, optional)
+            if i < n:
+                raise ValueError(f"{name}[{i}]: {fault}")
 
     @classmethod
     def from_flat(cls, ids, means, variances, offsets, target_values, group_labels):

@@ -48,7 +48,6 @@ contribute less than 1e-15 to every integrand used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,7 +60,7 @@ from .estimators import (
     distinct_sizes,
 )
 from .gaussians import GaussianEnsemble, _ndtr, averaged_surrogate, moment_surrogate
-from .scores import ScoringRule, log_mean_exp, point_scores
+from .scores import ScoringRule, log_mean_exp, realized_scores
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -99,18 +98,6 @@ _BLOCK_ELEMS = 2**15
 # can exceed it by up to one round; its window reaches _TAIL_WIDTH member
 # standard deviations past the outermost members.  Read at call time.
 _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS, _TAIL_WIDTH = 1e-10, 1e-9, 2000, 10.0
-
-
-@dataclass(frozen=True)
-class McConfig:
-    samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1000:
-            raise ValueError("samples must be >= 1000")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 class QuadResult(NamedTuple):
@@ -630,19 +617,22 @@ def _sample_mixture(dist: GaussianEnsemble, n: int, rng: np.random.Generator) ->
 
 
 def mc_expected_score(rule: ScoringRule, pred: GaussianEnsemble, label: GaussianEnsemble,
-                      cfg: McConfig | None = None) -> McResult:
-    """Monte-Carlo estimate of S(pred, label), deterministic given the seed.
+                      samples: int = 100_000, seed: int = 0) -> McResult:
+    """Monte-Carlo estimate of S(pred, label) from ``samples`` >= 1000 draws,
+    deterministic given the unsigned 64-bit ``seed``.
 
-    Only the label is sampled; the pointwise score of the (possibly mixture)
+    Only the label is sampled; the realized score of the (possibly mixture)
     prediction is evaluated in closed form, so no sampling noise enters on
     the prediction side.
     """
-    cfg = cfg or McConfig()
-    rng = np.random.default_rng(cfg.seed)
-    ys = _sample_mixture(label, cfg.samples, rng)
-    scores = point_scores(rule, pred, ys)
+    if samples < 1000:
+        raise ValueError("samples must be >= 1000")
+    if not (0 <= int(seed) < 2**64):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    ys = _sample_mixture(label, samples, np.random.default_rng(seed))
+    scores = realized_scores(rule, pred.means, pred.variances, ys)
     value = float(np.mean(scores))
-    stderr = float(np.std(scores, ddof=1) / math.sqrt(cfg.samples))
+    stderr = float(np.std(scores, ddof=1) / math.sqrt(samples))
     return McResult(value, stderr)
 
 

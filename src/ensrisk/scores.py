@@ -1,4 +1,4 @@
-"""The four scoring rules, their pointwise scores, and the pairwise kernels.
+"""The four scoring rules, their realized scores, and the pairwise kernels.
 
 The scoring rules are
 
@@ -10,8 +10,11 @@ The scoring rules are
 SE is proper but not strictly proper (any distribution with the same mean
 scores identically); that property is documented, not enforced.
 
-Point scores are closed-form for single Gaussians and uniform Gaussian
-mixtures under all four rules.  Entropies, expected scores and divergences
+The realized score S(P, y) is closed-form for uniform Gaussian mixtures
+under all four rules, and ``realized_scores`` is the one place it is
+evaluated: batched over ensembles and outcomes, it gives the held-out NLL of
+the trainer, the squared error behind selective prediction and the
+Monte-Carlo oracle's samples.  Entropies, expected scores and divergences
 are assembled from the pairwise kernels here by the batched closed-form
 layer in ``estimators``.
 
@@ -150,49 +153,45 @@ def log_mean_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
         return np.log(np.mean(shifted, axis=axis)) + np.squeeze(top, axis)
 
 
-# -- point scores ------------------------------------------------------------
+# -- realized scores ----------------------------------------------------------
 
-def point_scores(rule: ScoringRule, pred: GaussianEnsemble, ys) -> np.ndarray:
-    """Vectorized S(pred, y) over an array of outcomes.
+def realized_scores(rule: ScoringRule, means, variances, ys) -> np.ndarray:
+    """S(P, y): the score each ensemble gets for its outcome.
 
-    Mixture predictions are fully supported: all four rules have closed
-    pointwise forms for uniform Gaussian mixtures.
+    ``means`` and ``variances`` are (..., M) member arrays and ``ys``
+    broadcasts over their leading shape (...): one (M,) ensemble scores an
+    array of outcomes, and (n, M) rows each score their own outcome of an
+    (n,) array.  Every rule has a closed form for a uniform Gaussian
+    mixture, and each row is reduced on its own, so a row gets the same bits
+    alone or in a batch.  The outcomes must be finite; the members must
+    already be finite with variances > 0, which is not re-checked.
     """
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)):
         raise ValueError("outcomes must be finite")
-    means, variances = pred.means, pred.variances
+    y = ys[..., None]
 
     if rule is ScoringRule.CRPS:
         # CRPS(P_ens, y) = mean_i E|X_i - y| - (1/2) mean_ij E|X_i - X_j'|
-        spread = 0.5 * float(pairwise_abs_moment(means, variances))
-        sigmas = np.sqrt(variances)
-        closeness = np.mean(
-            abs_moment(means[None, :] - ys[..., None], sigmas[None, :]), axis=-1
-        )
-        return closeness - spread
+        spread = 0.5 * pairwise_abs_moment(means, variances)
+        return np.mean(abs_moment(means - y, np.sqrt(variances)), axis=-1) - spread
 
     if rule is ScoringRule.LOG:
-        sigmas2 = variances
-        z2 = (ys[..., None] - means[None, :]) ** 2 / sigmas2[None, :]
-        logcomp = -0.5 * (_LOG_2PI + np.log(sigmas2)[None, :] + z2)
-        return -log_mean_exp(logcomp)
+        z2 = (y - means) ** 2 / variances
+        return -log_mean_exp(-0.5 * (_LOG_2PI + np.log(variances) + z2))
 
     if rule is ScoringRule.QUADRATIC:
-        norm = float(pairwise_overlap(means, variances))
-        dens = np.mean(
-            gaussian_overlap(ys[..., None], 0.0, means[None, :], variances[None, :]),
-            axis=-1,
-        )
-        return -2.0 * dens + norm
+        dens = np.mean(gaussian_overlap(y, 0.0, means, variances), axis=-1)
+        return -2.0 * dens + pairwise_overlap(means, variances)
 
     if rule is ScoringRule.SE:
-        mu_star = float(np.mean(means))
-        return (ys - mu_star) ** 2
+        # np.square, not ** 2: a NumPy scalar's ** 2 is pow(), which can
+        # round differently from the product an array's ** 2 computes
+        return np.square(ys - np.mean(means, axis=-1))
 
     raise ValueError(f"unknown rule {rule!r}")
 
 
 def point_score(rule: ScoringRule, pred: GaussianEnsemble, y: float) -> float:
     """S(pred, y) for one outcome."""
-    return float(np.atleast_1d(point_scores(rule, pred, np.array([float(y)])))[0])
+    return float(realized_scores(rule, pred.means, pred.variances, y))

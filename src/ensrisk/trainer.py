@@ -51,7 +51,7 @@ from .estimators import (
     PredictionSet,
     availability,
 )
-from .scores import log_mean_exp
+from .scores import ScoringRule, realized_scores
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ETA2_MARGIN = 1e-6
@@ -302,6 +302,8 @@ def _standardize_stats(values: np.ndarray, name: str):
 def _as_xy(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"the targets must be 1-D, one per input row, not shape {y.shape}")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.size == 0 or len(x) != len(y):
@@ -374,12 +376,10 @@ def predict(pred: EnsemblePredictor, xs, targets=None,
 
 
 def ensemble_nll(pred: EnsemblePredictor, xs, ys) -> float:
-    """Mean negative log-likelihood of the ensemble mixture on held-out data."""
+    """Mean negative log-likelihood of the ensemble mixture on held-out
+    data: the mean realized LOG score."""
     means, variances = predict_arrays(pred, xs)
-    ys = np.asarray(ys, dtype=float)
-    log_comp = -0.5 * (_LOG_2PI + np.log(variances)
-                       + (ys[:, None] - means) ** 2 / variances)
-    return float(-np.mean(log_mean_exp(log_comp, axis=1)))
+    return float(np.mean(realized_scores(ScoringRule.LOG, means, variances, ys)))
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ensrisk
 import ensrisk.cli
@@ -21,6 +22,7 @@ from ensrisk.dataio import (
     SchemaError,
     atomic_write,
     dumps_prediction_set,
+    load_prediction_set,
     loads_prediction_set,
     save_prediction_set,
     write_csv,
@@ -109,6 +111,36 @@ class TestSerialization:
                 loads_prediction_set(
                     '{"schema": "prediction_set/v1", "points": [{"id": "a", '
                     f'"members": [{member}], "target": {target}}}]}}')
+
+    def test_accepted_labels_survive_save_then_load(self, tmp_path):
+        ps = PredictionSet(["a b", "é", "x'y", "p;4"], np.zeros((4, 2)), np.ones((4, 2)),
+                           None, [" ", "", None, "ood"])
+        path = str(tmp_path / "labels.json")
+        save_prediction_set(ps, path)
+        again = load_prediction_set(path)
+        assert again.ids == ps.ids and again.group_labels == ps.group_labels
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_constructor_and_loader_accept_the_same_labels(self, data):
+        """One rule for ids and groups: what the constructor refuses the
+        loader refuses, and what it accepts loads back unchanged."""
+        text = st.text(st.sampled_from(["a", "b", " ", ",", '"', "\n", "\r", "é"]),
+                       max_size=3)
+        n = data.draw(st.integers(1, 4))
+        ids = data.draw(st.lists(st.one_of(text, st.integers(0, 2)), min_size=n, max_size=n))
+        groups = data.draw(st.lists(st.one_of(st.none(), text, st.integers(0, 2)),
+                                    min_size=n, max_size=n))
+        points = [{"id": i, "members": [{"mu": 0.0, "sigma2": 1.0}],
+                   **({} if g is None else {"group": g})} for i, g in zip(ids, groups)]
+        try:
+            ps = PredictionSet(ids, np.zeros((n, 1)), np.ones((n, 1)), None, groups)
+        except ValueError:
+            with pytest.raises(SchemaError):
+                _load_points(points)
+            return
+        again = loads_prediction_set(dumps_prediction_set(ps))
+        assert again.ids == ps.ids and again.group_labels == ps.group_labels
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError, match="unique"):

@@ -32,7 +32,6 @@ from ensrisk.gaussians import (
     moment_surrogate,
 )
 from ensrisk.oracle import (
-    McConfig,
     _batch_log_mixture_entropy,
     mc_expected_score,
     oracle_divergence,
@@ -428,6 +427,12 @@ class TestPredictionSet:
         (dict(means=[[], [1.0, 2.0]], variances=[[], [1.0, 2.0]]), "non-empty"),
         (dict(targets=[np.nan, None]), "target"),
         (dict(targets=[0.5, -np.inf]), "target"),
+        (dict(ids=["a,b", "c"]), r"^ids\[0\]: must not contain a comma, a double quote"),
+        (dict(ids=["a", "b\n"]), r"^ids\[1\]: must not contain"),
+        (dict(ids=["a", ""]), r"^ids\[1\]: expected a non-empty string$"),
+        (dict(ids=[0, "b"]), r"^ids\[0\]: expected a non-empty string$"),
+        (dict(groups=["id", 'o"od']), r"^groups\[1\]: must not contain"),
+        (dict(groups=[1, None]), r"^groups\[0\]: expected a string$"),
     ])
     def test_construction_rejects(self, change, message):
         PredictionSet(**_VALID_SET)
@@ -476,7 +481,7 @@ class TestMeasureMatrix:
         matrix = measure_matrix([ScoringRule.LOG], ps, use_oracle_fallback=True)
         cell = matrix.column(ScoringRule.LOG, EstimatorId.parse("bayes_2"))[0]
         ens = GaussianEnsemble(ps.means, ps.variances)
-        mc = mc_expected_score(ScoringRule.LOG, ens, ens, McConfig(samples=400_000, seed=5))
+        mc = mc_expected_score(ScoringRule.LOG, ens, ens, samples=400_000, seed=5)
         assert cell == pytest.approx(mc.value, abs=4 * mc.standard_error)
 
     def test_empty_set_rejected(self):

@@ -10,7 +10,6 @@ from ensrisk import oracle
 from ensrisk.gaussians import GaussianEnsemble
 from ensrisk.oracle import (
     ConvergenceError,
-    McConfig,
     _batch_log_mixture_entropy,
     adaptive_quadrature,
     mc_expected_score,
@@ -52,10 +51,13 @@ def _unreachable_tolerance(monkeypatch):
 
 class TestConfigs:
     def test_mc_config_validation(self):
-        with pytest.raises(ValueError):
-            McConfig(samples=10)
-        with pytest.raises(ValueError):
-            McConfig(samples=1000, seed=-1)
+        label = GaussianEnsemble([1.0], [2.0])
+        with pytest.raises(ValueError, match="samples must be >= 1000"):
+            mc_expected_score(ScoringRule.SE, G01, label, samples=10)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            mc_expected_score(ScoringRule.SE, G01, label, samples=1000, seed=-1)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            mc_expected_score(ScoringRule.SE, G01, label, samples=1000, seed=2**64)
 
 
 class TestAdaptiveQuadrature:
@@ -249,19 +251,20 @@ class TestMemberSumOrder:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
-        cfg = McConfig(samples=50_000, seed=77)
-        a = mc_expected_score(ScoringRule.CRPS, G01, GaussianEnsemble([1.0], [2.0]), cfg)
-        b = mc_expected_score(ScoringRule.CRPS, G01, GaussianEnsemble([1.0], [2.0]), cfg)
+        a = mc_expected_score(ScoringRule.CRPS, G01, GaussianEnsemble([1.0], [2.0]),
+                              samples=50_000, seed=77)
+        b = mc_expected_score(ScoringRule.CRPS, G01, GaussianEnsemble([1.0], [2.0]),
+                              samples=50_000, seed=77)
         assert a == b
 
     def test_se_analytic_target(self):
-        cfg = McConfig(samples=1_000_000, seed=13)
-        res = mc_expected_score(ScoringRule.SE, G01, GaussianEnsemble([2.0], [5.0]), cfg)
+        res = mc_expected_score(ScoringRule.SE, G01, GaussianEnsemble([2.0], [5.0]),
+                                samples=1_000_000, seed=13)
         assert res.value == pytest.approx(9.0, abs=3 * res.standard_error)
 
     def test_log_pair_target(self):
-        cfg = McConfig(samples=1_000_000, seed=7)
-        res = mc_expected_score(ScoringRule.LOG, G01, GaussianEnsemble([1.0], [1.0]), cfg)
+        res = mc_expected_score(ScoringRule.LOG, G01, GaussianEnsemble([1.0], [1.0]),
+                                samples=1_000_000, seed=7)
         assert res.value == pytest.approx(0.5 * (math.log(2 * math.pi) + 2.0),
                                           abs=3 * res.standard_error)
 
@@ -277,7 +280,7 @@ class TestMonteCarlo:
                 expected_score(ScoringRule.LOG, pred, label)
             quad = oracle_expected_score(ScoringRule.LOG, pred, label)
             mc = mc_expected_score(ScoringRule.LOG, pred, label,
-                                   McConfig(samples=100_000, seed=int(rng.integers(2**32))))
+                                   samples=100_000, seed=int(rng.integers(2**32)))
             combined = math.hypot(mc.standard_error, max(quad.error, 1e-12))
             assert quad.value == pytest.approx(mc.value, abs=4 * combined)
 

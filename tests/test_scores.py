@@ -1,14 +1,15 @@
-"""Point scores, entropies, expected scores, and divergences."""
+"""Realized scores, entropies, expected scores, and divergences."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ensrisk import trainer
 from ensrisk.gaussians import GaussianEnsemble, abs_moment
 from ensrisk.oracle import (
-    McConfig,
     crps_point_quadrature,
     mc_expected_score,
     oracle_divergence,
@@ -27,7 +28,7 @@ from ensrisk.scores import (
     pairwise_abs_moment,
     pairwise_overlap,
     point_score,
-    point_scores,
+    realized_scores,
 )
 
 G01 = GaussianEnsemble([0.0], [1.0])
@@ -69,7 +70,7 @@ class TestPointScores:
     def test_vectorized_matches_scalar(self):
         ys = np.array([-1.0, 0.0, 2.5])
         for rule in ScoringRule:
-            vec = point_scores(rule, G11, ys)
+            vec = realized_scores(rule, G11.means, G11.variances, ys)
             for y, v in zip(ys, vec):
                 assert point_score(rule, G11, float(y)) == pytest.approx(v, rel=1e-14)
 
@@ -88,7 +89,7 @@ class TestLogPointScoresMaxShift:
         # every member density underflows to 0 out here; the shift keeps it exact
         mix = GaussianEnsemble([0.0, 0.5], [1.0, 1.0])
         ys = np.array([-40.0, 40.5, 41.0])
-        got = point_scores(ScoringRule.LOG, mix, ys)
+        got = realized_scores(ScoringRule.LOG, mix.means, mix.variances, ys)
         expected = -(np.logaddexp(-_log_single(0.0, 1.0, ys), -_log_single(0.5, 1.0, ys))
                      - math.log(2))
         assert np.all(np.isfinite(got))
@@ -97,12 +98,12 @@ class TestLogPointScoresMaxShift:
     def test_identical_members_equal_single_gaussian(self):
         ys = np.array([-45.0, -3.0, 0.1, 2.0, 60.0])
         single = GaussianEnsemble([0.3], [0.8])
+        single_scores = realized_scores(ScoringRule.LOG, single.means, single.variances, ys)
         for m in (1, 2, 7, 10):
             mix = GaussianEnsemble([0.3] * m, [0.8] * m)
-            assert np.array_equal(point_scores(ScoringRule.LOG, mix, ys),
-                                  point_scores(ScoringRule.LOG, single, ys))
-        np.testing.assert_allclose(point_scores(ScoringRule.LOG, single, ys),
-                                   _log_single(0.3, 0.8, ys), rtol=1e-15)
+            mixed = realized_scores(ScoringRule.LOG, mix.means, mix.variances, ys)
+            assert np.array_equal(mixed, single_scores)
+        np.testing.assert_allclose(single_scores, _log_single(0.3, 0.8, ys), rtol=1e-15)
 
     def test_agrees_with_scipy_logsumexp(self):
         from scipy.special import logsumexp
@@ -112,11 +113,76 @@ class TestLogPointScoresMaxShift:
             m = int(rng.integers(1, 11))
             means, variances = rng.uniform(-3, 3, m), rng.uniform(0.5, 4, m)
             ys = rng.normal(0.0, 4.0, 200)
-            got = point_scores(ScoringRule.LOG, GaussianEnsemble(means, variances), ys)
+            got = realized_scores(ScoringRule.LOG, means, variances, ys)
             logcomp = -0.5 * (math.log(2 * math.pi) + np.log(variances)
                               + (ys[:, None] - means) ** 2 / variances)
             ref = -(logsumexp(logcomp, axis=-1) - math.log(m))
             assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+def _draw_array(data, shape, lo, hi):
+    values = data.draw(st.lists(st.floats(lo, hi), min_size=math.prod(shape),
+                                max_size=math.prod(shape)))
+    return np.reshape(values, shape)
+
+
+@functools.cache
+def _small_predictor():
+    x = np.linspace(-1.0, 1.0, 30)
+    return trainer.train_ensemble(x, np.sin(3.0 * x), members=3, epochs=1, seed=0)
+
+
+class TestRealizedScores:
+    """One kernel for every realized score, under every rule: a row gets the
+    same bits alone or in a batch, and so does an outcome."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_match_each_row_alone_bitwise(self, data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 10))
+        means = _draw_array(data, (n, m), -50.0, 50.0)
+        variances = _draw_array(data, (n, m), 1e-2, 1e2)
+        ys = _draw_array(data, (n,), -100.0, 100.0)
+        for rule in ScoringRule:
+            rows = realized_scores(rule, means, variances, ys)
+            assert rows.shape == (n,)
+            for i in range(n):
+                alone = realized_scores(rule, means[i], variances[i], ys[i])
+                assert alone.shape == () and alone.tobytes() == rows[i].tobytes(), rule
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_ensemble_matches_point_score_per_outcome(self, data):
+        m, k = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 8))
+        pred = GaussianEnsemble(_draw_array(data, (m,), -50.0, 50.0),
+                                _draw_array(data, (m,), 1e-2, 1e2))
+        ys = _draw_array(data, (k,), -100.0, 100.0)
+        for rule in ScoringRule:
+            got = realized_scores(rule, pred.means, pred.variances, ys)
+            assert [v.hex() for v in got.tolist()] == [
+                point_score(rule, pred, y).hex() for y in ys.tolist()], rule
+
+    def test_many_outcomes_match_point_score_bitwise(self):
+        """Seeded draws, enough to include doubles whose square pow() rounds
+        differently from x * x: a one-outcome call squares as arrays do."""
+        rng = np.random.default_rng(3)
+        pred = GaussianEnsemble(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
+        ys = rng.normal(0.0, 10.0, 3000)
+        for rule in ScoringRule:
+            got = realized_scores(rule, pred.means, pred.variances, ys)
+            assert [v.hex() for v in got.tolist()] == [
+                point_score(rule, pred, y).hex() for y in ys.tolist()], rule
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_ensemble_nll_is_the_mean_log_score(self, data):
+        k = data.draw(st.integers(1, 20))
+        xs = _draw_array(data, (k,), -2.0, 2.0)
+        ys = _draw_array(data, (k,), -5.0, 5.0)
+        pred = _small_predictor()
+        means, variances = trainer.predict_arrays(pred, xs)
+        log_scores = realized_scores(ScoringRule.LOG, means, variances, ys)
+        assert trainer.ensemble_nll(pred, xs, ys) == float(np.mean(log_scores))
 
 
 class TestEntropy:
@@ -262,14 +328,14 @@ class TestDivergence:
 
 class TestMonteCarloCrossChecks:
     def test_mc_matches_closed_for_log_pair(self):
-        mc = mc_expected_score(ScoringRule.LOG, G01, G11, McConfig(samples=200_000, seed=4))
+        mc = mc_expected_score(ScoringRule.LOG, G01, G11, samples=200_000, seed=4)
         assert expected_score(ScoringRule.LOG, G01, G11) == pytest.approx(
             mc.value, abs=4 * mc.standard_error)
 
     def test_mc_mixture_prediction(self):
         mix = GaussianEnsemble([0.0, 2.0], [1.0, 0.5])
         for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
-            mc = mc_expected_score(rule, mix, G11, McConfig(samples=200_000, seed=9))
+            mc = mc_expected_score(rule, mix, G11, samples=200_000, seed=9)
             assert expected_score(rule, mix, G11) == pytest.approx(
                 mc.value, abs=4 * mc.standard_error)
 

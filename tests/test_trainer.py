@@ -223,6 +223,21 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_ensemble(np.empty((5, 0)), np.zeros(5), 2, epochs=1, seed=0)
 
+    @pytest.mark.parametrize("entry", ["train_ensemble", "active_learning_loop"])
+    @pytest.mark.parametrize("targets", [lambda y: np.stack([y, y], 1), lambda y: y[0]],
+                             ids=["two_columns", "scalar"])
+    def test_targets_that_are_not_1d_rejected(self, entry, targets):
+        """Named in the error, before any training: not NumPy's broadcast
+        failure deep in the loss."""
+        x = np.linspace(-1.0, 1.0, 40)
+        y = targets(np.sin(x))
+        with pytest.raises(ValueError, match=r"^the targets must be 1-D, one per input row"):
+            if entry == "train_ensemble":
+                train_ensemble(x, y, 1, epochs=2, seed=0)
+            else:
+                active_learning_loop(x, y, [0, 1], None, 1, 1, 1, x[:5], np.sin(x[:5]),
+                                     epochs=1, seed=0)
+
     def test_input_width_comes_from_the_data(self):
         rng = np.random.default_rng(22)
         x = rng.uniform(-1, 1, size=(40, 3))
