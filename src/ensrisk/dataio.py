@@ -6,12 +6,12 @@ arrays, and each check words its own fault, so no point is checked twice.
 CSV is output-only (the per-point member lists do not fit a flat table);
 ``measures.csv`` is streamed in blocks of rows.  Ids and group labels go
 into CSV cells unquoted, so the loader refuses the characters that would
-need quoting, by the rule the ``PredictionSet`` constructor reads.  Serialization is canonical: fixed field order, floats
-in 17-significant-digit decimal, so serialize -> parse -> serialize is
-byte-identical.  All writes go through a write-temp-then-rename
-(``atomic_write``) so partial files never appear under the target name.
-Every file is read and written as UTF-8 (RFC 8259 for JSON), whatever the
-locale.
+need quoting, by the rule the ``PredictionSet`` constructor reads.
+Serialization is canonical: fixed field order, floats in 17-significant-digit
+decimal, so serialize -> parse -> serialize is byte-identical.  All writes go
+through a write-temp-then-rename (``atomic_write``) so partial files never
+appear under the target name.  Every file is read and written as UTF-8
+(RFC 8259 for JSON), whatever the locale.
 """
 
 from __future__ import annotations

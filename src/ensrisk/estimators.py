@@ -557,7 +557,8 @@ def _first_bad_label(labels, optional: bool) -> tuple[int, str]:
         fault = "expected a non-empty string"
     bad = ok.index(False) if not all(ok) else len(ok)
     strings = [s or "" for s in labels[:bad]]
-    if any(c in "".join(strings) for c in _CSV_SPECIAL):  # one scan of their join
+    text = "".join(strings)  # one scan of their join finds none in the common case
+    if any(c in text for c in _CSV_SPECIAL):
         return (next(i for i, s in enumerate(strings) if any(c in s for c in _CSV_SPECIAL)),
                 "must not contain a comma, a double quote or a line break")
     return bad, fault

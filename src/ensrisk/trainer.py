@@ -379,6 +379,9 @@ def ensemble_nll(pred: EnsemblePredictor, xs, ys) -> float:
     """Mean negative log-likelihood of the ensemble mixture on held-out
     data: the mean realized LOG score."""
     means, variances = predict_arrays(pred, xs)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != means.shape[:1]:
+        raise ValueError(f"need one held-out target per input, not shape {ys.shape}")
     return float(np.mean(realized_scores(ScoringRule.LOG, means, variances, ys)))
 
 

@@ -15,6 +15,7 @@ from ensrisk.trainer import (
     _sigmoid,
     _standardize_stats,
     active_learning_loop,
+    ensemble_nll,
     load_checkpoint,
     moments_from_natural,
     natural_from_moments,
@@ -237,6 +238,16 @@ class TestTraining:
             else:
                 active_learning_loop(x, y, [0, 1], None, 1, 1, 1, x[:5], np.sin(x[:5]),
                                      epochs=1, seed=0)
+
+    @pytest.mark.parametrize("targets", [np.ones((2, 2)), np.ones(1), np.ones(3)],
+                             ids=["two_columns", "one", "three"])
+    def test_heldout_targets_must_match_the_inputs(self, targets):
+        """(2, 2) targets would broadcast against two inputs' (2, M) members
+        into a silent (2, 2, M) score."""
+        x = np.linspace(-1.0, 1.0, 40)
+        pred = train_ensemble(x, np.sin(x), 2, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="one held-out target per input"):
+            ensemble_nll(pred, x[:2], targets)
 
     def test_input_width_comes_from_the_data(self):
         rng = np.random.default_rng(22)
