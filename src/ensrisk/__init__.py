@@ -47,9 +47,9 @@ _EXPORTS = {
                      "moment_surrogate", "std_normal_cdf", "std_normal_pdf"), "gaussians"),
     **dict.fromkeys(("ScoringRule", "point_score"), "scores"),
     **dict.fromkeys(("NotClosedForm", "divergence", "entropy",
-                     "expected_score", "Availability", "ApproximationId",
-                     "EstimatorId", "RiskKind", "PredictionSet", "availability",
-                     "bayes_risk", "excess_risk", "measure_matrix", "total_risk"),
+                     "expected_score", "ApproximationId", "EstimatorId", "RiskKind",
+                     "PredictionSet", "bayes_risk", "excess_risk", "measure_matrix",
+                     "needs_mixture_entropy", "total_risk"),
                     "estimators"),
     **dict.fromkeys(("mc_expected_score", "oracle_entropy", "oracle_expected_score"),
                     "oracle"),

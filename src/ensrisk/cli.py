@@ -166,8 +166,8 @@ def cmd_synth_demo(args):
                                                   args.epochs, args.seed, -4.0, 4.0)
     grid = np.linspace(-7.0, 7.0, 281)
     means, variances = trainer.predict_arrays(predictor, grid)
-    columns = [estimators.MeasureColumn(rule, estimators.EstimatorId.parse(key))
-               for rule in rules_list for key in ("tot_1_1", "bayes_1", "exc_1_1")]
+    columns = estimators.measure_columns(rules_list, [
+        estimators.EstimatorId.parse(key) for key in ("tot_1_1", "bayes_1", "exc_1_1")])
     values = estimators.EnsembleBatch(means, variances).columns(columns)
     dataio.write_csv(os.path.join(args.output_dir, "synth_demo.csv"),
                      ["x", "pred_mean", *(col.name for col in columns)],

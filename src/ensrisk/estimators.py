@@ -19,10 +19,10 @@ of them.  ROADMAP item 3 would tie each such cell by construction.
 
 Every cell composes this way, the LOG ones too: the one term without a
 closed form is the mixture's Shannon entropy H(P_ens), which is LOG
-Bayes(2).  The seven LOG cells built on it are flagged QuadratureRequired by
-``availability``; given H (from the oracle module), ``EnsembleBatch``
-evaluates them like any other cell.  The SE cells Exc(3a,2) and Exc(3b,2)
-are identically zero because both surrogates share the mixture mean.
+Bayes(2).  ``needs_mixture_entropy`` flags the seven LOG cells built on it;
+given H (from the oracle module), ``EnsembleBatch`` evaluates them like any
+other cell.  The SE cells Exc(3a,2) and Exc(3b,2) are identically zero
+because both surrogates share the mixture mean.
 
 ``EnsembleBatch`` is the closed-form layer: it is the only place a risk,
 entropy or divergence formula is written.  The scalar functions below it
@@ -138,21 +138,10 @@ def default_estimators() -> tuple[EstimatorId, ...]:
     return tuple(tot + bay + exc)
 
 
-class Availability(Enum):
-    CLOSED_FORM = "closed"
-    QUADRATURE_REQUIRED = "quadrature"
-    IDENTICALLY_ZERO = "zero"
-
-
-def availability(rule: ScoringRule, est: EstimatorId) -> Availability:
-    """Deterministic closed-form/quadrature/zero flag for one cell.  A LOG
-    cell that uses P_ens on either side needs H(P_ens), which has none."""
-    if rule is ScoringRule.SE and est.kind is RiskKind.EXCESS \
-            and est.second is ApproximationId.ENS:
-        return Availability.IDENTICALLY_ZERO
-    if rule is ScoringRule.LOG and ApproximationId.ENS in (est.first, est.second):
-        return Availability.QUADRATURE_REQUIRED
-    return Availability.CLOSED_FORM
+def needs_mixture_entropy(rule: ScoringRule, est: EstimatorId) -> bool:
+    """Whether the cell is built on H(P_ens), which has no closed form: a
+    LOG cell that uses P_ens on either side."""
+    return rule is ScoringRule.LOG and ApproximationId.ENS in (est.first, est.second)
 
 
 class NotClosedForm(ValueError):
@@ -397,11 +386,10 @@ class EnsembleBatch:
 
     def columns(self, columns) -> np.ndarray:
         """Fortran-ordered (n, len(columns)) values of ``MeasureColumn``s;
-        QuadratureRequired ones are NaN unless the batch holds ``h_ens``."""
+        those that need H(P_ens) are NaN unless the batch holds ``h_ens``."""
         out = np.full((len(self.means), len(columns)), np.nan, order="F")
         for k, col in enumerate(columns):
-            if (self.h_ens is not None
-                    or col.availability is not Availability.QUADRATURE_REQUIRED):
+            if self.h_ens is not None or not col.needs_mixture_entropy:
                 out[:, k] = self.evaluate(col.rule, col.estimator)
         return out
 
@@ -501,8 +489,7 @@ def log_quadrature_cells(ens: GaussianEnsemble) -> dict[str, float]:
 
     batch = _as_batch(ens, oracle_entropy(ScoringRule.LOG, ens))
     return {est.key: float(batch.evaluate(ScoringRule.LOG, est)[0])
-            for est in default_estimators()
-            if availability(ScoringRule.LOG, est) is Availability.QUADRATURE_REQUIRED}
+            for est in default_estimators() if needs_mixture_entropy(ScoringRule.LOG, est)}
 
 
 def log_excess_ba_ens(ens: GaussianEnsemble) -> float:
@@ -653,60 +640,66 @@ class MeasureColumn:
     estimator: EstimatorId
 
     @property
-    def availability(self) -> Availability:
-        return availability(self.rule, self.estimator)
+    def needs_mixture_entropy(self) -> bool:
+        return needs_mixture_entropy(self.rule, self.estimator)
 
     @property
     def name(self) -> str:
         return f"{self.rule.value}_{self.estimator.key}"
 
 
+def measure_columns(rules: Sequence[ScoringRule],
+                    estimators: Sequence[EstimatorId] | None = None
+                    ) -> tuple[MeasureColumn, ...]:
+    """The columns of every rule in turn, each with ``estimators`` (the 16
+    of ``default_estimators()`` by default) in order."""
+    ests = default_estimators() if estimators is None else tuple(estimators)
+    return tuple(MeasureColumn(rule, est) for rule in rules for est in ests)
+
+
 @dataclass(frozen=True)
 class MeasureMatrix:
     """Per-point values of every requested (rule, estimator) cell.
 
-    ``available[k]`` is False for a column nobody computed
-    (QuadratureRequired without the oracle fallback): all its cells are
-    NaN.  Every cell of an available column is finite."""
+    ``available[k]`` is False for a column nobody computed (one that needs
+    H(P_ens), without the oracle fallback): all its cells are NaN.  Every
+    cell of an available column is finite."""
 
-    point_ids: tuple[str, ...]
     columns: tuple[MeasureColumn, ...]
     values: np.ndarray
     available: np.ndarray
-
-    def column(self, rule: ScoringRule, est: EstimatorId) -> np.ndarray:
-        for k, col in enumerate(self.columns):
-            if col.rule is rule and col.estimator == est:
-                return self.values[:, k]
-        raise KeyError(f"no column for ({rule}, {est.key})")
 
 
 def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
                    use_oracle_fallback: bool = False,
                    estimators: Sequence[EstimatorId] | None = None) -> MeasureMatrix:
-    """Evaluate every estimator for every point.
+    """Evaluate every estimator for every point, in ``measure_columns`` order.
 
     Each ``points.blocks()`` chunk runs through ``EnsembleBatch.columns`` in
-    one shot.  QuadratureRequired cells stay NaN unless
+    one shot.  Cells that need H(P_ens) stay NaN unless
     ``use_oracle_fallback`` is set; then the chunk's mixture entropies come
-    from the oracle's batched estimator, the one ``shift_reports`` uses; a
-    point whose entropy does not converge raises ConvergenceError naming it.
+    from the oracle's batched estimator, the one ``shift_reports`` uses
+    (imported only then: a run without the fallback never loads the
+    oracle); a point whose entropy does not converge raises
+    ConvergenceError naming it (``point <id>``).
     A cell of an available column that overflows to +-inf or NaN raises
     ValueError naming the first such column and its first such point; NumPy's
     overflow and invalid-value warnings are silenced while the blocks are
     evaluated, so that error is the one report."""
-    ests = tuple(estimators) if estimators is not None else default_estimators()
-    columns = tuple(MeasureColumn(rule, est) for rule in rules for est in ests)
-    fill = use_oracle_fallback and any(
-        col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
+    columns = measure_columns(rules, estimators)
+    fill = use_oracle_fallback and any(col.needs_mixture_entropy for col in columns)
     values = np.empty((len(points), len(columns)))
     for rows, means, variances in points.blocks():
         # a cell that overflows is reported below, once, by column and point
         with np.errstate(over="ignore", invalid="ignore"):
-            h_ens = _fallback_entropies(points.ids, rows, means, variances) if fill else None
+            h_ens = None
+            if fill:
+                from .oracle import _batch_log_mixture_entropy
+                h_ens = _batch_log_mixture_entropy(
+                    means, variances, lambda row: f"point {points.ids[rows[row]]}")
             values[rows] = EnsembleBatch(means, variances, h_ens).columns(columns)
-    available = np.array([fill or col.availability is not Availability.QUADRATURE_REQUIRED
-                          for col in columns], dtype=bool)
+    available = np.array([fill or not col.needs_mixture_entropy for col in columns],
+                         dtype=bool)
     bad = ~np.isfinite(values)
     bad[:, ~available] = False
     if bad.any():
@@ -715,18 +708,4 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
         what = "infinite" if np.isinf(values[i, k]) else "not finite"
         raise ValueError(f"measure column {columns[k].name} is {what} "
                          f"at point {points.ids[i]!r}")
-    return MeasureMatrix(points.ids, columns, values, available)
-
-
-def _fallback_entropies(ids, rows, means, variances) -> np.ndarray:
-    """The LOG mixture entropies of one ``measure_matrix`` block, from the
-    oracle, which is imported only here: a run without the fallback never
-    loads it."""
-    from .oracle import ConvergenceError, _batch_log_mixture_entropy
-
-    try:
-        return _batch_log_mixture_entropy(means, variances)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            exc.best, exc.error,
-            f"point {ids[rows[exc.row]]}: LOG mixture entropy: {exc}") from exc
+    return MeasureMatrix(columns, values, available)

@@ -52,13 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimators import (
-    EnsembleBatch,
-    EstimatorId,
-    MeasureColumn,
-    default_estimators,
-    distinct_sizes,
-)
+from .estimators import EnsembleBatch, EstimatorId, distinct_sizes, measure_columns
 from .gaussians import GaussianEnsemble, _ndtr, averaged_surrogate, moment_surrogate
 from .scores import ScoringRule, log_mean_exp, realized_scores
 
@@ -580,13 +574,20 @@ def oracle_entropy(rule: ScoringRule, p: GaussianEnsemble) -> float:
     return table.result(table.entropy, 0).value
 
 
-def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray,
+                               row_name: Callable[[int], str]) -> np.ndarray:
     """LOG H(P) of each row's mixture of (n, M) members: ``oracle_entropy``
-    run on all rows in one engine call.  Raises ConvergenceError whose
-    ``row`` is the first row that misses the tolerance."""
+    run on all rows in one engine call.  The first row that misses the
+    tolerance raises ConvergenceError with its ``row``, labelled
+    ``"{row_name(row)}: LOG mixture entropy: quadrature error ..."``."""
     lo, hi = _window((means, variances))
     res = _integrate([_Family(_log_integrand, (means, variances), lo, hi)])
-    res.raise_failure()
+    try:
+        res.raise_failure()
+    except ConvergenceError as exc:
+        raise ConvergenceError(exc.best, exc.error,
+                               f"{row_name(exc.row)}: LOG mixture entropy: {exc}",
+                               exc.row) from exc
     return res.value
 
 
@@ -670,9 +671,8 @@ def _cells(h, div, comps, ens, mm, av) -> np.ndarray:
 
 
 def _quadrature_cells(ensembles) -> np.ndarray:
-    """(trials, 64) cells assembled from quadrature, in ``MeasureColumn``
-    order: the rules in ``ScoringRule`` order, each with its estimators in
-    ``default_estimators()`` order.  A rule whose integrals for a trial did
+    """(trials, 64) cells assembled from quadrature, in the order of
+    ``measure_columns(ScoringRule)``.  A rule whose integrals for a trial did
     not all converge is NaN in every cell of that trial.
 
     The distinct distributions of all ensembles (members, mixtures and
@@ -714,8 +714,8 @@ def _quadrature_cells(ensembles) -> np.ndarray:
 
 def _closed_cells(ensembles, quads, columns) -> np.ndarray:
     """(trials, columns) values of the ``MeasureColumn``s from one
-    ``EnsembleBatch`` per ensemble size.  The LOG cells that need quadrature
-    come from each mixture's ``oracle_entropy`` plus closed forms, as
+    ``EnsembleBatch`` per ensemble size.  The cells that need H(P_ens) come
+    from each mixture's ``oracle_entropy`` plus closed forms, as
     ``--oracle-fallback`` fills them; they are NaN for a trial whose LOG
     cells in ``quads``, the (trials, columns) quadrature cells, are NaN."""
     log_failed = np.isnan(quads[:, [col.rule is ScoringRule.LOG for col in columns]]).any(axis=1)
@@ -746,20 +746,20 @@ def run_oracle_check(trials: int, seed: int):
 
 
 def _check_cells(trials: int, seed: int):
-    """(columns, closed, quad): the 64 ``MeasureColumn``s and the (trials,
-    64) closed and quadrature cells of ``trials`` random ensembles.
+    """(columns, closed, quad): the 64 columns of
+    ``measure_columns(ScoringRule)`` and the (trials, 64) closed and
+    quadrature cells of ``trials`` random ensembles.
 
-    ClosedForm and IdenticallyZero cells come from ``EnsembleBatch``; the
-    seven LOG cells that need quadrature from one mixture-entropy integral
-    plus closed forms, as ``--oracle-fallback`` fills them.  Trials are
+    Closed cells come from ``EnsembleBatch``; the seven that need H(P_ens)
+    from one mixture-entropy integral plus closed forms, as
+    ``--oracle-fallback`` fills them.  Trials are
     drawn and integrated ``_CHECK_TRIALS`` at a time, with one
     ``EnsembleBatch`` per ensemble size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    columns = tuple(MeasureColumn(rule, est)
-                    for rule in ScoringRule for est in default_estimators())
+    columns = measure_columns(ScoringRule)
     closed, quad = [], []
     for start in range(0, trials, _CHECK_TRIALS):
         ensembles = []

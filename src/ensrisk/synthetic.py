@@ -28,15 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import (
-    CHUNK_ROWS,
-    Availability,
-    EnsembleBatch,
-    EstimatorId,
-    MeasureColumn,
-    default_estimators,
-)
-from .oracle import ConvergenceError, _batch_log_mixture_entropy
+from .estimators import CHUNK_ROWS, EnsembleBatch, EstimatorId, measure_columns
+from .oracle import _batch_log_mixture_entropy
 from .scores import ScoringRule
 
 
@@ -113,7 +106,6 @@ class ShiftRow:
 @dataclass(frozen=True)
 class ShiftReport:
     kind: ShiftKind
-    flat_threshold: float
     rows: tuple[ShiftRow, ...]
 
     def direction(self, rule: ScoringRule, est: EstimatorId) -> str:
@@ -142,12 +134,8 @@ def _column_means(name: str, spec: UniformPosteriorSpec, columns, fill: bool) ->
     sums = np.zeros(len(columns))
     for start in range(0, spec.replicates, CHUNK_ROWS):
         m, v = means[start:start + CHUNK_ROWS], variances[start:start + CHUNK_ROWS]
-        try:
-            h_ens = _batch_log_mixture_entropy(m, v) if fill else None
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                exc.best, exc.error,
-                f"{name} replicate {start + exc.row}: LOG mixture entropy: {exc}") from exc
+        h_ens = _batch_log_mixture_entropy(
+            m, v, lambda row: f"{name} replicate {start + row}") if fill else None
         sums += EnsembleBatch(m, v, h_ens).columns(columns).sum(axis=0)
     return sums / spec.replicates
 
@@ -162,7 +150,7 @@ def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
     shifted spec once.  Direction is flat when the mean is unchanged or
     changes by less than ``flat_threshold`` (finite, >= 0) relative to the
     base mean (absolute guard 1e-12 for measures at zero).
-    QuadratureRequired cells report 'unavailable' unless the fallback is on,
+    Cells that need H(P_ens) report 'unavailable' unless the fallback is on,
     which fills them from ``_batch_log_mixture_entropy`` as
     ``measure_matrix`` does; a replicate whose entropy does not converge
     raises ConvergenceError naming it (``base replicate N`` or ``shifted
@@ -170,10 +158,8 @@ def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
     """
     if not (math.isfinite(flat_threshold) and flat_threshold >= 0.0):
         raise ValueError(f"flat threshold must be finite and >= 0, got {flat_threshold}")
-    columns = tuple(MeasureColumn(rule, est)
-                    for rule in rules for est in default_estimators())
-    fill = oracle_fallback and any(
-        col.availability is Availability.QUADRATURE_REQUIRED for col in columns)
+    columns = measure_columns(rules)
+    fill = oracle_fallback and any(col.needs_mixture_entropy for col in columns)
     base_means = _column_means("base", base, columns, fill)
     reports = []
     for kind in kinds:
@@ -182,7 +168,7 @@ def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
             ShiftRow(col.rule, col.estimator, b, s,
                      "unavailable" if math.isnan(b) else _classify(b, s, flat_threshold))
             for col, b, s in zip(columns, base_means.tolist(), shifted_means.tolist()))
-        reports.append(ShiftReport(kind, flat_threshold, rows))
+        reports.append(ShiftReport(kind, rows))
     return tuple(reports)
 
 

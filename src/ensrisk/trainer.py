@@ -45,12 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import (
-    Availability,
-    EnsembleBatch,
-    PredictionSet,
-    availability,
-)
+from .estimators import EnsembleBatch, PredictionSet, needs_mixture_entropy
 from .scores import ScoringRule, realized_scores
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -484,7 +479,7 @@ def active_learning_loop(pool_x, pool_y, initial_indices, measure,
         raise ValueError("iterations and batch must be >= 1")
     if measure is not None:
         rule, est = measure
-        if availability(rule, est) is Availability.QUADRATURE_REQUIRED:
+        if needs_mixture_entropy(rule, est):
             raise ValueError(f"acquisition measure {rule.value}:{est.key} "
                              "is not available in closed form")
 

@@ -15,6 +15,7 @@ from ensrisk.estimators import (
     ApproximationId,
     EnsembleBatch,
     EstimatorId,
+    MeasureColumn,
     PredictionSet,
     RiskKind,
     bayes_risk,
@@ -155,14 +156,17 @@ def test_criterion_05_structural_rank_facts():
         variances.append(rng.uniform(0.1, 4, 6))
     ps = PredictionSet([f"p{i}" for i in range(120)], means, variances)
     matrix = measure_matrix(list(ScoringRule), ps)
+
+    def column(rule, key):
+        return matrix.values[:, matrix.columns.index(MeasureColumn(rule, EstimatorId.parse(key)))]
+
     ok = True
     for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
         for a, b in (("tot_1_1", "tot_2_1"), ("exc_1_1", "exc_2_1")):
-            tau = kendall_tau_b(matrix.column(rule, EstimatorId.parse(a)),
-                                matrix.column(rule, EstimatorId.parse(b)))
+            tau = kendall_tau_b(column(rule, a), column(rule, b))
             ok = ok and tau == 1.0
     for key in ("bayes_3a", "bayes_3b"):
-        cols = [matrix.column(rule, EstimatorId.parse(key)) for rule in ScoringRule]
+        cols = [column(rule, key) for rule in ScoringRule]
         for other in cols[1:]:
             ok = ok and kendall_tau_b(cols[0], other) == 1.0
     report(5, "structural rank facts (tau_b exactly 1)", ok)

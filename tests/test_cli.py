@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import ensrisk
 import ensrisk.cli
-from ensrisk import dataio, oracle
+from ensrisk import dataio, estimators, oracle, synthetic
 from ensrisk.cli import _parse_estimators, _parse_rules, main
 from ensrisk.dataio import (
     SchemaError,
@@ -472,11 +472,10 @@ class TestMeasuresCsvBytes:
         cells = np.concatenate([edge, bits])[:, None] * [1.0, -1.0]
         rule, est = ScoringRule.SE, EstimatorId.parse("bayes_1")
         matrix = MeasureMatrix(
-            tuple(f"x{i}" for i in range(len(cells))),
             (MeasureColumn(rule, est),) * 3,
             np.column_stack([cells[:, 0], np.full(len(cells), np.nan), cells[:, 1]]),
             np.array([True, False, True]))
-        ps = PredictionSet(matrix.point_ids, np.ones((len(cells), 1)),
+        ps = PredictionSet([f"x{i}" for i in range(len(cells))], np.ones((len(cells), 1)),
                            np.ones((len(cells), 1)), cells[:, 0].tolist())
         write_measures_csv(str(tmp_path / "fast.csv"), ps, matrix)
         _generic_measures_csv(tmp_path / "ref.csv", ps, matrix)
@@ -675,6 +674,46 @@ class TestFailureExitCodes:
         assert main(["shift", "--kind", "mean-location", "--rules", "log", "--replicates", "50",
                      "--oracle-fallback", "--output-dir", str(tmp_path / "out")]) == 3
         assert "base replicate 0: LOG mixture entropy: " in capsys.readouterr().err
+
+    @staticmethod
+    def _fail_one_integral(monkeypatch, call, row):
+        """Make integral ``row`` of engine call ``call`` (from 0) miss its
+        tolerance, and only that one."""
+        real, done = oracle._integrate, []
+
+        def integrate(families):
+            res = real(families)
+            if len(done) == call:
+                res.error[row] = 2.0 * res.tol[row]
+            done.append(res)
+            return res
+
+        monkeypatch.setattr(oracle, "_integrate", integrate)
+
+    def test_fallback_failure_in_a_later_block_names_its_point(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(estimators, "CHUNK_ROWS", 4)
+        self._fail_one_integral(monkeypatch, call=1, row=1)  # second block, p5
+        rng = np.random.default_rng(6)
+        ps = PredictionSet([f"p{i}" for i in range(7)], rng.normal(size=(7, 3)),
+                           rng.uniform(0.2, 2.0, (7, 3)))
+        inp = tmp_path / "preds.json"
+        save_prediction_set(ps, str(inp))
+        assert main(["measures", "--input", str(inp), "--rules", "log", "--oracle-fallback",
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert ("point p5: LOG mixture entropy: quadrature error"
+                in capsys.readouterr().err)
+
+    def test_shift_fallback_failure_in_a_later_block_names_its_replicate(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(synthetic, "CHUNK_ROWS", 4)
+        # base runs three blocks (calls 0-2); call 4 is the shifted spec's
+        # second block, whose row 1 is replicate 5
+        self._fail_one_integral(monkeypatch, call=4, row=1)
+        assert main(["shift", "--kind", "mean-location", "--rules", "log", "--replicates", "10",
+                     "--oracle-fallback", "--output-dir", str(tmp_path / "out")]) == 3
+        assert ("shifted replicate 5: LOG mixture entropy: quadrature error"
+                in capsys.readouterr().err)
 
 
 class TestOracleCheckCommand:

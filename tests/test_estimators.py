@@ -1,4 +1,4 @@
-"""The risk-estimator registry: values, identities, availability, matrix."""
+"""The risk-estimator registry: values, identities, closed forms, matrix."""
 
 import math
 
@@ -8,13 +8,12 @@ import pytest
 from ensrisk import estimators, scores
 from ensrisk.estimators import (
     ApproximationId,
-    Availability,
     EnsembleBatch,
     EstimatorId,
+    MeasureColumn,
     NotClosedForm,
     PredictionSet,
     RiskKind,
-    availability,
     bayes_risk,
     default_estimators,
     divergence,
@@ -23,7 +22,9 @@ from ensrisk.estimators import (
     expected_score,
     log_excess_ba_ens,
     log_quadrature_cells,
+    measure_columns,
     measure_matrix,
+    needs_mixture_entropy,
     total_risk,
 )
 from ensrisk.gaussians import (
@@ -332,7 +333,7 @@ class TestMixtureEntropyIsBayes2:
     @staticmethod
     def _rows(rng, n, m, var_range):
         means, variances = rng.uniform(-1, 1, (n, m)), rng.uniform(*var_range, (n, m))
-        return means, variances, _batch_log_mixture_entropy(means, variances)
+        return means, variances, _batch_log_mixture_entropy(means, variances, str)
 
     def test_tot_2_1_is_bayes_2_plus_exc_2_1_on_narrow_members(self):
         means, variances, h = self._rows(np.random.default_rng(0), 2000, 5, (1e-3, 1e-2))
@@ -367,8 +368,7 @@ class TestMixtureEntropyIsBayes2:
                     raised = False
                 except NotClosedForm:
                     raised = True
-                needs_h = availability(rule, est) is Availability.QUADRATURE_REQUIRED
-                assert raised == needs_h, (rule, est.key)
+                assert raised == needs_mixture_entropy(rule, est), (rule, est.key)
                 assert np.all(np.isfinite(with_h.evaluate(rule, est))), (rule, est.key)
 
     def test_h_must_have_one_value_per_row(self):
@@ -376,31 +376,37 @@ class TestMixtureEntropyIsBayes2:
             EnsembleBatch(np.zeros((3, 2)), np.ones((3, 2)), np.ones(2))
 
 
-class TestAvailability:
+class TestNeedsMixtureEntropy:
     def test_log_quadrature_cells(self):
         for key in ("bayes_2", "exc_2_1", "exc_3a_2", "exc_3b_2",
                     "tot_2_1", "tot_3a_2", "tot_3b_2"):
-            assert availability(ScoringRule.LOG, EstimatorId.parse(key)) \
-                is Availability.QUADRATURE_REQUIRED
+            assert needs_mixture_entropy(ScoringRule.LOG, EstimatorId.parse(key))
 
     def test_log_closed_cells(self):
         for key in ("tot_1_1", "tot_3a_1", "tot_3b_1", "bayes_1", "bayes_3a",
                     "bayes_3b", "exc_1_1", "exc_3a_1", "exc_3b_1"):
-            assert availability(ScoringRule.LOG, EstimatorId.parse(key)) \
-                is Availability.CLOSED_FORM
+            assert not needs_mixture_entropy(ScoringRule.LOG, EstimatorId.parse(key))
 
     def test_se_zero_cells(self):
-        assert availability(ScoringRule.SE, EstimatorId.parse("exc_3a_2")) \
-            is Availability.IDENTICALLY_ZERO
-        assert availability(ScoringRule.SE, EstimatorId.parse("exc_3b_2")) \
-            is Availability.IDENTICALLY_ZERO
-        assert availability(ScoringRule.SE, EstimatorId.parse("tot_3a_2")) \
-            is Availability.CLOSED_FORM
+        rng = np.random.default_rng(3)
+        batch = EnsembleBatch(rng.normal(size=(20, 4)), rng.uniform(0.2, 2.0, (20, 4)))
+        for key in ("exc_3a_2", "exc_3b_2"):
+            assert np.all(batch.evaluate(ScoringRule.SE, EstimatorId.parse(key)) == 0.0)
+        assert np.all(batch.evaluate(ScoringRule.SE, EstimatorId.parse("tot_3a_2")) > 0.0)
 
     def test_everything_else_closed(self):
-        for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC):
+        for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
             for est in default_estimators():
-                assert availability(rule, est) is Availability.CLOSED_FORM
+                assert not needs_mixture_entropy(rule, est)
+
+    def test_columns_are_rule_major(self):
+        rules = [ScoringRule.SE, ScoringRule.CRPS]
+        names = [col.name for col in measure_columns(rules)]
+        assert names == [f"{rule.value}_{est.key}"
+                         for rule in rules for est in default_estimators()]
+        ests = [EstimatorId.parse("exc_1_1"), EstimatorId.parse("bayes_2")]
+        assert [col.name for col in measure_columns(rules, ests)] == [
+            "se_exc_1_1", "se_bayes_2", "crps_exc_1_1", "crps_bayes_2"]
 
 
 def _prediction_set(rng, n, m=4):
@@ -454,10 +460,8 @@ class TestMeasureMatrix:
         ps = _prediction_set(rng, 1)
         matrix = measure_matrix([ScoringRule.SE], ps)
         assert matrix.values.shape == (1, 16)
-        zero_cols = [k for k, c in enumerate(matrix.columns)
-                     if c.availability is Availability.IDENTICALLY_ZERO]
-        assert len(zero_cols) == 2
-        assert all(matrix.values[0, k] == 0.0 for k in zero_cols)
+        zero = [matrix.columns[k].estimator.key for k in np.flatnonzero(matrix.values[0] == 0.0)]
+        assert zero == ["exc_3a_2", "exc_3b_2"]
         assert np.count_nonzero(~np.isnan(matrix.values[0])) == 16
 
     def test_identical_members_zero_excess(self):
@@ -473,13 +477,14 @@ class TestMeasureMatrix:
         matrix = measure_matrix([ScoringRule.LOG], ps)
         for k, col in enumerate(matrix.columns):
             isnan = np.isnan(matrix.values[:, k]).all()
-            assert isnan == (col.availability is Availability.QUADRATURE_REQUIRED)
+            assert isnan == col.needs_mixture_entropy
 
     def test_oracle_fallback_matches_mc_entropy(self):
         rng = np.random.default_rng(25)
         ps = _prediction_set(rng, 1)
         matrix = measure_matrix([ScoringRule.LOG], ps, use_oracle_fallback=True)
-        cell = matrix.column(ScoringRule.LOG, EstimatorId.parse("bayes_2"))[0]
+        cell = matrix.values[0, matrix.columns.index(
+            MeasureColumn(ScoringRule.LOG, EstimatorId.parse("bayes_2")))]
         ens = GaussianEnsemble(ps.means, ps.variances)
         mc = mc_expected_score(ScoringRule.LOG, ens, ens, samples=400_000, seed=5)
         assert cell == pytest.approx(mc.value, abs=4 * mc.standard_error)
@@ -507,7 +512,7 @@ class TestMeasureMatrix:
         matrix = measure_matrix(list(ScoringRule), ps)
         for i, (mu, var) in enumerate(zip(means, variances)):
             batch = EnsembleBatch(mu[None, :], var[None, :])
-            expected = [np.nan if col.availability is Availability.QUADRATURE_REQUIRED
+            expected = [np.nan if col.needs_mixture_entropy
                         else batch.evaluate(col.rule, col.estimator)[0]
                         for col in matrix.columns]
             np.testing.assert_array_equal(matrix.values[i], expected)
@@ -537,8 +542,7 @@ class TestBatchMemo:
 
     @staticmethod
     def _columns():
-        return tuple(estimators.MeasureColumn(rule, est)
-                     for rule in ScoringRule for est in default_estimators())
+        return measure_columns(ScoringRule)
 
     def test_columns_equal_cells_on_fresh_batches(self):
         means, variances = self._batch()

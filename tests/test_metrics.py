@@ -398,7 +398,8 @@ class TestMeasureEquivalenceRanks:
     """Exact rank identities between estimator columns (the structural facts
     behind the measure-correlation analysis)."""
 
-    def _matrix(self, n=150, seed=30):
+    def _columns(self, n=150, seed=30):
+        """The measure matrix's columns, keyed by (rule, estimator key)."""
         from ensrisk.estimators import measure_matrix, PredictionSet
         from ensrisk.scores import ScoringRule
 
@@ -409,28 +410,25 @@ class TestMeasureEquivalenceRanks:
             means.append(rng.uniform(-3, 3, m))
             variances.append(rng.uniform(0.1, 4, m))
         ps = PredictionSet([f"p{i}" for i in range(n)], means, variances)
-        return measure_matrix(list(ScoringRule), ps)
+        matrix = measure_matrix(list(ScoringRule), ps)
+        return {(col.rule, col.estimator.key): matrix.values[:, k]
+                for k, col in enumerate(matrix.columns)}
 
     def test_total_and_excess_rank_identities(self):
-        from ensrisk.estimators import EstimatorId
         from ensrisk.scores import ScoringRule
 
-        matrix = self._matrix()
+        columns = self._columns()
         for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC, ScoringRule.SE):
-            t11 = matrix.column(rule, EstimatorId.parse("tot_1_1"))
-            t21 = matrix.column(rule, EstimatorId.parse("tot_2_1"))
+            t11, t21 = columns[rule, "tot_1_1"], columns[rule, "tot_2_1"]
             assert kendall_tau_b(t11, t21) == 1.0
-            e11 = matrix.column(rule, EstimatorId.parse("exc_1_1"))
-            e21 = matrix.column(rule, EstimatorId.parse("exc_2_1"))
+            e11, e21 = columns[rule, "exc_1_1"], columns[rule, "exc_2_1"]
             assert kendall_tau_b(e11, e21) == 1.0
 
     def test_surrogate_bayes_ranks_agree_across_rules(self):
-        from ensrisk.estimators import EstimatorId
         from ensrisk.scores import ScoringRule
 
-        matrix = self._matrix()
+        columns = self._columns()
         for key in ("bayes_3a", "bayes_3b"):
-            cols = [matrix.column(rule, EstimatorId.parse(key))
-                    for rule in ScoringRule]
+            cols = [columns[rule, key] for rule in ScoringRule]
             for other in cols[1:]:
                 assert kendall_tau_b(cols[0], other) == 1.0

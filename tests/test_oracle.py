@@ -18,16 +18,14 @@ from ensrisk.oracle import (
 )
 from ensrisk.estimators import (
     ApproximationId,
-    Availability,
     EnsembleBatch,
-    MeasureColumn,
     NotClosedForm,
     bayes_risk,
-    default_estimators,
     entropy,
     expected_score,
     log_excess_ba_ens,
     log_quadrature_cells,
+    measure_columns,
 )
 from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import ShiftKind, UniformPosteriorSpec, _sample_arrays, apply_shift
@@ -157,16 +155,16 @@ def _entropy_rows():
 class TestBatchLogMixtureEntropy:
     def test_matches_oracle_entropy(self):
         means, variances = _entropy_rows()
-        batched = _batch_log_mixture_entropy(means, variances)
+        batched = _batch_log_mixture_entropy(means, variances, str)
         for m, v, h in zip(means, variances, batched):
             ens = GaussianEnsemble(m, v)
             assert abs(h - oracle_entropy(ScoringRule.LOG, ens)) <= 1e-9
 
     def test_row_blocks_are_bitwise_equal(self, monkeypatch):
         means, variances = _entropy_rows()
-        whole = _batch_log_mixture_entropy(means, variances)
+        whole = _batch_log_mixture_entropy(means, variances, str)
         monkeypatch.setattr(oracle, "_BLOCK_ELEMS", 1)  # one row per block
-        assert np.array_equal(_batch_log_mixture_entropy(means, variances), whole)
+        assert np.array_equal(_batch_log_mixture_entropy(means, variances, str), whole)
 
 
 def _member_loop_log_integrand(t, mu, var):
@@ -207,7 +205,7 @@ class TestSeparatedMixtureEntropy:
     @pytest.mark.parametrize("half, variance", _SEPARATED)
     def test_batch_log_mixture_entropy(self, half, variance):
         means, variances, exact = _separated_mixture(half, variance)
-        got = _batch_log_mixture_entropy(means[None, :], variances[None, :])[0]
+        got = _batch_log_mixture_entropy(means[None, :], variances[None, :], str)[0]
         assert abs(got - exact) <= 1e-8
 
     @_MISSES_A_COMPONENT
@@ -245,7 +243,7 @@ class TestMemberSumOrder:
         lo, hi = oracle._window((means, variances))
         loop = oracle._integrate(
             [oracle._Family(_member_loop_log_integrand, (means, variances), lo, hi)])
-        got = _batch_log_mixture_entropy(means, variances)
+        got = _batch_log_mixture_entropy(means, variances, str)
         assert [x.hex() for x in got] == [x.hex() for x in loop.value]
 
 
@@ -381,9 +379,9 @@ class TestBatchEntropyConvergence:
             [oracle._Family(oracle._log_integrand, (means, variances), lo, hi)])
         assert list(res.failed()) == [False, True, False]
         with pytest.raises(ConvergenceError) as info:
-            _batch_log_mixture_entropy(means, variances)
+            _batch_log_mixture_entropy(means, variances, lambda row: f"mixture {row}")
         assert info.value.row == 1
-        assert str(info.value).startswith("quadrature error")
+        assert str(info.value).startswith("mixture 1: LOG mixture entropy: quadrature error")
 
 
 class TestSubdivisionLimit:
@@ -401,7 +399,7 @@ _ENTRY_POINTS = {
     "adaptive_quadrature": lambda: adaptive_quadrature(lambda t: np.exp(-t * t), -5.0, 5.0),
     "crps_point_quadrature": lambda: oracle.crps_point_quadrature(_MIX, 0.7),
     "_batch_log_mixture_entropy": lambda: _batch_log_mixture_entropy(
-        _MIX.means[None, :], _MIX.variances[None, :]),
+        _MIX.means[None, :], _MIX.variances[None, :], str),
     "log_quadrature_cells": lambda: log_quadrature_cells(_MIX),
     "log_excess_ba_ens": lambda: log_excess_ba_ens(_MIX),
     **{f"oracle_entropy_{rule.value}": lambda rule=rule: oracle_entropy(rule, _MIX)
@@ -437,8 +435,7 @@ class TestOracleCheckAccounting:
         rng = np.random.default_rng(12)
         ensembles = [GaussianEnsemble(rng.uniform(-5, 5, m), rng.uniform(0.05, 9, m))
                      for m in (3, 1, 5, 3, 2, 5, 3)]
-        columns = tuple(MeasureColumn(rule, est)
-                        for rule in ScoringRule for est in default_estimators())
+        columns = measure_columns(ScoringRule)
         quads = np.zeros((len(ensembles), len(columns)))
         quads[3, [col.rule is ScoringRule.LOG for col in columns]] = np.nan
         got = oracle._closed_cells(ensembles, quads, columns)
@@ -446,7 +443,7 @@ class TestOracleCheckAccounting:
             batch = EnsembleBatch(ens.means[None, :], ens.variances[None, :])
             fallback = log_quadrature_cells(ens)
             for k, col in enumerate(columns):
-                if col.availability is not Availability.QUADRATURE_REQUIRED:
+                if not col.needs_mixture_entropy:
                     want = float(batch.evaluate(col.rule, col.estimator)[0])
                 elif i == 3:
                     want = math.nan  # its LOG integrals did not converge
@@ -519,7 +516,7 @@ class TestOracleCheckFailsClosed:
         assert passed
         for k, col in enumerate(columns):
             mutant = closed.copy()
-            if col.availability is Availability.IDENTICALLY_ZERO:
+            if col.rule is ScoringRule.SE and col.estimator.key in ("exc_3a_2", "exc_3b_2"):
                 mutant[:, k] += 1e-8
             else:
                 mutant[:, k] *= 1.0 + 3e-6
@@ -564,7 +561,7 @@ class TestAgainstMpmath:
                                 [-mpmath.inf, *sorted(pm), mpmath.inf], maxdegree=5)
                 d = mpmath.quad(lambda t: (cdf(t, p) - cdf(t, q)) ** 2,
                                 [-mpmath.inf, *sorted({*pm, *qm}), mpmath.inf], maxdegree=5)
-                got_h = _batch_log_mixture_entropy(pm[None, :], pv[None, :])[0]
+                got_h = _batch_log_mixture_entropy(pm[None, :], pv[None, :], str)[0]
                 got_d = oracle.oracle_divergence(ScoringRule.CRPS,
                                                  GaussianEnsemble(pm, pv),
                                                  GaussianEnsemble(qm, qv))
