@@ -35,7 +35,8 @@ ens, ApproximationId.ENS)`` for a mixture's Shannon entropy.
 ``PredictionSet`` keeps all points' members in flat arrays with per-point
 offsets; the prediction-set loader builds that layout directly
 (``PredictionSet.from_flat``), and everyone else reads it through
-``PredictionSet.blocks()``, (k, M) arrays per ensemble size.
+``PredictionSet.blocks()``, (k, M) arrays per ensemble size in batches
+that ``batch_rows`` sizes.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class EnsembleBatch:
     Bayes(2); the seven LOG cells built on it raise NotClosedForm without it.
 
     Cached arrays come back read-only, so a caller cannot change a later
-    cell through them.  A batch is bounded by the caller (``CHUNK_ROWS``),
+    cell through them.  A batch is bounded by the caller (``batch_rows``),
     and so is its cache.
     """
 
@@ -502,9 +503,21 @@ def log_excess_ba_ens(ens: GaussianEnsemble) -> float:
 
 # -- prediction sets and the measure matrix ----------------------------------
 
-# Rows per EnsembleBatch in measure_matrix and shift_reports: it bounds the
-# (M(M-1)/2, rows) pairwise temporaries, so peak memory does not grow with n.
-CHUNK_ROWS = 16384
+# Elements per EnsembleBatch in measure_matrix and shift_reports, a row of M
+# members counting its M(M-1)/2 member pairs and its 64 output cells: it
+# bounds the (pair, row) temporaries, so peak memory grows with neither n nor
+# M.  Each batch has a fixed cost of 1-1.5 ms (ufunc dispatch for every
+# cell), so a smaller budget costs time: 2**17 made ``shift`` slower.
+BATCH_ELEMS = 2**18
+
+
+def batch_rows(members: int, n: int) -> int:
+    """Rows per batch for n >= 1 rows of ``members`` members: the fewest
+    batches ``BATCH_ELEMS`` allows, with the rows split as evenly as
+    possible (the last batch may be smaller)."""
+    cap = max(1, BATCH_ELEMS // (members * (members - 1) // 2 + 64))
+    batches = -(-n // cap)
+    return -(-n // batches)
 
 
 def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -623,13 +636,14 @@ class PredictionSet:
 
     def blocks(self):
         """Yield (rows, means, variances) for the points of each ensemble
-        size M, at most ``CHUNK_ROWS`` points at a time: ``rows`` are their
+        size M, ``batch_rows(M, n_M)`` points at a time: ``rows`` are their
         indices (ascending) and the member arrays are (len(rows), M)."""
         sizes = np.diff(self.offsets)
         for size in distinct_sizes(sizes):
             rows_of_size = np.flatnonzero(sizes == size)
-            for lo in range(0, len(rows_of_size), CHUNK_ROWS):
-                rows = rows_of_size[lo:lo + CHUNK_ROWS]
+            step = batch_rows(size, len(rows_of_size))
+            for lo in range(0, len(rows_of_size), step):
+                rows = rows_of_size[lo:lo + step]
                 members = self.offsets[rows][:, None] + np.arange(size)
                 yield rows, self.means[members], self.variances[members]
 
@@ -675,9 +689,10 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
                    estimators: Sequence[EstimatorId] | None = None) -> MeasureMatrix:
     """Evaluate every estimator for every point, in ``measure_columns`` order.
 
-    Each ``points.blocks()`` chunk runs through ``EnsembleBatch.columns`` in
-    one shot.  Cells that need H(P_ens) stay NaN unless
-    ``use_oracle_fallback`` is set; then the chunk's mixture entropies come
+    Each ``points.blocks()`` batch runs through ``EnsembleBatch.columns`` in
+    one shot, so peak memory is the (n, columns) result plus one batch of
+    ``BATCH_ELEMS``.  Cells that need H(P_ens) stay NaN unless
+    ``use_oracle_fallback`` is set; then the batch's mixture entropies come
     from the oracle's batched estimator, the one ``shift_reports`` uses
     (imported only then: a run without the fallback never loads the
     oracle); a point whose entropy does not converge raises

@@ -5,8 +5,11 @@ uniform ranges over predicted means and variances, applies one of four
 location/scale shifts to those ranges, and classifies how every estimator
 responds (up / down / flat at a relative threshold).  Because the shifted
 spec reuses the seed, base and shifted replicates share the underlying
-uniform draws, so location shifts that leave a measure invariant come out
-exactly flat rather than flat-up-to-noise.
+uniform draws, so a shift that leaves a measure bitwise unchanged on every
+replicate (one that reads only the variances, under a mean shift) comes out
+exactly flat rather than flat-up-to-noise, however the replicates are
+batched.  A measure invariant only up to rounding (through differences of
+shifted means) comes out flat within ulps.
 
 The second is the heteroscedastic two-curve regression task used for the
 training experiments:
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import CHUNK_ROWS, EnsembleBatch, EstimatorId, measure_columns
+from .estimators import EnsembleBatch, EstimatorId, batch_rows, measure_columns
 from .oracle import _batch_log_mixture_entropy
 from .scores import ScoringRule
 
@@ -81,16 +84,24 @@ def apply_shift(spec: UniformPosteriorSpec, kind: ShiftKind) -> UniformPosterior
     return replace(spec, var_low=lo, var_high=hi)
 
 
-def _sample_arrays(spec: UniformPosteriorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(replicates, members) mean and variance draws, deterministic in seed.
+def _sample_arrays(spec: UniformPosteriorSpec, start: int = 0,
+                   stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Replicates ``start`` to ``stop - 1`` (all by default) of the spec's
+    (replicates, members) mean and variance draws, deterministic in seed.
 
     Means are drawn before variances so that two specs sharing a seed share
-    the underlying uniforms (common random numbers across shifts)."""
-    rng = np.random.default_rng(spec.seed)
-    u_mean = rng.random((spec.replicates, spec.members))
-    u_var = rng.random((spec.replicates, spec.members))
-    means = spec.mean_low + (spec.mean_high - spec.mean_low) * u_mean
-    variances = spec.var_low + (spec.var_high - spec.var_low) * u_var
+    the underlying uniforms (common random numbers across shifts).  Each
+    uniform is one PCG64 step, so a block is drawn after advancing the
+    generator past the draws before it, and blocks are bitwise the rows of
+    the whole draw."""
+    stop = spec.replicates if stop is None else min(stop, spec.replicates)
+    shape = (stop - start, spec.members)
+    mean_rng = np.random.default_rng(spec.seed)
+    mean_rng.bit_generator.advance(start * spec.members)
+    var_rng = np.random.default_rng(spec.seed)
+    var_rng.bit_generator.advance((spec.replicates + start) * spec.members)
+    means = spec.mean_low + (spec.mean_high - spec.mean_low) * mean_rng.random(shape)
+    variances = spec.var_low + (spec.var_high - spec.var_low) * var_rng.random(shape)
     return means, variances
 
 
@@ -128,12 +139,14 @@ def _classify(base: float, shifted: float, threshold: float) -> str:
 
 
 def _column_means(name: str, spec: UniformPosteriorSpec, columns, fill: bool) -> np.ndarray:
-    """Mean of every column over the spec's replicates, ``CHUNK_ROWS`` at a
-    time; ``name`` labels the replicates in a ConvergenceError."""
-    means, variances = _sample_arrays(spec)
+    """Mean of every column over the spec's replicates, each batch of
+    ``batch_rows`` replicates sampled just before it is evaluated, so peak
+    memory does not grow with the replicates; ``name`` labels the
+    replicates in a ConvergenceError."""
     sums = np.zeros(len(columns))
-    for start in range(0, spec.replicates, CHUNK_ROWS):
-        m, v = means[start:start + CHUNK_ROWS], variances[start:start + CHUNK_ROWS]
+    step = batch_rows(spec.members, spec.replicates)
+    for start in range(0, spec.replicates, step):
+        m, v = _sample_arrays(spec, start, start + step)
         h_ens = _batch_log_mixture_entropy(
             m, v, lambda row: f"{name} replicate {start + row}") if fill else None
         sums += EnsembleBatch(m, v, h_ens).columns(columns).sum(axis=0)

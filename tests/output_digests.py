@@ -67,6 +67,9 @@ RUNS = {
     "shift-fallback": (["shift", "--kind", "variance-scale", "--rules", "log",
                         "--replicates", "30", "--members", "10", "--oracle-fallback",
                         "--seed", "5"], CLOSED_RTOL),
+    # more replicates than one batch of ``estimators.batch_rows`` holds at M=10
+    "shift-batches": (["shift", "--kind", "all", "--replicates", "5000", "--members", "10",
+                       "--seed", "3"], CLOSED_RTOL),
     "oracle-check": (["oracle-check", "--trials", "3", "--seed", "2"], CLOSED_RTOL),
     "synth-demo": (["synth-demo", *_SMALL_TRAIN, "--rules", "all", "--seed", "1"],
                    TRAINED_RTOL),

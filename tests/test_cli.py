@@ -692,11 +692,12 @@ class TestFailureExitCodes:
 
     def test_fallback_failure_in_a_later_block_names_its_point(self, tmp_path, monkeypatch,
                                                                capsys):
-        monkeypatch.setattr(estimators, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(estimators, "BATCH_ELEMS", 4 * (3 + 64))  # 4 rows of M=3
         self._fail_one_integral(monkeypatch, call=1, row=1)  # second block, p5
         rng = np.random.default_rng(6)
         ps = PredictionSet([f"p{i}" for i in range(7)], rng.normal(size=(7, 3)),
                            rng.uniform(0.2, 2.0, (7, 3)))
+        assert [rows.tolist() for rows, _, _ in ps.blocks()] == [[0, 1, 2, 3], [4, 5, 6]]
         inp = tmp_path / "preds.json"
         save_prediction_set(ps, str(inp))
         assert main(["measures", "--input", str(inp), "--rules", "log", "--oracle-fallback",
@@ -706,7 +707,8 @@ class TestFailureExitCodes:
 
     def test_shift_fallback_failure_in_a_later_block_names_its_replicate(
             self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(synthetic, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(estimators, "BATCH_ELEMS", 4 * (45 + 64))  # 4 rows of M=10
+        assert estimators.batch_rows(10, 10) == 4
         # base runs three blocks (calls 0-2); call 4 is the shifted spec's
         # second block, whose row 1 is replicate 5
         self._fail_one_integral(monkeypatch, call=4, row=1)

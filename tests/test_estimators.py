@@ -525,10 +525,40 @@ class TestMeasureMatrix:
                            [rng.normal(size=m) for m in sizes],
                            [rng.uniform(0.2, 2, m) for m in sizes])
         whole = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=fallback)
-        monkeypatch.setattr(estimators, "CHUNK_ROWS", 7)
-        assert max(len(rows) for rows, _, _ in ps.blocks()) == 7
+        monkeypatch.setattr(estimators, "BATCH_ELEMS", 7 * (10 + 64))  # 7 rows of M=5
+        assert sorted(len(rows) for rows, _, _ in ps.blocks()) == [6, 6, 7, 7, 7, 7]
         chunked = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=fallback)
         np.testing.assert_array_equal(chunked.values, whole.values)
+
+
+class TestBatchRows:
+    def test_cap_counts_member_pairs_and_cells(self):
+        for members in (1, 2, 10, 60, 1000):
+            cap = max(1, estimators.BATCH_ELEMS // (members * (members - 1) // 2 + 64))
+            assert estimators.batch_rows(members, cap) == cap
+            assert estimators.batch_rows(members, cap + 1) == (cap + 2) // 2
+            assert estimators.batch_rows(members, 10 * cap) == cap
+
+    def test_rows_split_evenly(self):
+        assert estimators.batch_rows(10, 4000) == 2000
+        assert estimators.batch_rows(10, 1) == 1
+        ps = _prediction_set(np.random.default_rng(31), 4000, 10)
+        assert [len(rows) for rows, _, _ in ps.blocks()] == [2000, 2000]
+
+    def test_measure_matrix_peak_memory_does_not_grow_with_n(self, traced_peak):
+        members = 60
+        cap = estimators.BATCH_ELEMS // (members * (members - 1) // 2 + 64)
+        assert estimators.batch_rows(members, 10 * cap) == cap
+        rng = np.random.default_rng(30)
+
+        def peak(n):
+            ps = PredictionSet([f"p{i}" for i in range(n)], rng.normal(size=(n, members)),
+                               rng.uniform(0.2, 2.0, (n, members)))
+            return traced_peak(lambda: measure_matrix(list(ScoringRule), ps))
+
+        peak(2)  # imports and caches outside the measurement
+        small, large = peak(cap), peak(10 * cap)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestBatchMemo:

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from ensrisk import synthetic
-from ensrisk.estimators import EstimatorId
+from ensrisk import estimators, synthetic
+from ensrisk.estimators import EnsembleBatch, EstimatorId, measure_columns
 from ensrisk.scores import ScoringRule
 from ensrisk.synthetic import (
     ShiftKind,
@@ -59,6 +59,15 @@ class TestUniformPosterior:
         assert means.shape == variances.shape == (50, 6)
         assert np.all((means >= -1) & (means <= 1))
         assert np.all((variances >= 1) & (variances <= 2))
+
+    @pytest.mark.parametrize("members", [1, 7])
+    def test_blocks_concatenate_to_the_whole_draw(self, members):
+        spec = UniformPosteriorSpec(members=members, replicates=1003, seed=12)
+        whole = _sample_arrays(spec)
+        blocks = [_sample_arrays(spec, start, start + 97) for start in range(0, 1003, 97)]
+        assert [len(m) for m, _ in blocks] == [97] * 10 + [33]
+        for k, part in enumerate(zip(*blocks)):
+            assert np.concatenate(part).tobytes() == whole[k].tobytes()
 
 
 class TestApplyShift:
@@ -148,6 +157,60 @@ class TestShiftReports:
         shift_reports([ScoringRule.LOG], base, kinds, oracle_fallback=True)
         assert calls == {"_sample_arrays": 1 + len(kinds),
                          "_batch_log_mixture_entropy": 1 + len(kinds)}
+
+
+class TestBatchedReplicates:
+    """``shift_reports`` samples and evaluates the replicates one batch at a
+    time (``estimators.batch_rows``)."""
+
+    def test_many_batches_match_one(self, monkeypatch):
+        base = UniformPosteriorSpec(members=6, replicates=500, seed=7)
+        kinds = list(ShiftKind)
+        one = shift_reports(list(ScoringRule), base, kinds)
+        assert estimators.batch_rows(6, 500) == 500
+        monkeypatch.setattr(estimators, "BATCH_ELEMS", 160 * (15 + 64))
+        assert estimators.batch_rows(6, 500) == 125
+        drawn = []
+        sample = synthetic._sample_arrays
+        monkeypatch.setattr(synthetic, "_sample_arrays",
+                            lambda *args: drawn.append(args[1:]) or sample(*args))
+        many = shift_reports(list(ScoringRule), base, kinds)
+        assert drawn == [(0, 125), (125, 250), (250, 375), (375, 500)] * (1 + len(kinds))
+        for a, b in zip(one, many):
+            for r, s in zip(a.rows, b.rows):
+                assert s.direction == r.direction, (a.kind, r.estimator.key)
+                np.testing.assert_allclose([s.base_mean, s.shifted_mean],
+                                           [r.base_mean, r.shifted_mean], rtol=1e-15, atol=0.0,
+                                           err_msg=f"{a.kind} {r.rule} {r.estimator.key}")
+
+    def test_cells_equal_per_replicate_stay_exactly_flat(self, monkeypatch):
+        """Base and shifted replicates share their uniforms, so a cell the
+        shift leaves bitwise unchanged on every replicate has the same batch
+        sums and comes out 0.0 apart however the replicates are batched.
+        (A cell equal only up to rounding may be exactly flat in one
+        batching and ulps apart in another.)"""
+        base = UniformPosteriorSpec(members=6, replicates=500, seed=7)
+        columns = measure_columns(list(ScoringRule))
+        per_replicate = EnsembleBatch(*_sample_arrays(base)).columns(columns)
+        monkeypatch.setattr(estimators, "BATCH_ELEMS", 160 * (15 + 64))
+        for report in shift_reports(list(ScoringRule), base, list(ShiftKind)):
+            shifted = EnsembleBatch(*_sample_arrays(apply_shift(base, report.kind)))
+            same = [k for k, values in enumerate(shifted.columns(columns).T)
+                    if values.tobytes() == per_replicate[:, k].tobytes()]
+            assert same, report.kind
+            for k in same:
+                row = report.rows[k]
+                assert row.base_mean == row.shifted_mean or math.isnan(row.base_mean)
+
+    def test_peak_memory_does_not_grow_with_replicates(self, traced_peak):
+        def peak(replicates):
+            base = UniformPosteriorSpec(members=10, replicates=replicates, seed=1)
+            return traced_peak(lambda: shift_reports(list(ScoringRule), base,
+                                                     [ShiftKind.MEAN_SCALE]))
+
+        peak(10)  # imports and caches outside the measurement
+        small, large = peak(4_000), peak(40_000)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestFlatThreshold:
