@@ -341,14 +341,18 @@ class EnsembleBatch:
                         - 2.0 * self.sigmas.mean(axis=1) / _SQRT_PI)
             if rule is ScoringRule.LOG:
                 # mean_ij KL(P_j || P_i): the log-variance terms cancel
-                # between (i, j) and (j, i), and the diagonal is 0
+                # between (i, j) and (j, i), and the diagonal is 0; var_i and
+                # var_j are gathered in turn into one buffer
                 pairs = self.member_pairs()
                 d2 = pairs.dm * pairs.dm
-                kl = pairs.var_j + d2
-                kl /= pairs.var_i
+                var = np.take(pairs.var, pairs.j, axis=0)
+                kl = var + d2
+                np.take(pairs.var, pairs.i, axis=0, out=var)
+                kl /= var
                 kl -= 1.0
-                d2 += pairs.var_i
-                d2 /= pairs.var_j
+                d2 += var
+                np.take(pairs.var, pairs.j, axis=0, out=var)
+                d2 /= var
                 d2 -= 1.0
                 kl += d2
                 return pairs.pair_sum(kl) / (2.0 * self.size ** 2)
@@ -385,13 +389,23 @@ class EnsembleBatch:
             return self.excess(rule, (est.first, est.second))
         return self.total(rule, (est.first, est.second))
 
-    def columns(self, columns) -> np.ndarray:
-        """Fortran-ordered (n, len(columns)) values of ``MeasureColumn``s;
-        those that need H(P_ens) are NaN unless the batch holds ``h_ens``."""
-        out = np.full((len(self.means), len(columns)), np.nan, order="F")
-        for k, col in enumerate(columns):
+    def column_values(self, columns):
+        """The (n,) values of each ``MeasureColumn`` in turn, computed as
+        they are asked for; None for one that needs H(P_ens) when the batch
+        holds no ``h_ens``."""
+        for col in columns:
             if self.h_ens is not None or not col.needs_mixture_entropy:
-                out[:, k] = self.evaluate(col.rule, col.estimator)
+                yield self.evaluate(col.rule, col.estimator)
+            else:
+                yield None
+
+    def columns(self, columns) -> np.ndarray:
+        """Fortran-ordered (n, len(columns)) ``column_values``, NaN for a
+        column without values."""
+        out = np.full((len(self.means), len(columns)), np.nan, order="F")
+        for k, values in enumerate(self.column_values(columns)):
+            if values is not None:
+                out[:, k] = values
         return out
 
 
@@ -684,6 +698,19 @@ class MeasureMatrix:
     available: np.ndarray
 
 
+def _batch_log_mixture_entropy(means: np.ndarray, variances: np.ndarray,
+                               row_name) -> np.ndarray:
+    """The LOG mixture entropies H(P_ens) of (n, M) rows that fill the
+    ``--oracle-fallback`` cells of ``measure_matrix`` and
+    ``synthetic.shift_reports``: ``oracle._batch_log_mixture_entropy``, the
+    oracle imported only here, so a run without the fallback never loads it.
+    ``synthetic`` imports this function itself, so the benchmark's one
+    timing shim on it covers both callers."""
+    from .oracle import _batch_log_mixture_entropy as oracle_entropies
+
+    return oracle_entropies(means, variances, row_name)
+
+
 def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
                    use_oracle_fallback: bool = False,
                    estimators: Sequence[EstimatorId] | None = None) -> MeasureMatrix:
@@ -693,10 +720,9 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
     one shot, so peak memory is the (n, columns) result plus one batch of
     ``BATCH_ELEMS``.  Cells that need H(P_ens) stay NaN unless
     ``use_oracle_fallback`` is set; then the batch's mixture entropies come
-    from the oracle's batched estimator, the one ``shift_reports`` uses
-    (imported only then: a run without the fallback never loads the
-    oracle); a point whose entropy does not converge raises
-    ConvergenceError naming it (``point <id>``).
+    from ``_batch_log_mixture_entropy``, as in ``shift_reports``; a point
+    whose entropy does not converge raises ConvergenceError naming it
+    (``point <id>``).
     A cell of an available column that overflows to +-inf or NaN raises
     ValueError naming the first such column and its first such point; NumPy's
     overflow and invalid-value warnings are silenced while the blocks are
@@ -709,7 +735,6 @@ def measure_matrix(rules: Sequence[ScoringRule], points: PredictionSet,
         with np.errstate(over="ignore", invalid="ignore"):
             h_ens = None
             if fill:
-                from .oracle import _batch_log_mixture_entropy
                 h_ens = _batch_log_mixture_entropy(
                     means, variances, lambda row: f"point {points.ids[rows[row]]}")
             values[rows] = EnsembleBatch(means, variances, h_ens).columns(columns)

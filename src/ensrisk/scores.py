@@ -50,23 +50,27 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     """Sum of the rows of a (K, n) array, added in index order whatever n.
 
     ``x.sum(axis=0)`` adds the rows in turn for n >= 2 but pairwise for
-    n == 1, so one row would not get the bits it gets inside a larger batch.
+    n == 1, where a running sum keeps the order instead, so one row gets the
+    bits it gets inside a larger batch.
     """
-    out = np.zeros(x.shape[1]) if len(x) == 0 else x[0].copy()
-    for row in x[1:]:
-        out += row
-    return out
+    if len(x) == 0:
+        return np.zeros(x.shape[1])
+    if x.shape[1] == 1:
+        return np.cumsum(x[:, 0])[-1:]
+    return x.sum(axis=0)
 
 
 class MemberPairs:
     """The unordered member pairs i < j of n ensembles of M members, in
     (pair, row) layout: K = M(M-1)/2 pairs on the leading axis.
 
-    ``dm`` holds mu_i - mu_j, ``sv`` var_i + var_j, and ``var_i``/``var_j``
-    the two variances, each a C-ordered (K, n) array; ``var`` is the
-    (M, n) member variances for the diagonal terms.  They are built with row
-    gathers on the transposed (M, n) member arrays and are read-only.  Input
-    shape (..., M); the reductions return the leading shape (...).
+    ``dm`` holds mu_i - mu_j and ``sv`` var_i + var_j, each a C-ordered
+    (K, n) array and the only ones kept; ``var`` is the (M, n) member
+    variances for the diagonal terms, and ``i``/``j`` the (K,) member
+    indices of the pairs, from which a kernel gathers var_i or var_j as it
+    needs them.  The arrays are built with row gathers on the transposed
+    (M, n) member arrays and are read-only.  Input shape (..., M); the
+    reductions return the leading shape (...).
     """
 
     def __init__(self, means: np.ndarray, variances: np.ndarray):
@@ -75,11 +79,12 @@ class MemberPairs:
         self.size = m = means.shape[-1]
         mt = np.ascontiguousarray(means.reshape(-1, m).T)
         self.var = np.ascontiguousarray(np.asarray(variances, dtype=float).reshape(-1, m).T)
-        i, j = np.triu_indices(m, 1)
-        self.dm = mt[i] - mt[j]
-        self.var_i, self.var_j = self.var[i], self.var[j]
-        self.sv = self.var_i + self.var_j
-        for a in (self.var, self.dm, self.var_i, self.var_j, self.sv):
+        self.i, self.j = np.triu_indices(m, 1)
+        self.dm = mt[self.i]
+        self.dm -= mt[self.j]
+        self.sv = self.var[self.i]
+        self.sv += self.var[self.j]
+        for a in (self.var, self.dm, self.sv, self.i, self.j):
             a.flags.writeable = False
 
     def pair_sum(self, terms: np.ndarray) -> np.ndarray:

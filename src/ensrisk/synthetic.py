@@ -31,8 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EnsembleBatch, EstimatorId, batch_rows, measure_columns
-from .oracle import _batch_log_mixture_entropy
+from .estimators import (
+    EnsembleBatch,
+    EstimatorId,
+    _batch_log_mixture_entropy,
+    batch_rows,
+    measure_columns,
+)
 from .scores import ScoringRule
 
 
@@ -140,8 +145,9 @@ def _classify(base: float, shifted: float, threshold: float) -> str:
 
 def _column_means(name: str, spec: UniformPosteriorSpec, columns, fill: bool) -> np.ndarray:
     """Mean of every column over the spec's replicates, each batch of
-    ``batch_rows`` replicates sampled just before it is evaluated, so peak
-    memory does not grow with the replicates; ``name`` labels the
+    ``batch_rows`` replicates sampled just before it is evaluated and each
+    of its cells summed as the batch computes it, so peak memory grows
+    neither with the replicates nor with the columns; ``name`` labels the
     replicates in a ConvergenceError."""
     sums = np.zeros(len(columns))
     step = batch_rows(spec.members, spec.replicates)
@@ -149,7 +155,8 @@ def _column_means(name: str, spec: UniformPosteriorSpec, columns, fill: bool) ->
         m, v = _sample_arrays(spec, start, start + step)
         h_ens = _batch_log_mixture_entropy(
             m, v, lambda row: f"{name} replicate {start + row}") if fill else None
-        sums += EnsembleBatch(m, v, h_ens).columns(columns).sum(axis=0)
+        sums += [math.nan if values is None else values.sum()
+                 for values in EnsembleBatch(m, v, h_ens).column_values(columns)]
     return sums / spec.replicates
 
 
@@ -164,10 +171,10 @@ def shift_reports(rules: Sequence[ScoringRule], base: UniformPosteriorSpec,
     changes by less than ``flat_threshold`` (finite, >= 0) relative to the
     base mean (absolute guard 1e-12 for measures at zero).
     Cells that need H(P_ens) report 'unavailable' unless the fallback is on,
-    which fills them from ``_batch_log_mixture_entropy`` as
-    ``measure_matrix`` does; a replicate whose entropy does not converge
-    raises ConvergenceError naming it (``base replicate N`` or ``shifted
-    replicate N``).
+    which fills them from ``_batch_log_mixture_entropy`` (the oracle, loaded
+    only then) as ``measure_matrix`` does; a replicate whose entropy does
+    not converge raises ConvergenceError naming it (``base replicate N`` or
+    ``shifted replicate N``).
     """
     if not (math.isfinite(flat_threshold) and flat_threshold >= 0.0):
         raise ValueError(f"flat threshold must be finite and >= 0, got {flat_threshold}")

@@ -1264,6 +1264,17 @@ class TestImport:
                      "--epochs", "1", *out)
         for result in (train, active):
             assert result[0] == 0 and "metrics" not in result[2]
+        # the oracle runs only where a command calls it
+        synth = run("synth-demo", "--n-train", "40", "--members", "1", "--epochs", "1",
+                    "--rules", "all", *out)
+        shift = ["shift", "--kind", "all", "--rules", "all", "--replicates", "20", *out]
+        for result in (train, active, synth, run(*shift)):
+            assert result[0] == 0 and "oracle" not in result[2], result
+        for argv in ([*shift, "--oracle-fallback"],
+                     ["measures", "--input", str(inp), "--oracle-fallback", *out],
+                     ["oracle-check", "--trials", "2", "--seed", "3", *out]):
+            result = run(*argv)
+            assert result[0] == 0 and "oracle" in result[2], argv
 
     def test_package_serves_its_public_names(self):
         names = {}

@@ -618,8 +618,22 @@ class TestBatchMemo:
         assert len(built) == 1
         pairs = batch.member_pairs()
         assert pairs is batch.member_pairs() and pairs.dm.shape == (10, 6)
-        for field in (pairs.dm, pairs.sv, pairs.var_i, pairs.var_j, pairs.var):
+        for field in (pairs.dm, pairs.sv, pairs.var, pairs.i, pairs.j):
             assert not field.flags.writeable and field.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2000])
+    def test_cell_sums_equal_matrix_column_sums_bitwise(self, n):
+        """``shift_reports`` sums each cell of ``column_values`` as the batch
+        computes it; that sum has the bits of the cell's column of
+        ``columns`` summed over rows, at the edges of NumPy's pairwise-sum
+        blocks (8 and 128 elements) too, so ``shift.csv`` does not move."""
+        means, variances = self._batch(seed=40 + n, n=n, m=10)
+        columns = self._columns()
+        for h_ens in (None, np.linspace(1.0, 2.0, n)):
+            want = EnsembleBatch(means, variances, h_ens).columns(columns).sum(axis=0)
+            got = np.array([np.nan if values is None else values.sum() for values in
+                            EnsembleBatch(means, variances, h_ens).column_values(columns)])
+            assert got.tobytes() == want.tobytes()
 
     def test_cached_arrays_are_read_only(self):
         batch = EnsembleBatch(*self._batch())

@@ -23,7 +23,9 @@ from ensrisk.estimators import (
     expected_score,
 )
 from ensrisk.scores import (
+    MemberPairs,
     ScoringRule,
+    _row_sum,
     gaussian_overlap,
     pairwise_abs_moment,
     pairwise_overlap,
@@ -391,6 +393,16 @@ class TestMemberPairs:
         self._check(scale * np.reshape(means, (n, m)),
                     scale * scale * np.reshape(variances, (n, m)))
 
+    def test_holds_no_pair_array_but_dm_and_sv(self):
+        """A batch's memory grows with its (K, n) pair arrays: the layout
+        keeps two, and a kernel gathers var_i or var_j when it needs them."""
+        rng = np.random.default_rng(71)
+        pairs = MemberPairs(rng.normal(size=(7, 5)), rng.uniform(0.2, 2.0, (7, 5)))
+        held = sorted(name for name, value in vars(pairs).items()
+                      if isinstance(value, np.ndarray) and value.size >= 10 * 7)
+        assert held == ["dm", "sv"]
+        assert pairs.dm.shape == pairs.sv.shape == (10, 7)
+
     def test_scalar_calls_match_batch_rows_bitwise(self):
         """The sums over pairs run in one order whatever the number of rows,
         so a row alone gets the bits it gets inside a batch."""
@@ -402,3 +414,45 @@ class TestMemberPairs:
             for i in range(7):
                 alone = kernel(means[i], variances[i])
                 assert alone.shape == () and alone.tobytes() == rows[i].tobytes()
+
+
+def _running_row_sum(x):
+    """The rows of a (K, n) array added one after another in index order:
+    the reference for ``_row_sum``."""
+    out = np.zeros(x.shape[1]) if len(x) == 0 else x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
+
+
+class TestRowSum:
+    """``_row_sum`` adds the rows in index order for every n, so a row of a
+    pair reduction gets the same bits alone or in a batch.  This pins
+    NumPy's axis-0 order: a NumPy release that changed it fails here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_running_sum_bitwise(self, data):
+        n = data.draw(st.one_of(st.just(1), st.integers(1, 2000)), label="n")
+        k = data.draw(st.one_of(st.sampled_from([0, 1, 2, 8, 9, 128, 129, 1225]),
+                                st.integers(0, 40_000 // n)), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # magnitudes over e^-20 .. e^20, both signs, a few exact zeros
+        x = rng.choice([-1.0, 1.0], (k, n)) * np.exp(rng.uniform(-20.0, 20.0, (k, n)))
+        x[rng.random((k, n)) < 0.02] = 0.0
+        got = _row_sum(x)
+        assert got.shape == (n,)
+        assert got.tobytes() == _running_row_sum(x).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 45, 1225, 19_900])
+    def test_one_column_is_a_running_sum(self, k):
+        """NumPy sums one contiguous column pairwise, which can round
+        differently from the running sum; ``_row_sum`` keeps the running sum,
+        the bits that column gets beside others."""
+        x = np.random.default_rng(k).uniform(-1.0, 1.0, (k, 1)) * 1e3
+        assert _row_sum(x).tobytes() == _running_row_sum(x).tobytes()
+        assert _row_sum(x).tobytes() == _row_sum(np.repeat(x, 2, axis=1))[:1].tobytes()
+
+    def test_no_pairs_sum_to_zeros(self):
+        assert _row_sum(np.empty((0, 3))).tobytes() == np.zeros(3).tobytes()
+        assert _row_sum(np.empty((0, 1))).tobytes() == np.zeros(1).tobytes()

@@ -212,6 +212,21 @@ class TestBatchedReplicates:
         small, large = peak(4_000), peak(40_000)
         assert large <= 1.25 * small, (small, large)
 
+    def test_closed_form_batch_holds_only_what_it_reads(self, traced_peak):
+        """One all-rules batch of 2 000 M=10 replicates, evaluated for the
+        base and the shifted spec: the pair layout keeps only mu_i - mu_j and
+        var_i + var_j, and each cell is summed as it is computed, with no
+        (rows, 64) matrix.  It peaked at 6.6 MiB with var_i and var_j kept
+        and the matrix filled, and at 5.0 MiB without."""
+        base = UniformPosteriorSpec(members=10, replicates=2_000, seed=1)
+        assert estimators.batch_rows(10, 2_000) == 2_000
+
+        def run():
+            shift_reports(list(ScoringRule), base, [ShiftKind.MEAN_SCALE])
+
+        run()  # imports and caches outside the measurement
+        assert traced_peak(run) <= 5.5 * 2**20
+
 
 class TestFlatThreshold:
     @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf])
