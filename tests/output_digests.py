@@ -5,7 +5,10 @@ ensembles where the pairwise kernels and the oracle's member-major paths
 matter, ``--oracle-fallback``, ``shift --kind all`` and ``oracle-check``
 included).  ``output_digests.json`` holds the sha256 of every CSV and JSON
 they write, with the run directory in each manifest replaced by
-``<root>``, and per-column summaries of the same files.  What a run prints
+``<root>``, and per-column summaries of the same files.  One more run,
+``measures-wide``, takes a second input of wide ensembles (M=120 in two
+batches, M=600 in one-row batches, beside a few M=2 points), where the
+pairwise kernels run at the sizes the measures need at large M.  What a run prints
 to stdout (``train``'s held-out NLL is in no file) is pinned the same way,
 under the name ``STDOUT``, with its numbers summarized in print order.
 
@@ -53,9 +56,11 @@ TRAINED_RTOL = 1e-6
 _SMALL_TRAIN = ["--n-train", "60", "--members", "3", "--epochs", "2"]
 
 # name -> (argv without --output-dir, relative tolerance); "{input}" is the
-# prediction set that ``write_input`` writes.
+# prediction set that ``write_input`` writes, "{wide}" the one of
+# ``write_wide_input``.
 RUNS = {
     "measures": (["measures", "--input", "{input}"], CLOSED_RTOL),
+    "measures-wide": (["measures", "--input", "{wide}"], CLOSED_RTOL),
     "measures-fallback": (["measures", "--input", "{input}", "--oracle-fallback"],
                           CLOSED_RTOL),
     "selective-fallback": (["selective", "--input", "{input}", "--oracle-fallback"],
@@ -96,6 +101,22 @@ def write_input(path: str) -> None:
     save_prediction_set(ps, path)
 
 
+def write_wide_input(path: str) -> None:
+    """Wide ensembles, unlabelled: 40 points at M=120 (two batches of
+    ``estimators.batch_rows``), 3 at M=600 (a batch per row) and 4 at M=2,
+    interleaved."""
+    from ensrisk.dataio import save_prediction_set
+    from ensrisk.estimators import PredictionSet
+
+    rng = np.random.default_rng(20261021)
+    sizes = [120] * 40 + [600] * 3 + [2] * 4
+    sizes = [sizes[k] for k in rng.permutation(len(sizes))]
+    ps = PredictionSet([f"w{i}" for i in range(len(sizes))],
+                       [rng.normal(0.0, 1.5, m) for m in sizes],
+                       [rng.uniform(0.1, 2.5, m) for m in sizes])
+    save_prediction_set(ps, path)
+
+
 def environment() -> dict:
     """What the exact digests depend on: the NumPy build and the CPU
     features its SIMD dispatch uses on this machine."""
@@ -112,12 +133,14 @@ def run_all(work: str) -> dict:
     the run printed to stdout under ``STDOUT``."""
     from ensrisk.cli import main
 
-    inp = os.path.join(work, "input.json")
-    write_input(inp)
+    inputs = {"input": os.path.join(work, "input.json"),
+              "wide": os.path.join(work, "wide.json")}
+    write_input(inputs["input"])
+    write_wide_input(inputs["wide"])
     outputs = {}
     for name, (argv, _) in RUNS.items():
         out = os.path.join(work, name)
-        argv = [a.format(input=inp) for a in argv]
+        argv = [a.format(**inputs) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()) as printed:
             code = main([*argv, "--output-dir", out])
         if code != 0:
