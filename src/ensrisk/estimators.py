@@ -158,7 +158,9 @@ class EnsembleBatch:
     batch and cached for its lifetime:
 
     - ``member_pairs``, the (pair, row) layout of the M(M-1)/2 member pairs
-      i < j behind every O(M^2) term;
+      i < j behind every O(M^2) term: the batch's one block of pair
+      storage, whose scratch rows the CRPS and quadratic pair means and the
+      LOG Exc(1,1) pairwise KL fill in place;
     - the pairwise reductions ``crps_pair_mean`` and ``quad_pair_mean`` (the
       means over member pairs behind the CRPS and quadratic mixtures);
     - ``excess(rule, pair)``, which the Tot(pair) cell reuses, so the LOG
@@ -342,16 +344,16 @@ class EnsembleBatch:
             if rule is ScoringRule.LOG:
                 # mean_ij KL(P_j || P_i): the log-variance terms cancel
                 # between (i, j) and (j, i), and the diagonal is 0; var_i and
-                # var_j are gathered in turn into one buffer
+                # var_j are gathered in turn into one scratch row
                 pairs = self.member_pairs()
-                d2 = pairs.dm * pairs.dm
-                var = np.take(pairs.var, pairs.j, axis=0)
-                kl = var + d2
-                np.take(pairs.var, pairs.i, axis=0, out=var)
+                d2, var, kl = pairs.scratch
+                np.multiply(pairs.dm, pairs.dm, out=d2)
+                np.add(pairs.take_var(pairs.j, var), d2, out=kl)
+                pairs.take_var(pairs.i, var)
                 kl /= var
                 kl -= 1.0
                 d2 += var
-                np.take(pairs.var, pairs.j, axis=0, out=var)
+                pairs.take_var(pairs.j, var)
                 d2 /= var
                 d2 -= 1.0
                 kl += d2
@@ -519,9 +521,10 @@ def log_excess_ba_ens(ens: GaussianEnsemble) -> float:
 
 # Elements per EnsembleBatch in measure_matrix and shift_reports, a row of M
 # members counting its M(M-1)/2 member pairs and its 64 output cells: it
-# bounds the (pair, row) temporaries, so peak memory grows with neither n nor
-# M.  Each batch has a fixed cost of 1-1.5 ms (ufunc dispatch for every
-# cell), so a smaller budget costs time: 2**17 made ``shift`` slower.
+# bounds the batch's one (4, pairs, rows) block of pair storage, so peak
+# memory grows with neither n nor M.  Each batch has a fixed cost of 1-1.5 ms
+# (ufunc dispatch for every cell), so a smaller budget costs time: 2**17 made
+# ``shift`` slower.
 BATCH_ELEMS = 2**18
 
 

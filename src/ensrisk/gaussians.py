@@ -65,7 +65,7 @@ def std_normal_cdf(z):
     return _scalar_or_array(_ndtr(_as_finite_array("z", z)))
 
 
-def abs_moment(mu, sigma, *, check=True):
+def abs_moment(mu, sigma, *, check=True, out=None):
     """E|X| for X ~ N(mu, sigma^2), i.e. A(mu, sigma).
 
     Evaluated in the fused form A = 2 sigma phi(z) + |mu| erf(|z|/sqrt(2)),
@@ -74,14 +74,16 @@ def abs_moment(mu, sigma, *, check=True):
     be nonnegative; values at or below ``DEGENERATE_SIGMA`` are treated as a
     point mass at mu, returning |mu| exactly.  Callers whose parameters are
     already validated pass ``check=False`` to skip the finite and sign
-    checks, two full passes over the inputs.
+    checks, two full passes over the inputs.  ``out``, a float array of the
+    broadcast shape that overlaps neither input, receives the values and is
+    returned.
     """
     if check:
         mu = _as_finite_array("mu", mu)
         sigma = _as_finite_array("sigma", sigma)
         if np.any(sigma < 0.0):
             raise ValueError("sigma must be nonnegative")
-    return _scalar_or_array(_blocked(_abs_moment_block, mu, sigma))
+    return _scalar_or_array(_blocked(_abs_moment_block, mu, sigma, out=out))
 
 
 # -- the erf core -------------------------------------------------------------
@@ -96,7 +98,10 @@ def abs_moment(mu, sigma, *, check=True):
 # and erfc(x) = 0 once x^2 > MAXLOG.  U, Q and S are monic, their leading 1
 # left out.  Inputs run through in blocks of ``_BLOCK`` elements, evaluated
 # in place in preallocated scratch: T/U on the whole block, P/Q and R/S on
-# the elements with |x| >= 1 (resp. >= 8) gathered out of it.
+# the elements with |x| >= 1 (resp. >= 8) gathered out of it.  The gathers
+# pass mode="clip": their indices come from ``np.flatnonzero`` and are
+# always in range, and under the default mode="raise" ``np.take`` fills a
+# buffer and copies it into ``out`` instead of writing there directly.
 
 _T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
       7.00332514112805075473e3, 5.55923013010394962768e4)
@@ -184,17 +189,18 @@ def _exp_neg_square(v, s, out, hi, tmp):
     return out
 
 
-def _blocked(kernel, *operands) -> np.ndarray:
+def _blocked(kernel, *operands, out=None) -> np.ndarray:
     """``kernel(scratch, *blocks, out)`` over the broadcast ``operands``, at
-    most ``_BLOCK`` elements at a time; returns the (float) output array."""
-    it = np.nditer([*operands, None], flags=["external_loop", "buffered", "zerosize_ok"],
+    most ``_BLOCK`` elements at a time; returns the (float) output array,
+    ``out`` itself when given (it must not overlap an operand)."""
+    it = np.nditer([*operands, out], flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"]] * len(operands) + [["writeonly", "allocate"]],
                    op_dtypes=[np.float64] * (len(operands) + 1), buffersize=_BLOCK)
     with it, np.errstate(all="ignore"):
         scratch = np.empty((_SCRATCH_ROWS, max(1, min(_BLOCK, it.itersize))))
-        for *blocks, out in it:
-            kernel(scratch[:, :out.shape[0]], *blocks, out)
-        return it.operands[-1]
+        for *blocks, block_out in it:
+            kernel(scratch[:, :block_out.shape[0]], *blocks, block_out)
+        return it.operands[-1] if out is None else out
 
 
 def _erfc_block(scratch, u, out, cdf):
@@ -216,7 +222,7 @@ def _erfc_block(scratch, u, out, cdf):
     if big.size:
         # the gathered elements reuse the rows the small range is done with
         n = big.size
-        ub = np.take(u, big, out=w[:n])
+        ub = np.take(u, big, out=w[:n], mode="clip")
         xb = np.abs(ub, out=r[:n])
         _exp_neg_square(xb, 0.5 if cdf else 1.0, e[:n], hi[:n], a[:n])
         if cdf:
@@ -254,8 +260,8 @@ def _abs_moment_block(scratch, mu, sigma, out):
     if big.size:
         # the gathered elements reuse the rows the small range is done with
         n = big.size
-        tail = _erfc_tail(np.take(x, big, out=z[:n]), np.take(e, big, out=a[:n]),
-                          w[:n], x[:n])
+        tail = _erfc_tail(np.take(x, big, out=z[:n], mode="clip"),
+                          np.take(e, big, out=a[:n], mode="clip"), w[:n], x[:n])
         np.subtract(1.0, tail, out=tail)
         r[big] = tail
     # A = |mu| erf(|z|/sqrt 2) + 2 sigma phi(z), never below its bound |mu|

@@ -20,8 +20,11 @@ layer in ``estimators``.
 
 The pairwise kernels return means over all M^2 ordered member pairs, but
 evaluate each unordered pair i < j once, on the (pair, row) layout
-``MemberPairs``, with the diagonal in closed form.  Their sums over pairs
-run in a fixed order, so a row gets the same bits alone or in a batch.
+``MemberPairs``, with the diagonal in closed form.  The layout is one block
+of pair storage, allocated once per batch, and the kernels write every
+(pair, row) temporary into its scratch rows in place.  Their sums over
+pairs run in a fixed order, so a row gets the same bits alone or in a
+batch.
 """
 
 from __future__ import annotations
@@ -64,13 +67,16 @@ class MemberPairs:
     """The unordered member pairs i < j of n ensembles of M members, in
     (pair, row) layout: K = M(M-1)/2 pairs on the leading axis.
 
-    ``dm`` holds mu_i - mu_j and ``sv`` var_i + var_j, each a C-ordered
-    (K, n) array and the only ones kept; ``var`` is the (M, n) member
-    variances for the diagonal terms, and ``i``/``j`` the (K,) member
-    indices of the pairs, from which a kernel gathers var_i or var_j as it
-    needs them.  The arrays are built with row gathers on the transposed
-    (M, n) member arrays and are read-only.  Input shape (..., M); the
-    reductions return the leading shape (...).
+    All the pair storage of a batch is one C-ordered (4, K, n) block,
+    allocated here.  Its first row is ``dm``, mu_i - mu_j, read-only; the
+    other three are ``scratch``, where each pair kernel writes its (K, n)
+    temporaries in place (var_i + var_j too, gathered by ``var_sum``), so
+    evaluating a batch's cells allocates no further pair-sized array.  The
+    kernels run one at a time and reduce their terms before they return,
+    so they share the scratch rows.  ``var`` is the (M, n) member variances
+    for the diagonal terms, and ``i``/``j`` the (K,) member indices of the
+    pairs.  ``dm``, ``var``, ``i`` and ``j`` are read-only.  Input shape
+    (..., M); the reductions return the leading shape (...).
     """
 
     def __init__(self, means: np.ndarray, variances: np.ndarray):
@@ -80,12 +86,25 @@ class MemberPairs:
         mt = np.ascontiguousarray(means.reshape(-1, m).T)
         self.var = np.ascontiguousarray(np.asarray(variances, dtype=float).reshape(-1, m).T)
         self.i, self.j = np.triu_indices(m, 1)
-        self.dm = mt[self.i]
-        self.dm -= mt[self.j]
-        self.sv = self.var[self.i]
-        self.sv += self.var[self.j]
-        for a in (self.var, self.dm, self.sv, self.i, self.j):
+        block = np.empty((4, len(self.i), mt.shape[1]))
+        self.dm, self.scratch = block[0], block[1:]
+        # the indices come from triu_indices, so "clip" never clips; it lets
+        # np.take write into ``out`` directly instead of through a buffer
+        np.take(mt, self.i, axis=0, out=self.dm, mode="clip")
+        self.dm -= np.take(mt, self.j, axis=0, out=self.scratch[0], mode="clip")
+        for a in (self.var, self.dm, self.i, self.j):
             a.flags.writeable = False
+
+    def take_var(self, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """var_index of each pair, for ``index`` either ``i`` or ``j``,
+        gathered into the (K, n) ``out``."""
+        return np.take(self.var, index, axis=0, out=out, mode="clip")
+
+    def var_sum(self, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """var_i + var_j into ``out``, gathering var_j into ``tmp``."""
+        self.take_var(self.i, out)
+        out += self.take_var(self.j, tmp)
+        return out
 
     def pair_sum(self, terms: np.ndarray) -> np.ndarray:
         """sum_{i<j} of (K, n) pair ``terms``, in a fixed order."""
@@ -104,12 +123,14 @@ def pairwise_abs_moment(means: np.ndarray, variances: np.ndarray,
     trailing axis, evaluated once per pair i < j.
 
     Input shape (..., M); output (...).  ``pairs`` is the layout of these
-    same parameters, if the caller has built it.  The parameters must
-    already be finite with variances > 0: ``abs_moment``'s checks are
-    skipped.
+    same parameters, if the caller has built it; its scratch rows are
+    overwritten.  The parameters must already be finite with variances > 0:
+    ``abs_moment``'s checks are skipped.
     """
     pairs = MemberPairs(means, variances) if pairs is None else pairs
-    terms = abs_moment(pairs.dm, np.sqrt(pairs.sv), check=False)
+    sigma, terms, _ = pairs.scratch
+    np.sqrt(pairs.var_sum(sigma, terms), out=sigma)
+    abs_moment(pairs.dm, sigma, check=False, out=terms)
     # A(0, s) = 2 s phi(0), as abs_moment evaluates it
     diagonal = np.sqrt(2.0 * pairs.var) * (2.0 * _INV_SQRT_2PI)
     return pairs.ordered_mean(terms, diagonal)
@@ -134,13 +155,15 @@ def pairwise_overlap(means: np.ndarray, variances: np.ndarray,
     trailing axis, evaluated once per pair i < j; shapes and ``pairs`` as
     for ``pairwise_abs_moment``."""
     pairs = MemberPairs(means, variances) if pairs is None else pairs
-    # gaussian_overlap's arithmetic, in place on the (K, n) layout
-    terms = np.multiply(pairs.dm, -0.5)
+    sv, terms, _ = pairs.scratch
+    pairs.var_sum(sv, terms)
+    # gaussian_overlap's arithmetic, in place in the scratch rows
+    np.multiply(pairs.dm, -0.5, out=terms)
     terms *= pairs.dm
-    terms /= pairs.sv
+    terms /= sv
     with np.errstate(under="ignore"):
         np.exp(terms, out=terms)
-    scale = np.sqrt(pairs.sv)
+    scale = np.sqrt(sv, out=sv)
     np.divide(_INV_SQRT_2PI, scale, out=scale)
     terms *= scale
     return pairs.ordered_mean(terms, _INV_SQRT_2PI / np.sqrt(2.0 * pairs.var))

@@ -618,8 +618,28 @@ class TestBatchMemo:
         assert len(built) == 1
         pairs = batch.member_pairs()
         assert pairs is batch.member_pairs() and pairs.dm.shape == (10, 6)
-        for field in (pairs.dm, pairs.sv, pairs.var, pairs.i, pairs.j):
+        assert pairs.dm.base.shape == (4, 10, 6) and pairs.scratch.base is pairs.dm.base
+        for field in (pairs.dm, pairs.var, pairs.i, pairs.j):
             assert not field.flags.writeable and field.flags.c_contiguous
+
+    @pytest.mark.parametrize("n, m", [(2000, 10), (52, 100), (1, 1000)])
+    def test_cells_allocate_no_pair_array(self, traced_peak, n, m):
+        """Once a batch's pair layout exists, its 64 cells write their
+        (K, n) temporaries into its scratch rows: the memory they hold at
+        once stays under 2.5 (K, n) arrays (a (K,) running sum for n = 1,
+        the erf core's scratch, the (n, M) and (n,) terms), where each
+        kernel allocating its own temporaries held 4 to 5."""
+        means, variances = self._batch(seed=n, n=n, m=m)
+        batch = EnsembleBatch(means, variances, np.linspace(1.0, 2.0, n))
+        batch.member_pairs()
+        columns = self._columns()
+
+        def cells():
+            for _ in batch.column_values(columns):
+                pass
+
+        pair_array = m * (m - 1) // 2 * n * 8
+        assert traced_peak(cells) < 2.5 * pair_array
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2000])
     def test_cell_sums_equal_matrix_column_sums_bitwise(self, n):

@@ -1,5 +1,6 @@
 """Scalar special functions and the ensemble/surrogate constructions."""
 
+import functools
 import math
 
 import mpmath
@@ -213,6 +214,25 @@ class TestCephesCore:
         for i in picks:
             assert fn(x[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
             assert float(fn(x[i])) == whole[i]
+
+    @pytest.mark.parametrize("n", [0, 1, gaussians._BLOCK - 1, gaussians._BLOCK,
+                                   gaussians._BLOCK + 1])
+    def test_out_is_filled_in_place(self, n):
+        """``_blocked(..., out=)`` returns ``out`` itself, holding the bits
+        the allocating call returns: for no elements (an M = 1 batch has no
+        member pairs), one, and either side of a block."""
+        rng = np.random.default_rng(n)
+        x = rng.choice([0.5, 3.0, 30.0], n) * rng.uniform(-1.0, 1.0, n)
+        sigma = rng.choice([0.0, 0.7, 2.0], n)
+        for kernel, operands in ((gaussians._abs_moment_block, (x, sigma)),
+                                 (functools.partial(gaussians._erfc_block, cdf=False), (x,)),
+                                 (functools.partial(gaussians._erfc_block, cdf=True), (x,))):
+            want = gaussians._blocked(kernel, *operands)
+            rows = np.full((2, n), np.nan)  # out is one row of a larger block
+            out = rows[1]
+            assert gaussians._blocked(kernel, *operands, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            assert np.isnan(rows[0]).all()
 
 
 class TestTypes:

@@ -393,15 +393,25 @@ class TestMemberPairs:
         self._check(scale * np.reshape(means, (n, m)),
                     scale * scale * np.reshape(variances, (n, m)))
 
-    def test_holds_no_pair_array_but_dm_and_sv(self):
+    def test_holds_one_pair_block(self):
         """A batch's memory grows with its (K, n) pair arrays: the layout
-        keeps two, and a kernel gathers var_i or var_j when it needs them."""
+        keeps them in one (4, K, n) block, mu_i - mu_j read-only in its
+        first row and three scratch rows the kernels fill in place; var_i
+        + var_j is gathered there when a kernel needs it."""
         rng = np.random.default_rng(71)
-        pairs = MemberPairs(rng.normal(size=(7, 5)), rng.uniform(0.2, 2.0, (7, 5)))
+        means = rng.normal(size=(7, 5))
+        pairs = MemberPairs(means, rng.uniform(0.2, 2.0, (7, 5)))
         held = sorted(name for name, value in vars(pairs).items()
                       if isinstance(value, np.ndarray) and value.size >= 10 * 7)
-        assert held == ["dm", "sv"]
-        assert pairs.dm.shape == pairs.sv.shape == (10, 7)
+        assert held == ["dm", "scratch"]
+        block = pairs.dm.base
+        assert block.shape == (4, 10, 7) and block.flags.c_contiguous
+        assert pairs.scratch.base is block and pairs.scratch.shape == (3, 10, 7)
+        assert not np.shares_memory(pairs.dm, pairs.scratch)
+        assert pairs.dm.flags.c_contiguous and not pairs.dm.flags.writeable
+        assert pairs.scratch.flags.writeable
+        mt = means.T
+        assert pairs.dm.tobytes() == (mt[pairs.i] - mt[pairs.j]).tobytes()
 
     def test_scalar_calls_match_batch_rows_bitwise(self):
         """The sums over pairs run in one order whatever the number of rows,

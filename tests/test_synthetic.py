@@ -214,10 +214,11 @@ class TestBatchedReplicates:
 
     def test_closed_form_batch_holds_only_what_it_reads(self, traced_peak):
         """One all-rules batch of 2 000 M=10 replicates, evaluated for the
-        base and the shifted spec: the pair layout keeps only mu_i - mu_j and
-        var_i + var_j, and each cell is summed as it is computed, with no
-        (rows, 64) matrix.  It peaked at 6.6 MiB with var_i and var_j kept
-        and the matrix filled, and at 5.0 MiB without."""
+        base and the shifted spec: the pair layout is one (4, K, n) block
+        that the pair kernels fill in place, and each cell is summed as it
+        is computed, with no (rows, 64) matrix.  It peaked at 6.6 MiB with
+        var_i and var_j kept and the matrix filled, at 5.0 MiB without, and
+        at 4.8 MiB with the kernels' temporaries in the block."""
         base = UniformPosteriorSpec(members=10, replicates=2_000, seed=1)
         assert estimators.batch_rows(10, 2_000) == 2_000
 
