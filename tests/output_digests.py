@@ -8,9 +8,10 @@ they write, with the run directory in each manifest replaced by
 ``<root>``, and per-column summaries of the same files.  One more run,
 ``measures-wide``, takes a second input of wide ensembles (M=120 in two
 batches, M=600 in one-row batches, beside a few M=2 points), where the
-pairwise kernels run at the sizes the measures need at large M.  What a run prints
-to stdout (``train``'s held-out NLL is in no file) is pinned the same way,
-under the name ``STDOUT``, with its numbers summarized in print order.
+pairwise kernels run at the sizes the measures need at large M.  What a
+run prints to stdout (``train``'s held-out NLL is in no file) is pinned
+the same way, under the name ``STDOUT``, with its numbers summarized in
+print order.
 
 The digests are exact only for the NumPy build and CPU they were recorded
 on: SIMD ``exp``/``log`` and BLAS ``matmul`` may differ by ulps elsewhere.
