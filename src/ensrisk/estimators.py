@@ -15,7 +15,9 @@ Tot(2,1), Tot(3a,1) agree in exact arithmetic (see the identity tests) but
 not bitwise: on 2000 M=10 rows (means U(-1, 1), variances U(1, 2)) SE
 Tot(1,1) differs from Tot(2,1) in the last bits on 803 rows and from
 Tot(3a,1) on 555, while CRPS and QUAD Tot(1,1) = Tot(2,1) bitwise on all
-of them.  ROADMAP item 3 would tie each such cell by construction.
+of them, by luck of rounding.  The ties that do hold by construction (CRPS
+and QUAD Exc(1,1) = 2 Exc(2,1), and the SE surrogate coincidences) are
+pinned bitwise in the tests; ROADMAP item 3 would tie the others too.
 
 Every cell composes this way, the LOG ones too: the one term without a
 closed form is the mixture's Shannon entropy H(P_ens), which is LOG
@@ -25,7 +27,11 @@ other cell.  The SE cells Exc(3a,2) and Exc(3b,2) are identically zero
 because both surrogates share the mixture mean.
 
 ``EnsembleBatch`` is the closed-form layer: it is the only place a risk,
-entropy or divergence formula is written.  The scalar functions below it
+entropy or divergence formula is written.  ``EnsembleBatch.cells(rule)``
+computes every cell of a rule in one pass, once per batch, from the terms
+the cells share (the member-pair mean, Bayes(1), Bayes(2), Exc(1,1) and
+each surrogate's distance to the members and to the mixture), so a subset
+of a rule's cells costs its full pass.  The scalar functions below it
 (``entropy``, ``expected_score``, ``divergence`` and the three risks) are thin
 wrappers that run a batch of one row (one per label component for
 ``expected_score``).  A missing closed form raises ``NotClosedForm``, in
@@ -154,26 +160,26 @@ class EnsembleBatch:
     """Closed-form estimator evaluation over a stack of ensembles.
 
     ``means`` and ``variances`` have shape (n, M); every estimator comes
-    back as an (n,) array.  Each term the cells share is computed once per
-    batch and cached for its lifetime:
+    back as an (n,) array.  ``cells(rule)`` computes all the cells of one
+    rule in a single pass, once per batch and rule, from the terms they
+    share: the member-pair mean (CRPS E|X - X'|, QUADRATIC integral p^2),
+    Bayes(1), Bayes(2), Exc(1,1) and each surrogate's distance to the
+    members and to the mixture (``_vs_gaussian``, one cross kernel for
+    both).  Every Tot is Bayes + Exc.  ``bayes``, ``excess``, ``total`` and
+    ``evaluate`` read single cells of that pass.
 
-    - ``member_pairs``, the (pair, row) layout of the M(M-1)/2 member pairs
-      i < j behind every O(M^2) term: the batch's one block of pair
-      storage, whose scratch rows the CRPS and quadratic pair means and the
-      LOG Exc(1,1) pairwise KL fill in place;
-    - the pairwise reductions ``crps_pair_mean`` and ``quad_pair_mean`` (the
-      means over member pairs behind the CRPS and quadratic mixtures);
-    - ``excess(rule, pair)``, which the Tot(pair) cell reuses, so the LOG
-      pairwise KL mean of Exc(1,1) is computed once;
-    - the mean cross kernel between each surrogate and the members (CRPS
-      E|S - X_j|, QUADRATIC overlap), shared by the (s,1) and (s,2) cells.
+    ``member_pairs`` is the (pair, row) layout of the M(M-1)/2 member pairs
+    i < j behind every O(M^2) term: the batch's one block of pair storage,
+    built on first use, whose scratch rows the CRPS and quadratic pair
+    means and the LOG Exc(1,1) pairwise KL fill in place.
 
     ``h_ens``, the (n,) LOG mixture entropies H(P_ens) of the rows, is LOG
-    Bayes(2); the seven LOG cells built on it raise NotClosedForm without it.
+    Bayes(2); it is copied, and the seven LOG cells built on it raise
+    NotClosedForm without it.
 
-    Cached arrays come back read-only, so a caller cannot change a later
-    cell through them.  A batch is bounded by the caller (``batch_rows``),
-    and so is its cache.
+    The cells come back read-only, so a caller cannot change a later cell
+    through them.  A batch is bounded by the caller (``batch_rows``), and so
+    are the cells it holds.
     """
 
     def __init__(self, means, variances, h_ens=None):
@@ -182,7 +188,7 @@ class EnsembleBatch:
         if means.ndim != 2 or means.shape != variances.shape:
             raise ValueError("means and variances must be (n, M) arrays of equal shape")
         if h_ens is not None:
-            h_ens = np.asarray(h_ens, dtype=float)
+            h_ens = np.array(h_ens, dtype=float)
             if h_ens.shape != means.shape[:1]:
                 raise ValueError("h_ens must hold one mixture entropy per row")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
@@ -197,199 +203,150 @@ class EnsembleBatch:
         self.var_av = variances.mean(axis=1)
         self.var_mm = self.var_av + self.pop_var
         self.h_ens = h_ens
-        self._memo: dict[tuple, np.ndarray] = {}
+        self._pairs = None
+        self._cells: dict[ScoringRule, dict] = {}
 
     @property
     def size(self) -> int:
         return self.means.shape[1]
 
-    def _cached(self, key: tuple, compute):
-        """``compute()`` once per key for the life of the batch; an array
-        comes back read-only."""
-        if key not in self._memo:
-            value = compute()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._memo[key] = value
-        return self._memo[key]
-
     def member_pairs(self) -> MemberPairs:
         """The (pair, row) layout of the member pairs i < j (read-only)."""
-        return self._cached(("layout",), lambda: MemberPairs(self.means, self.variances))
+        if self._pairs is None:
+            self._pairs = MemberPairs(self.means, self.variances)
+        return self._pairs
 
-    def crps_pair_mean(self) -> np.ndarray:
-        """mean_ij A(mu_i - mu_j, sqrt(var_i + var_j)) = E|X - X'|."""
-        return self._cached(("pairs", ScoringRule.CRPS), lambda: pairwise_abs_moment(
-            self.means, self.variances, self.member_pairs()))
+    def cells(self, rule: ScoringRule) -> dict:
+        """Every cell of ``rule``: the ``default_estimators()`` keys plus
+        ``exc_1_2``, each a read-only (n,) array, or None for a LOG cell
+        built on H(P_ens) when the batch holds no ``h_ens``.  Computed in
+        one pass on the first call for the rule."""
+        if rule in self._cells:
+            return self._cells[rule]
+        ba, ens, mm, av = ApproximationId
+        surrogates = ((mm, self.var_mm), (av, self.var_av))
+        if rule is ScoringRule.CRPS:
+            pair_mean = pairwise_abs_moment(self.means, self.variances, self.member_pairs())
+            sigma_mean = self.sigmas.mean(axis=1)
+            bayes = {ba: sigma_mean / _SQRT_PI, ens: 0.5 * pair_mean}
+            bayes.update((approx, np.sqrt(var) / _SQRT_PI) for approx, var in surrogates)
+            exc_1_1 = pair_mean - 2.0 * sigma_mean / _SQRT_PI
+        elif rule is ScoringRule.LOG:
+            bayes = {ba: 0.5 * (_LOG_2PI + 1.0 + np.log(self.variances)).mean(axis=1),
+                     ens: self.h_ens}
+            bayes.update((approx, 0.5 * (_LOG_2PI + 1.0 + np.log(var)))
+                         for approx, var in surrogates)
+            # Exc(1,1) = mean_ij KL(P_j || P_i): the log-variance terms cancel
+            # between (i, j) and (j, i), and the diagonal is 0; var_i and var_j
+            # are gathered in turn into one scratch row
+            pairs = self.member_pairs()
+            d2, var, kl = pairs.scratch
+            np.multiply(pairs.dm, pairs.dm, out=d2)
+            np.add(pairs.take_var(pairs.j, var), d2, out=kl)
+            pairs.take_var(pairs.i, var)
+            kl /= var
+            kl -= 1.0
+            d2 += var
+            pairs.take_var(pairs.j, var)
+            d2 /= var
+            d2 -= 1.0
+            kl += d2
+            exc_1_1 = pairs.pair_sum(kl) / (2.0 * self.size ** 2)
+        elif rule is ScoringRule.QUADRATIC:
+            pair_mean = pairwise_overlap(self.means, self.variances, self.member_pairs())
+            inv_sigma_mean = (1.0 / self.sigmas).mean(axis=1)
+            bayes = {ba: -inv_sigma_mean / (2.0 * _SQRT_PI), ens: -pair_mean}
+            bayes.update((approx, -1.0 / (2.0 * _SQRT_PI * np.sqrt(var)))
+                         for approx, var in surrogates)
+            exc_1_1 = inv_sigma_mean / _SQRT_PI - 2.0 * pair_mean
+        elif rule is ScoringRule.SE:
+            bayes = {ba: self.var_av, ens: self.var_mm, mm: self.var_mm, av: self.var_av}
+            exc_1_1 = 2.0 * self.pop_var
+        else:
+            raise ValueError(f"unknown rule {rule!r}")
 
-    def quad_pair_mean(self) -> np.ndarray:
-        """mean_ij N(mu_i | mu_j, var_i + var_j) = integral p_ens^2."""
-        return self._cached(("pairs", ScoringRule.QUADRATIC), lambda: pairwise_overlap(
-            self.means, self.variances, self.member_pairs()))
+        exc = {(ba, ba): exc_1_1, (ens, ba): None, (ba, ens): None}
+        for approx, var in surrogates:
+            exc[approx, ba], exc[approx, ens] = self._vs_gaussian(
+                rule, self.mu_star, var, bayes[ens])
+        if bayes[ens] is not None:
+            # Bregman information: Bayes(2) - Bayes(1) for every rule, in both
+            # orientations for the symmetric divergences; LOG's mean_j
+            # KL(P_ens || P_j) is Tot(1,1) - H(P_ens) instead
+            exc[ens, ba] = bayes[ens] - bayes[ba]
+            exc[ba, ens] = (bayes[ba] + exc_1_1 - bayes[ens] if rule is ScoringRule.LOG
+                            else exc[ens, ba])
+        cells = {f"bayes_{approx.value}": value for approx, value in bayes.items()}
+        for (first, second), value in exc.items():
+            cells[f"exc_{first.value}_{second.value}"] = value
+            if (first, second) in SUPPORTED_PAIRS:
+                cells[f"tot_{first.value}_{second.value}"] = (
+                    None if value is None else bayes[first] + value)
+        for value in cells.values():
+            if value is not None:
+                value.flags.writeable = False
+        self._cells[rule] = cells
+        return cells
 
-    def _surrogate(self, approx: ApproximationId) -> tuple[np.ndarray, np.ndarray]:
-        if approx is ApproximationId.MM:
-            return self.mu_star, self.var_mm
-        if approx is ApproximationId.AV:
-            return self.mu_star, self.var_av
-        raise ValueError(f"not a surrogate: {approx}")
+    def _vs_gaussian(self, rule, mu, var, bayes_2):
+        """(mean_j d(N(mu, var), P_j), d(N(mu, var), P_ens)) for one Gaussian
+        per row, each of shape (n,), from one cross kernel with the members
+        (CRPS E|Y - X_j|, QUADRATIC overlap, LOG mean_j LS(N, P_j)).
+        ``bayes_2`` is the batch's Bayes(2); the mixture distance is None
+        without it (LOG without ``h_ens``).  With a surrogate as the
+        Gaussian these are its (s,1) and (s,2) cells."""
+        mu_b, var_b = mu[:, None], var[:, None]
+        if rule is ScoringRule.CRPS:
+            cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances),
+                               check=False).mean(axis=1)
+            return (cross - (np.sqrt(var) + self.sigmas.mean(axis=1)) / _SQRT_PI,
+                    cross - np.sqrt(var) / _SQRT_PI - bayes_2)
+        if rule is ScoringRule.LOG:
+            spread = (self.variances + (mu_b - self.means) ** 2) / var_b
+            kl = (0.5 * (np.log(var_b / self.variances) - 1.0 + spread)).mean(axis=1)
+            if bayes_2 is None:
+                return kl, None
+            return kl, 0.5 * (_LOG_2PI + np.log(var)[:, None] + spread).mean(axis=1) - bayes_2
+        if rule is ScoringRule.QUADRATIC:
+            cross = gaussian_overlap(mu_b, var_b, self.means, self.variances).mean(axis=1)
+            own = 0.5 / (_SQRT_PI * np.sqrt(var))
+            return (own + (0.5 / (_SQRT_PI * self.sigmas)).mean(axis=1) - 2.0 * cross,
+                    own - bayes_2 - 2.0 * cross)
+        if rule is ScoringRule.SE:
+            # the mixture distance is exactly 0.0 for the surrogates, which
+            # sit at the mixture mean
+            return ((mu_b - self.means) ** 2).mean(axis=1), (mu - self.mu_star) ** 2
+        raise ValueError(f"unknown rule {rule!r}")
 
-    # -- Bayes risks ---------------------------------------------------------
+    def _cell(self, rule: ScoringRule, key: str) -> np.ndarray:
+        cells = self.cells(rule)
+        if key not in cells:
+            raise ValueError(f"unsupported estimator {key!r}")
+        if cells[key] is None:
+            raise NotClosedForm(f"LOG {key} is built on H(P_ens), which has no closed form")
+        return cells[key]
 
     def bayes(self, rule: ScoringRule, approx: ApproximationId) -> np.ndarray:
-        if rule is ScoringRule.CRPS:
-            if approx is ApproximationId.BA:
-                return self.sigmas.mean(axis=1) / _SQRT_PI
-            if approx is ApproximationId.ENS:
-                return 0.5 * self.crps_pair_mean()
-            return np.sqrt(self._surrogate(approx)[1]) / _SQRT_PI
-        if rule is ScoringRule.LOG:
-            if approx is ApproximationId.BA:
-                return 0.5 * (_LOG_2PI + 1.0 + np.log(self.variances)).mean(axis=1)
-            if approx is ApproximationId.ENS:
-                if self.h_ens is None:
-                    raise NotClosedForm("LOG Bayes(2) has no closed form")
-                return self.h_ens.copy()
-            return 0.5 * (_LOG_2PI + 1.0 + np.log(self._surrogate(approx)[1]))
-        if rule is ScoringRule.QUADRATIC:
-            if approx is ApproximationId.BA:
-                return -(1.0 / self.sigmas).mean(axis=1) / (2.0 * _SQRT_PI)
-            if approx is ApproximationId.ENS:
-                return -self.quad_pair_mean()
-            return -1.0 / (2.0 * _SQRT_PI * np.sqrt(self._surrogate(approx)[1]))
-        if rule is ScoringRule.SE:
-            if approx in (ApproximationId.BA, ApproximationId.AV):
-                return self.var_av.copy()
-            return self.var_mm.copy()
-        raise ValueError(f"unknown rule {rule!r}")
-
-    # -- excess risks ----------------------------------------------------------
-
-    def _cross_mean(self, rule, mu, var) -> np.ndarray:
-        """mean_j of the cross kernel between N(mu, var) and member j: the
-        CRPS abs_moment E|Y - X_j| or the QUADRATIC overlap integral.  For the
-        batch's own surrogates it is computed once per rule and shared by
-        their (s,1) and (s,2) cells."""
-        def compute():
-            mu_b, var_b = mu[:, None], var[:, None]
-            if rule is ScoringRule.CRPS:
-                cross = abs_moment(mu_b - self.means, np.sqrt(var_b + self.variances),
-                                   check=False)
-            else:
-                cross = gaussian_overlap(mu_b, var_b, self.means, self.variances)
-            return cross.mean(axis=1)
-
-        for approx in (ApproximationId.MM, ApproximationId.AV):
-            if mu is self.mu_star and var is self._surrogate(approx)[1]:
-                return self._cached(("cross", rule, approx), compute)
-        return compute()
-
-    def gaussian_vs_members(self, rule, mu, var) -> np.ndarray:
-        """mean_j d(N(mu, var), P_j) for one Gaussian per row, shape (n,).
-
-        With a surrogate as the Gaussian these are the (3a,1) / (3b,1) cells.
-        """
-        if rule is ScoringRule.CRPS:
-            return (self._cross_mean(rule, mu, var)
-                    - (np.sqrt(var) + self.sigmas.mean(axis=1)) / _SQRT_PI)
-        if rule is ScoringRule.LOG:
-            mu_b, var_b = mu[:, None], var[:, None]
-            kl = 0.5 * (np.log(var_b / self.variances) - 1.0
-                        + (self.variances + (mu_b - self.means) ** 2) / var_b)
-            return kl.mean(axis=1)
-        if rule is ScoringRule.QUADRATIC:
-            return (0.5 / (_SQRT_PI * np.sqrt(var))
-                    + (0.5 / (_SQRT_PI * self.sigmas)).mean(axis=1)
-                    - 2.0 * self._cross_mean(rule, mu, var))
-        if rule is ScoringRule.SE:
-            return ((mu[:, None] - self.means) ** 2).mean(axis=1)
-        raise ValueError(f"unknown rule {rule!r}")
-
-    def gaussian_vs_mixture(self, rule, mu, var) -> np.ndarray:
-        """d(N(mu, var), P_ens) for one Gaussian per row, shape (n,).
-
-        With a surrogate as the Gaussian these are the (3a,2) / (3b,2) cells.
-        """
-        if rule is ScoringRule.SE:
-            # Exactly 0.0 for the surrogates, which sit at the mixture mean.
-            return (mu - self.mu_star) ** 2
-        if rule is ScoringRule.CRPS:
-            return (self._cross_mean(rule, mu, var) - np.sqrt(var) / _SQRT_PI
-                    - 0.5 * self.crps_pair_mean())
-        if rule is ScoringRule.QUADRATIC:
-            return (0.5 / (_SQRT_PI * np.sqrt(var))
-                    + self.quad_pair_mean() - 2.0 * self._cross_mean(rule, mu, var))
-        if rule is ScoringRule.LOG:
-            # mean_j LS(N(mu, var), P_j) - H(P_ens)
-            cross = 0.5 * (_LOG_2PI + np.log(var)[:, None]
-                           + (self.variances + (mu[:, None] - self.means) ** 2)
-                           / var[:, None]).mean(axis=1)
-            return cross - self.bayes(rule, ApproximationId.ENS)
-        raise ValueError(f"unknown rule {rule!r}")
+        return self._cell(rule, f"bayes_{approx.value}")
 
     def excess(self, rule: ScoringRule,
                pair: tuple[ApproximationId, ApproximationId]) -> np.ndarray:
-        """Exc(pair) per row; computed once per (rule, pair), read-only."""
-        return self._cached(("excess", rule, tuple(pair)), lambda: self._excess(rule, pair))
-
-    def _excess(self, rule: ScoringRule,
-                pair: tuple[ApproximationId, ApproximationId]) -> np.ndarray:
-        first, second = pair
-        ba, ens = ApproximationId.BA, ApproximationId.ENS
-
-        if pair == (ba, ba):
-            if rule is ScoringRule.CRPS:
-                return (self.crps_pair_mean()
-                        - 2.0 * self.sigmas.mean(axis=1) / _SQRT_PI)
-            if rule is ScoringRule.LOG:
-                # mean_ij KL(P_j || P_i): the log-variance terms cancel
-                # between (i, j) and (j, i), and the diagonal is 0; var_i and
-                # var_j are gathered in turn into one scratch row
-                pairs = self.member_pairs()
-                d2, var, kl = pairs.scratch
-                np.multiply(pairs.dm, pairs.dm, out=d2)
-                np.add(pairs.take_var(pairs.j, var), d2, out=kl)
-                pairs.take_var(pairs.i, var)
-                kl /= var
-                kl -= 1.0
-                d2 += var
-                pairs.take_var(pairs.j, var)
-                d2 /= var
-                d2 -= 1.0
-                kl += d2
-                return pairs.pair_sum(kl) / (2.0 * self.size ** 2)
-            if rule is ScoringRule.QUADRATIC:
-                return ((1.0 / self.sigmas).mean(axis=1) / _SQRT_PI
-                        - 2.0 * self.quad_pair_mean())
-            if rule is ScoringRule.SE:
-                return 2.0 * self.pop_var
-            raise ValueError(f"unknown rule {rule!r}")
-
-        if pair == (ba, ens) and rule is ScoringRule.LOG:
-            # mean_j KL(P_ens || P_j) = Tot(1,1) - H(P_ens): LOG's two
-            # orientations differ, so it has no Bregman shortcut
-            return self.total(rule, (ba, ba)) - self.bayes(rule, ens)
-        if pair in ((ens, ba), (ba, ens)):
-            # Bregman information: equals Bayes(2) - Bayes(1) for every rule,
-            # and the two orientations coincide for symmetric divergences.
-            return self.bayes(rule, ens) - self.bayes(rule, ba)
-
-        if second is ba:
-            return self.gaussian_vs_members(rule, *self._surrogate(first))
-        if second is ens:
-            return self.gaussian_vs_mixture(rule, *self._surrogate(first))
-        raise ValueError(f"unsupported pair {pair!r}")
+        return self._cell(rule, f"exc_{pair[0].value}_{pair[1].value}")
 
     def total(self, rule: ScoringRule,
               pair: tuple[ApproximationId, ApproximationId]) -> np.ndarray:
-        return self.bayes(rule, pair[0]) + self.excess(rule, pair)
+        return self._cell(rule, f"tot_{pair[0].value}_{pair[1].value}")
 
     def evaluate(self, rule: ScoringRule, est: EstimatorId) -> np.ndarray:
-        if est.kind is RiskKind.BAYES:
-            return self.bayes(rule, est.first)
-        if est.kind is RiskKind.EXCESS:
-            return self.excess(rule, (est.first, est.second))
-        return self.total(rule, (est.first, est.second))
+        return self._cell(rule, est.key)
+
+    def gaussian_vs_members(self, rule, mu, var) -> np.ndarray:
+        """mean_j d(N(mu, var), P_j) for one Gaussian per row, shape (n,)."""
+        return self._vs_gaussian(rule, mu, var, self.cells(rule)["bayes_2"])[0]
+
+    def gaussian_vs_mixture(self, rule, mu, var) -> np.ndarray:
+        """d(N(mu, var), P_ens) for one Gaussian per row, shape (n,)."""
+        return self._vs_gaussian(rule, mu, var, self.bayes(rule, ApproximationId.ENS))[1]
 
     def column_values(self, columns):
         """The (n,) values of each ``MeasureColumn`` in turn, computed as

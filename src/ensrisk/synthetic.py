@@ -71,22 +71,19 @@ class ShiftKind(Enum):
     VARIANCE_SCALE = "variance-scale"
 
 
-# Shifted target ranges; applying a shift replaces the range outright,
-# so repeated application is idempotent.
+# The spec fields each shift replaces; applying a shift replaces the range
+# outright, so repeated application is idempotent.
 _SHIFTED_RANGES = {
-    ShiftKind.MEAN_LOCATION: ("mean", (1.0, 3.0)),
-    ShiftKind.VARIANCE_LOCATION: ("var", (2.0, 3.0)),
-    ShiftKind.MEAN_SCALE: ("mean", (-2.0, 2.0)),
-    ShiftKind.VARIANCE_SCALE: ("var", (0.5, 2.5)),
+    ShiftKind.MEAN_LOCATION: dict(mean_low=1.0, mean_high=3.0),
+    ShiftKind.VARIANCE_LOCATION: dict(var_low=2.0, var_high=3.0),
+    ShiftKind.MEAN_SCALE: dict(mean_low=-2.0, mean_high=2.0),
+    ShiftKind.VARIANCE_SCALE: dict(var_low=0.5, var_high=2.5),
 }
 
 
 def apply_shift(spec: UniformPosteriorSpec, kind: ShiftKind) -> UniformPosteriorSpec:
     """Return the spec with the shifted range substituted."""
-    which, (lo, hi) = _SHIFTED_RANGES[kind]
-    if which == "mean":
-        return replace(spec, mean_low=lo, mean_high=hi)
-    return replace(spec, var_low=lo, var_high=hi)
+    return replace(spec, **_SHIFTED_RANGES[kind])
 
 
 def _sample_arrays(spec: UniformPosteriorSpec, start: int = 0,

@@ -61,6 +61,14 @@ def members(ens):
     return [GaussianEnsemble([m], [v]) for m, v in zip(ens.means, ens.variances)]
 
 
+def wide_rows(rng, n, m):
+    """(n, m) means and variances over magnitudes from 1e-4 to 1e4: each row
+    scales its means by its own power of ten, and each member draws its own
+    variance."""
+    means = rng.uniform(-1.0, 1.0, (n, m)) * 10.0 ** rng.uniform(-4.0, 4.0, (n, 1))
+    return means, 10.0 ** rng.uniform(-4.0, 4.0, (n, m))
+
+
 class TestEstimatorId:
     def test_labels_and_keys(self):
         est = EstimatorId(RiskKind.EXCESS, MM, ENS)
@@ -326,6 +334,63 @@ class TestIdentities:
                         assert val >= -1e-10
 
 
+class TestExactRelations:
+    """Relations between cells that hold in every row to the last bit."""
+
+    # (cell, factor, source): the cell is the factor times the source cell,
+    # as the formulas are written.  CRPS and QUADRATIC Tot(1,1) = Tot(2,1)
+    # holds only by luck of rounding, so it is not pinned.
+    TIES = [("crps_exc_1_1", 2.0, "crps_exc_2_1"),
+            ("quadratic_exc_1_1", 2.0, "quadratic_exc_2_1"),
+            ("se_exc_3a_1", 0.5, "se_exc_1_1"),
+            ("se_exc_3b_1", 0.5, "se_exc_1_1"),
+            ("se_tot_3b_1", 1.0, "se_bayes_2"),
+            ("se_bayes_3a", 1.0, "se_bayes_2"),
+            ("se_tot_3a_2", 1.0, "se_bayes_3a"),
+            ("se_tot_3b_2", 1.0, "se_bayes_1"),
+            ("se_bayes_3b", 1.0, "se_bayes_1")]
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_tied_cells_are_bitwise_equal(self, m):
+        means, variances = wide_rows(np.random.default_rng(80 + m), 5500, m)
+        columns = measure_columns(ScoringRule)
+        values = EnsembleBatch(means, variances).columns(columns)
+        cell = {col.name: values[:, k] for k, col in enumerate(columns)}
+        for name, factor, source in self.TIES:
+            assert cell[name].tobytes() == (factor * cell[source]).tobytes(), name
+        for name in ("se_exc_3a_2", "se_exc_3b_2"):
+            assert cell[name].tobytes() == np.zeros(len(means)).tobytes(), name
+
+    @pytest.mark.parametrize("k", [-10, -3, 3, 10])
+    def test_scaling_moves_cells_exactly(self, k):
+        """Means times 2^k, variances times 4^k and H(P_ens) plus k log 2:
+        the CRPS, QUADRATIC and SE cells scale bitwise by 2^k, 2^-k and 4^k;
+        the LOG Bayes and Tot cells move by k log 2 and the LOG Exc cells
+        stay, to within 64 ulps of the cell (at least of 1)."""
+        rng = np.random.default_rng(90)
+        columns = measure_columns(ScoringRule)
+        factor = {ScoringRule.CRPS: 2.0 ** k, ScoringRule.QUADRATIC: 2.0 ** -k,
+                  ScoringRule.SE: 4.0 ** k}
+        for m in range(1, 12):
+            means, variances = wide_rows(rng, 1650, m)
+            plain = EnsembleBatch(means, variances)
+            b1, b3 = plain.bayes(ScoringRule.LOG, BA), plain.bayes(ScoringRule.LOG, MM)
+            # H(P_ens) lies between the mean member entropy and the
+            # moment-matched one
+            h = b1 + rng.uniform(0.0, 1.0, len(means)) * (b3 - b1)
+            base = EnsembleBatch(means, variances, h).columns(columns)
+            scaled = EnsembleBatch(2.0 ** k * means, 4.0 ** k * variances,
+                                   h + k * math.log(2.0)).columns(columns)
+            for j, col in enumerate(columns):
+                if col.rule is not ScoringRule.LOG:
+                    assert scaled[:, j].tobytes() == (factor[col.rule] * base[:, j]).tobytes()
+                    continue
+                moves = col.estimator.kind is not RiskKind.EXCESS
+                want = base[:, j] + (k * math.log(2.0) if moves else 0.0)
+                tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(scaled[:, j] - want) <= tol), (m, col.name)
+
+
 class TestMixtureEntropyIsBayes2:
     """Given the rows' LOG mixture entropies H, every LOG cell composes as
     Tot = Bayes + Exc with H as Bayes(2)."""
@@ -531,6 +596,28 @@ class TestMeasureMatrix:
         np.testing.assert_array_equal(chunked.values, whole.values)
 
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_column_subsets_get_the_bits_of_the_full_run(self, fallback):
+        rng = np.random.default_rng(29)
+        sizes = rng.permutation([1, 2, 3, 5, 10] * 6)
+        ps = PredictionSet([f"p{i}" for i in range(len(sizes))],
+                           [rng.uniform(-3.0, 3.0, m) for m in sizes],
+                           [rng.uniform(0.2, 4.0, m) for m in sizes])
+        full = measure_matrix(list(ScoringRule), ps, use_oracle_fallback=fallback)
+        index = {col.name: k for k, col in enumerate(full.columns)}
+        log, se, crps = ScoringRule.LOG, ScoringRule.SE, ScoringRule.CRPS
+        for rules, keys in (([log], ["exc_1_1"]),
+                            ([se, crps], ["tot_3b_2", "bayes_1"]),
+                            ([log], ["exc_3a_2", "bayes_2", "tot_2_1"]),
+                            (list(reversed(ScoringRule)), None)):
+            ests = None if keys is None else [EstimatorId.parse(key) for key in keys]
+            sub = measure_matrix(rules, ps, use_oracle_fallback=fallback, estimators=ests)
+            for k, col in enumerate(sub.columns):
+                j = index[col.name]
+                assert sub.values[:, k].tobytes() == full.values[:, j].tobytes(), col.name
+                assert sub.available[k] == full.available[j]
+
+
 class TestBatchRows:
     def test_cap_counts_member_pairs_and_cells(self):
         for members in (1, 2, 10, 60, 1000):
@@ -655,29 +742,48 @@ class TestBatchMemo:
                             EnsembleBatch(means, variances, h_ens).column_values(columns)])
             assert got.tobytes() == want.tobytes()
 
-    def test_cached_arrays_are_read_only(self):
-        batch = EnsembleBatch(*self._batch())
-        exc = batch.excess(ScoringRule.LOG, (BA, BA))
-        assert batch.excess(ScoringRule.LOG, (BA, BA)) is exc
-        with pytest.raises(ValueError):
-            exc[0] = 0.0
-        mu, var = batch._surrogate(MM)
-        cross = batch._cross_mean(ScoringRule.CRPS, mu, var)
-        with pytest.raises(ValueError):
-            cross[0] = 0.0
-        # Tot is a fresh array built on the cached excess
-        tot = batch.total(ScoringRule.LOG, (BA, BA))
-        tot[0] = 0.0
-        assert batch.excess(ScoringRule.LOG, (BA, BA))[0] != 0.0
-
-    def test_other_gaussians_are_not_cached(self):
+    def test_h_ens_is_copied(self):
         means, variances = self._batch()
-        batch = EnsembleBatch(means, variances)
-        mu, var = batch._surrogate(MM)
-        for rule in (ScoringRule.CRPS, ScoringRule.QUADRATIC):
-            own = batch.gaussian_vs_members(rule, mu, var)
-            other = batch.gaussian_vs_members(rule, mu + 1.0, var)
-            equal = batch.gaussian_vs_members(rule, mu.copy(), var.copy())
-            assert not np.array_equal(own, other)
-            assert equal.tobytes() == own.tobytes()
-            assert equal.flags.writeable
+        h_ens = np.linspace(1.0, 2.0, len(means))
+        before = h_ens.tobytes()
+        batch = EnsembleBatch(means, variances, h_ens)
+        batch.columns(self._columns())
+        assert h_ens.flags.writeable and h_ens.tobytes() == before
+        assert not np.shares_memory(batch.bayes(ScoringRule.LOG, ENS), h_ens)
+
+    def test_cells_are_computed_once_and_read_only(self):
+        means, variances = self._batch()
+        keys = {est.key for est in default_estimators()} | {"exc_1_2"}
+        without = EnsembleBatch(means, variances)
+        with_h = EnsembleBatch(means, variances, np.linspace(1.0, 2.0, len(means)))
+        for rule in ScoringRule:
+            for batch in (without, with_h):
+                cells = batch.cells(rule)
+                assert batch.cells(rule) is cells and set(cells) == keys
+                for key, values in cells.items():
+                    if values is None:
+                        assert batch is without and rule is ScoringRule.LOG
+                        assert key == "exc_1_2" or needs_mixture_entropy(
+                            rule, EstimatorId.parse(key))
+                        continue
+                    with pytest.raises(ValueError):
+                        values[0] = 0.0
+            assert sum(v is None for v in without.cells(rule).values()) == (
+                8 if rule is ScoringRule.LOG else 0)
+        log_cells = with_h.cells(ScoringRule.LOG)
+        assert with_h.excess(ScoringRule.LOG, (BA, BA)) is log_cells["exc_1_1"]
+
+    def test_a_gaussian_equal_to_a_surrogate_gets_its_cells(self):
+        means, variances = self._batch()
+        batch = EnsembleBatch(means, variances, np.linspace(1.0, 2.0, len(means)))
+        for rule in ScoringRule:
+            cells = batch.cells(rule)
+            for approx, var in ((MM, batch.var_mm), (AV, batch.var_av)):
+                mu, var = batch.mu_star.copy(), var.copy()
+                vs_members = batch.gaussian_vs_members(rule, mu, var)
+                vs_mixture = batch.gaussian_vs_mixture(rule, mu, var)
+                assert vs_members.tobytes() == cells[f"exc_{approx.value}_1"].tobytes()
+                assert vs_mixture.tobytes() == cells[f"exc_{approx.value}_2"].tobytes()
+                assert vs_members.flags.writeable and vs_mixture.flags.writeable
+                other = batch.gaussian_vs_members(rule, mu + 1.0, var)
+                assert not np.array_equal(other, vs_members)

@@ -18,7 +18,7 @@ from ensrisk.gaussians import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from ensrisk.estimators import ApproximationId, EnsembleBatch
+from ensrisk.estimators import EnsembleBatch
 from ensrisk.oracle import adaptive_quadrature
 
 
@@ -337,9 +337,8 @@ class TestSurrogates:
         rng = np.random.default_rng(m)
         means, variances = rng.uniform(-5, 5, (200, m)), rng.uniform(0.05, 9, (200, m))
         batch = EnsembleBatch(means, variances)
-        for approx, surrogate in ((ApproximationId.MM, moment_surrogate),
-                                  (ApproximationId.AV, averaged_surrogate)):
-            mu, var = batch._surrogate(approx)
+        for var, surrogate in ((batch.var_mm, moment_surrogate),
+                               (batch.var_av, averaged_surrogate)):
             got = [surrogate(GaussianEnsemble(mr, vr)) for mr, vr in zip(means, variances)]
-            assert np.array([g.means[0] for g in got]).tobytes() == mu.tobytes()
+            assert np.array([g.means[0] for g in got]).tobytes() == batch.mu_star.tobytes()
             assert np.array([g.variances[0] for g in got]).tobytes() == var.tobytes()

@@ -367,9 +367,10 @@ class TestMemberPairs:
 
     def _check(self, means, variances):
         batch = EnsembleBatch(means, variances)
-        ba = ApproximationId.BA
-        got = {ScoringRule.CRPS: batch.crps_pair_mean(),
-               ScoringRule.QUADRATIC: batch.quad_pair_mean(),
+        ba, ens = ApproximationId.BA, ApproximationId.ENS
+        # Bayes(2) is half the CRPS pair mean and minus the quadratic one, exactly
+        got = {ScoringRule.CRPS: 2.0 * batch.bayes(ScoringRule.CRPS, ens),
+               ScoringRule.QUADRATIC: -batch.bayes(ScoringRule.QUADRATIC, ens),
                ScoringRule.LOG: batch.excess(ScoringRule.LOG, (ba, ba))}
         eps = np.finfo(float).eps
         for rule, (want, largest) in _full_pair_means(means, variances).items():
