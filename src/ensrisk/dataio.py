@@ -8,7 +8,8 @@ CSV is output-only (the per-point member lists do not fit a flat table);
 into CSV cells unquoted, so the loader refuses the characters that would
 need quoting, by the rule the ``PredictionSet`` constructor reads.
 Serialization is canonical: fixed field order, floats in 17-significant-digit
-decimal, so serialize -> parse -> serialize is byte-identical.  All writes go
+decimal (a negative zero as ``-0.0``, which JSON reads back as a float), so
+serialize -> parse -> serialize is byte-identical.  All writes go
 through a write-temp-then-rename (``atomic_write``) so partial files never
 appear under the target name.  Every file is read and written as UTF-8
 (RFC 8259 for JSON), whatever the locale.
@@ -39,11 +40,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_float(x: float) -> str:
+    """``fmt`` of a float, but -0.0 as ``-0.0``: JSON reads ``-0`` as the
+    integer 0, which would lose the sign on a round trip."""
+    text = fmt(x)
+    return "-0.0" if text == "-0" else text
+
+
 def dumps_prediction_set(ps: PredictionSet) -> str:
     members = [""] * len(ps)
     for rows, means, variances in ps.blocks():
         for i, mus, sig2s in zip(rows.tolist(), means.tolist(), variances.tolist()):
-            members[i] = ", ".join(f'{{"mu": {fmt(mu)}, "sigma2": {fmt(s2)}}}'
+            members[i] = ", ".join(f'{{"mu": {_json_float(mu)}, "sigma2": {fmt(s2)}}}'
                                    for mu, s2 in zip(mus, sig2s))
     lines = ["{", f'  "schema": {json.dumps(SCHEMA_TAG)},', '  "points": [']
     body = []
@@ -51,7 +59,7 @@ def dumps_prediction_set(ps: PredictionSet) -> str:
             ps.ids, members, ps.target_values.tolist(), ps.group_labels):
         fields = [f'"id": {json.dumps(pid)}', f'"members": [{point_members}]']
         if not math.isnan(target):
-            fields.append(f'"target": {fmt(target)}')
+            fields.append(f'"target": {_json_float(target)}')
         if group is not None:
             fields.append(f'"group": {json.dumps(group)}')
         body.append("    {" + ", ".join(fields) + "}")

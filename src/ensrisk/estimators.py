@@ -185,8 +185,9 @@ class EnsembleBatch:
     def __init__(self, means, variances, h_ens=None):
         means = np.asarray(means, dtype=float)
         variances = np.asarray(variances, dtype=float)
-        if means.ndim != 2 or means.shape != variances.shape:
-            raise ValueError("means and variances must be (n, M) arrays of equal shape")
+        if means.ndim != 2 or means.shape != variances.shape or means.size == 0:
+            raise ValueError("means and variances must be non-empty (n, M) arrays "
+                             "of equal shape")
         if h_ens is not None:
             h_ens = np.array(h_ens, dtype=float)
             if h_ens.shape != means.shape[:1]:
@@ -422,7 +423,10 @@ def _divergences_to(rule: ScoringRule, pred: GaussianEnsemble,
         labels = EnsembleBatch(mu[:, None], var[:, None])
         return labels.gaussian_vs_members(rule, np.repeat(p_means, k),
                                           np.repeat(p_vars, k))
-    # d(P_ens, N_k) = d(N_k, P_ens) for the symmetric rules; LOG raises here.
+    if rule is ScoringRule.LOG:
+        raise NotClosedForm("the LOG score of a mixture prediction, E_Q[-log p_ens], "
+                            "has no closed form")
+    # d(P_ens, N_k) = d(N_k, P_ens) holds for the symmetric rules left
     preds = EnsembleBatch(np.tile(p_means, (k, 1)), np.tile(p_vars, (k, 1)))
     return preds.gaussian_vs_mixture(rule, mu, var)
 

@@ -26,11 +26,10 @@ gradient, and every member trains bit for bit as it would alone.
 A training step is bound by NumPy call overhead, not arithmetic, so the
 stack keeps every parameter in one contiguous vector (layer views on top),
 backpropagation fills one gradient vector of the same layout, and Adam
-updates the flat (parameters, m, v) vectors in one pass of ufuncs.  Each
-epoch's permuted minibatches are gathered once.  The step works in place
-but keeps the textbook expressions' evaluation order, so the trained
-weights are the same bits as a per-array implementation gives, and each
-member's mean NLL is summed per epoch to detect divergence.
+updates the flat (parameters, m, v) vectors with one textbook expression
+per minibatch instead of one per layer.  Each epoch's permuted minibatches
+are gathered once, and each member's mean NLL is summed per epoch to detect
+divergence.
 
 Inputs and targets are z-scored from the training split and the
 standardization is inverted at prediction time, which these narrow networks
@@ -154,15 +153,13 @@ class Mlp:
         a = x
         pre, sig, post = [], [], [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = np.matmul(a, w)
-            z += b[:, None, :]
+            z = np.matmul(a, w) + b[:, None, :]
             s = _sigmoid(z)
             a = z * s
             pre.append(z)
             sig.append(s)
             post.append(a)
-        out = np.matmul(a, self.weights[-1])
-        out += self.biases[-1][:, None, :]
+        out = np.matmul(a, self.weights[-1]) + self.biases[-1][:, None, :]
         return out, pre, sig, post
 
     def forward(self, x: np.ndarray):
@@ -176,11 +173,9 @@ class Mlp:
         its gradient, and the (M,) member means.
 
         The gradient is a new vector laid out like ``params``, copied from
-        the buffer the backward pass writes into.  Members are
-        independent, so gradient block m is member m's own gradient.  The
-        in-place steps round exactly as the textbook expressions do: IEEE +
-        and * commute and negation is exact, so only the grouping has to be
-        kept.
+        the flat buffer the backward pass writes each layer's gradients
+        into.  Members are independent, so gradient block m is member m's
+        own gradient.
         """
         n = y.shape[-1]
         out, pre, sig, post = self._forward(x)
@@ -190,82 +185,46 @@ class Mlp:
         member_loss = np.mean(nll_natural(eta1, eta2, y), axis=-1)
         # dL/deta are the moment mismatches of the predicted Gaussian; the
         # eta2 column is chained through eta2 = -softplus(raw) - margin
-        neg_y = np.negative(y)
-        two_eta2 = 2.0 * eta2
-        head = np.empty(out.shape)
-        d_eta1, d_eta2 = head[..., 0], head[..., 1]
-        np.divide(eta1, two_eta2, out=d_eta1)
-        np.subtract(neg_y, d_eta1, out=d_eta1)
-        d_eta1 /= n
-        t = 4.0 * eta2
-        t *= eta2
-        np.divide(eta1 * eta1, t, out=t)
-        np.multiply(neg_y, y, out=d_eta2)
-        d_eta2 += t
-        np.divide(1.0, two_eta2, out=t)
-        d_eta2 -= t
-        d_eta2 /= n
-        s = _sigmoid(raw)
-        np.negative(s, out=s)
-        d_eta2 *= s
-
-        delta = head
+        d_eta1 = (-y - eta1 / (2.0 * eta2)) / n
+        d_eta2 = (-y * y + eta1 * eta1 / (4.0 * eta2 * eta2) - 1.0 / (2.0 * eta2)) / n
+        delta = np.stack([d_eta1, d_eta2 * (-_sigmoid(raw))], axis=-1)
         for layer in reversed(range(len(self.weights))):
             np.matmul(post[layer].swapaxes(-1, -2), delta, out=self._grad_weights[layer])
             np.add.reduce(delta, axis=-2, out=self._grad_biases[layer])
             if layer > 0:
-                delta = np.matmul(delta, self.weights[layer].swapaxes(-1, -2))
                 z, s = pre[layer - 1], sig[layer - 1]
-                g = np.subtract(1.0, s)  # SiLU': s (1 + z (1 - s))
-                g *= z
-                g += 1.0
-                g *= s
-                delta *= g
+                silu_grad = s * (1.0 + z * (1.0 - s))
+                delta = np.matmul(delta, self.weights[layer].swapaxes(-1, -2)) * silu_grad
         return float(member_loss.sum()), self._grad.copy(), member_loss
 
 
 def _eta2(raw):
-    """eta2 = -softplus(raw) - margin, in place over softplus(raw)."""
-    eta2 = _softplus(raw)
-    np.negative(eta2, out=eta2)
-    eta2 -= _ETA2_MARGIN
-    return eta2
+    """eta2 = -softplus(raw) - margin: negative for every raw output."""
+    return -_softplus(raw) - _ETA2_MARGIN
 
 
 class _AdamState:
-    """Adam moments and step scratch, laid out like the parameter vector."""
+    """Adam's moments, laid out like the parameter vector, and step count."""
 
     def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.step = np.empty(size)
-        self.denom = np.empty(size)
         self.t = 0
 
 
 def _adam_step(params: np.ndarray, grad: np.ndarray, state: _AdamState):
     """One Adam update of the flat ``params``, in place, with the fixed
-    learning rate 1e-3, beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
-    Each line is one ufunc of the textbook expression p -= lr (m / bc1) /
-    (sqrt(v / bc2) + eps), evaluated in that order."""
+    learning rate 1e-3, beta1 = 0.9, beta2 = 0.999 and eps = 1e-8: every
+    parameter of every member in one pass."""
     state.t += 1
     bc1 = 1.0 - _ADAM_BETA1 ** state.t
     bc2 = 1.0 - _ADAM_BETA2 ** state.t
-    m, v, step, denom = state.m, state.v, state.step, state.denom
+    m, v = state.m, state.v
     m *= _ADAM_BETA1
-    np.multiply(grad, 1.0 - _ADAM_BETA1, out=step)
-    m += step
+    m += (1.0 - _ADAM_BETA1) * grad
     v *= _ADAM_BETA2
-    np.multiply(grad, 1.0 - _ADAM_BETA2, out=step)
-    step *= grad
-    v += step
-    np.divide(v, bc2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += _ADAM_EPS
-    np.divide(m, bc1, out=step)
-    step *= _LEARNING_RATE
-    step /= denom
-    params -= step
+    v += (1.0 - _ADAM_BETA2) * grad * grad
+    params -= _LEARNING_RATE * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 @dataclass(frozen=True)

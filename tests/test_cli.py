@@ -74,12 +74,17 @@ class TestSerialization:
         sizes = [1, 2, 5, 10, 10, 5, 2, 1, 10]
         targets = [None if i % 3 == 0 else float(rng.normal()) for i in range(9)]
         groups = [None if i % 2 else ("id", "ood")[i % 4 // 2] for i in range(9)]
-        ps = PredictionSet([f"q{i}" for i in range(9)],
-                           [rng.normal(size=m) for m in sizes],
-                           [rng.uniform(0.1, 3.0, m) for m in sizes], targets, groups)
+        means = [rng.normal(size=m) for m in sizes]
+        variances = [rng.uniform(0.1, 3.0, m) for m in sizes]
+        # a negative zero must come back as a float, not as JSON's integer 0
+        means[3][1] = -0.0
+        targets[1] = -0.0
+        ps = PredictionSet([f"q{i}" for i in range(9)], means, variances, targets, groups)
         text = dumps_prediction_set(ps)
         again = loads_prediction_set(text)
         assert dumps_prediction_set(again) == text
+        assert np.signbit(again.means[again.offsets[3] + 1])
+        assert np.signbit(again.target_values[1])
         doc = json.loads(text)
         assert [len(p["members"]) for p in doc["points"]] == sizes
         assert [p.get("target") for p in doc["points"]] == targets

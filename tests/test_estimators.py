@@ -440,6 +440,11 @@ class TestMixtureEntropyIsBayes2:
         with pytest.raises(ValueError, match="one mixture entropy per row"):
             EnsembleBatch(np.zeros((3, 2)), np.ones((3, 2)), np.ones(2))
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)], ids=["no_members", "no_rows"])
+    def test_empty_axis_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            EnsembleBatch(np.zeros(shape), np.ones(shape))
+
 
 class TestNeedsMixtureEntropy:
     def test_log_quadrature_cells(self):

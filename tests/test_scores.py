@@ -319,6 +319,18 @@ class TestDivergence:
         with pytest.raises(NotClosedForm):
             divergence(ScoringRule.LOG, mix, G01)
 
+    def test_log_mixture_prediction_names_its_score(self):
+        # E_Q[-log p_ens] is what has no closed form, not H(P_ens): the
+        # symmetric rules' d(P_ens, N) = d(N, P_ens) swap does not hold for LOG
+        mix = GaussianEnsemble([0.0, 1.0], [1.0, 2.0])
+        for fn in (expected_score, divergence):
+            with pytest.raises(NotClosedForm, match=r"mixture prediction, E_Q\[-log p_ens\]"):
+                fn(ScoringRule.LOG, mix, G01)
+            with pytest.raises(NotClosedForm, match=r"mixture prediction"):
+                fn(ScoringRule.LOG, mix, mix)
+        with pytest.raises(NotClosedForm, match=r"H\(P_ens\)"):
+            divergence(ScoringRule.LOG, G01, mix)
+
     def test_properness_sweep(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
